@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corruption import CorruptionSpec, corrupt_dataset, corrupt_labels, write_sidecar
+from .corruption import CorruptionSpec, corrupt_dataset, write_sidecar
 from .data import IdxFormatError, load_idx, save_dataset, split, synth_blobs
 from .losses import BaseLoss
 from .net import AdamConfig, save_params
@@ -50,9 +50,12 @@ def _prior(text):
 
 def _hidden(text):
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        sizes = tuple(int(part) for part in text.split(",") if part)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad hidden sizes {text!r}") from exc
+    if any(size < 1 for size in sizes):
+        raise argparse.ArgumentTypeError(f"hidden sizes must be >= 1, got {text!r}")
+    return sizes
 
 
 def _add_data_flags(sub):
@@ -236,8 +239,8 @@ def _cmd_corrupt(args):
     else:
         raise CliError("need --dataset or --synthetic")
     spec = CorruptionSpec(args.noise, args.noise_rate, args.seed, dataset.num_classes)
-    _, flags = corrupt_labels(dataset.labels, spec)
     corrupted = corrupt_dataset(dataset, spec)
+    flags = corrupted.flip_flags  # every flip changes the label
     _echo_config(args, out / "config.txt")
     save_dataset(out / "corrupted.npds", corrupted)
     write_sidecar(out / "corrupted.json", spec, flags)
@@ -249,6 +252,7 @@ def _cmd_sweep(args):
     if args.noise_rate == 0.0:
         raise CliError("sweep needs a true --noise-rate to scale priors from")
     out = Path(args.out)
+    train_set, test_set = _load_datasets(args)
     failures = 0
     for factor in SWEEP_FACTORS:
         prior = factor * args.noise_rate
@@ -258,7 +262,6 @@ def _cmd_sweep(args):
             continue
         cell = out / f"prior_{prior:.4g}"
         cell.mkdir(parents=True, exist_ok=True)
-        train_set, test_set = _load_datasets(args)
         config = _train_config(args, prior=prior)
         _echo_config(args, cell / "config.txt")
         metrics, _ = train(config, train_set, test_set)

@@ -30,6 +30,7 @@ __all__ = [
     "weighted_loss",
     "loss_gradient",
     "hinge_from_margins",
+    "margins_and_values",
 ]
 
 
@@ -37,15 +38,15 @@ def _as_batch(logits, labels):
     """Normalize inputs to ``(n, K)`` logits and ``(n,)`` labels.
 
     Returns the arrays plus a flag telling whether the caller passed a
-    single sample (so results can be unwrapped back to scalars).
+    single sample (so results can be unwrapped back to scalars).  The
+    finiteness of the logits is checked by ``_margins``, which every loss
+    computation goes through.
     """
     t = np.asarray(logits, dtype=np.float64)
     single = t.ndim == 1
     t = np.atleast_2d(t)
     if t.ndim != 2 or t.shape[1] < 2:
         raise ValueError(f"logits must have at least 2 classes, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("logits contain non-finite values")
     y = np.atleast_1d(np.asarray(labels))
     if y.shape != (t.shape[0],):
         raise ValueError(f"labels shape {y.shape} does not match {t.shape[0]} samples")
@@ -73,12 +74,76 @@ def _rival_scores(t, y):
     return rival, rival_idx
 
 
+def _margins(t, y):
+    """Margins of validated ``(n, K)`` logits: ``(u, true_scores, rival_idx)``."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError("logits contain non-finite values")
+    rival, rival_idx = _rival_scores(t, y)
+    true = t[np.arange(t.shape[0]), y]
+    # margins overwrite the rival buffer: on million-row batches every
+    # avoided (n,) temporary lowers peak memory
+    return np.subtract(true, rival, out=rival), true, rival_idx
+
+
+def _logsumexp(t):
+    # max-subtraction keeps exp() in range for large logits
+    m = np.max(t, axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.sum(np.exp(t - m), axis=1))
+
+
+def _loss_pass(t, y, kind, gradients):
+    """Margins, loss values and, if ``gradients``, logit subgradients in one pass.
+
+    ``t`` is ``(n, K)`` float64 and ``y`` ``(n,)`` int64 labels in range;
+    only finiteness is checked here, so a loop whose data was validated once
+    can call this on every batch.  The rival scores are computed once and
+    shared by all three results.  Returns ``(margins, values, grads)`` with
+    ``grads`` None when not asked for.
+    """
+    u, true, rival_idx = _margins(t, y)
+    hard = 1.0 - u
+    np.maximum(hard, 0.0, out=hard)
+    if kind.kind == "hinge":
+        values = hard
+    else:
+        soft = np.where(u >= 0, hard, np.maximum(1.0 - true + _logsumexp(t), 0.0))
+        values = soft if kind.kind == "soft-hinge" else kind.beta * soft + (1.0 - kind.beta) * hard
+    if not gradients:
+        return u, values, None
+
+    rows = np.arange(t.shape[0])
+    hard_g = np.zeros_like(t)
+    active = u < 1.0  # flat for u >= 1, including the kink at u == 1
+    hard_g[rows[active], y[active]] = -1.0
+    hard_g[rows[active], rival_idx[active]] += 1.0
+    if kind.kind == "hinge":
+        return u, values, hard_g
+    soft_g = hard_g.copy() if kind.kind == "weighted" else hard_g
+    mis = u < 0.0
+    if np.any(mis):
+        # misclassified branch: 1 - t[y] + logsumexp(t) > 1, so the clip at 0
+        # is never active and the gradient is softmax(t) - e_y
+        tm = t[mis]
+        sm = np.exp(tm - np.max(tm, axis=1, keepdims=True))
+        sm /= np.sum(sm, axis=1, keepdims=True)
+        sm[np.arange(tm.shape[0]), y[mis]] -= 1.0
+        soft_g[mis] = sm
+    if kind.kind == "soft-hinge":
+        return u, values, soft_g
+    return u, values, kind.beta * soft_g + (1.0 - kind.beta) * hard_g
+
+
 def multiclass_margin(logits, labels):
     """Margin ``u = t[y] - max_{i != y} t[i]``; ``1(u < 0)`` is the 0-1 loss."""
     t, y, single = _as_batch(logits, labels)
-    rival, _ = _rival_scores(t, y)
-    u = t[np.arange(t.shape[0]), y] - rival
-    return _unwrap(u, single)
+    return _unwrap(_margins(t, y)[0], single)
+
+
+def margins_and_values(logits, labels, kind):
+    """Margins and per-sample values of the ``BaseLoss`` ``kind`` from one pass."""
+    t, y, single = _as_batch(logits, labels)
+    u, values, _ = _loss_pass(t, y, kind, gradients=False)
+    return _unwrap(u, single), _unwrap(values, single)
 
 
 def zero_one(margins):
@@ -100,16 +165,7 @@ def hinge_from_margins(margins):
 
 def hard_hinge(logits, labels):
     """Multi-class hard hinge ``max(1 - t[y] + max_{i != y} t[i], 0)``."""
-    t, y, single = _as_batch(logits, labels)
-    rival, _ = _rival_scores(t, y)
-    u = t[np.arange(t.shape[0]), y] - rival
-    return _unwrap(np.maximum(1.0 - u, 0.0), single)
-
-
-def _logsumexp(t):
-    # max-subtraction keeps exp() in range for large logits
-    m = np.max(t, axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.sum(np.exp(t - m), axis=1))
+    return BaseLoss.hinge().values(logits, labels)
 
 
 def soft_hinge(logits, labels):
@@ -119,52 +175,12 @@ def soft_hinge(logits, labels):
     is replaced by ``logsumexp(t)`` over all classes, which upper-bounds the
     max, so the soft hinge always dominates the hard hinge.
     """
-    t, y, single = _as_batch(logits, labels)
-    rows = np.arange(t.shape[0])
-    rival, _ = _rival_scores(t, y)
-    u = t[rows, y] - rival
-    hard = np.maximum(1.0 - u, 0.0)
-    soft = np.maximum(1.0 - t[rows, y] + _logsumexp(t), 0.0)
-    out = np.where(u >= 0, hard, soft)
-    return _unwrap(out, single)
+    return BaseLoss.soft().values(logits, labels)
 
 
 def weighted_loss(logits, labels, beta):
     """Convex combination ``beta * soft_hinge + (1 - beta) * hard_hinge``."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    t, y, single = _as_batch(logits, labels)
-    s = np.atleast_1d(soft_hinge(t, y))
-    h = np.atleast_1d(hard_hinge(t, y))
-    return _unwrap(beta * s + (1.0 - beta) * h, single)
-
-
-def _hard_hinge_grad(t, y):
-    rows = np.arange(t.shape[0])
-    rival, rival_idx = _rival_scores(t, y)
-    u = t[rows, y] - rival
-    g = np.zeros_like(t)
-    active = u < 1.0  # flat for u >= 1, including the kink at u == 1
-    g[rows[active], y[active]] = -1.0
-    g[rows[active], rival_idx[active]] += 1.0
-    return g
-
-
-def _soft_hinge_grad(t, y):
-    rows = np.arange(t.shape[0])
-    rival, _ = _rival_scores(t, y)
-    u = t[rows, y] - rival
-    g = _hard_hinge_grad(t, y)
-    mis = u < 0.0
-    if np.any(mis):
-        # misclassified branch: 1 - t[y] + logsumexp(t) > 1, so the clip at 0
-        # is never active and the gradient is softmax(t) - e_y
-        tm = t[mis]
-        sm = np.exp(tm - np.max(tm, axis=1, keepdims=True))
-        sm /= np.sum(sm, axis=1, keepdims=True)
-        sm[np.arange(tm.shape[0]), y[mis]] -= 1.0
-        g[mis] = sm
-    return g
+    return BaseLoss.weighted(beta).values(logits, labels)
 
 
 @dataclass(frozen=True)
@@ -211,11 +227,7 @@ class BaseLoss:
         return self.kind
 
     def values(self, logits, labels):
-        if self.kind == "hinge":
-            return hard_hinge(logits, labels)
-        if self.kind == "soft-hinge":
-            return soft_hinge(logits, labels)
-        return weighted_loss(logits, labels, self.beta)
+        return margins_and_values(logits, labels, self)[1]
 
     def gradients(self, logits, labels):
         return loss_gradient(logits, labels, self)
@@ -233,10 +245,5 @@ def loss_gradient(logits, labels, kind):
     if isinstance(kind, str):
         kind = BaseLoss.parse(kind)
     t, y, single = _as_batch(logits, labels)
-    if kind.kind == "hinge":
-        g = _hard_hinge_grad(t, y)
-    elif kind.kind == "soft-hinge":
-        g = _soft_hinge_grad(t, y)
-    else:
-        g = kind.beta * _soft_hinge_grad(t, y) + (1.0 - kind.beta) * _hard_hinge_grad(t, y)
+    g = _loss_pass(t, y, kind, gradients=True)[2]
     return g[0] if single else g

@@ -5,6 +5,21 @@ logits at the output.  Backpropagation averages the per-sample loss
 gradients over an explicit selection mask, so unselected samples contribute
 exactly zero to the update.
 
+A training step is built from three private cores; ``forward``,
+``backward`` and ``adam_step`` are validating wrappers over the same cores:
+
+1. ``_forward_cached`` runs the forward pass once and keeps every layer's
+   pre-activation and activation;
+2. the caller turns the logits into per-sample loss gradients in one loss
+   pass and scales them by the selection mask;
+3. ``_backprop`` backpropagates from the cached activations, writing each
+   layer's gradients into its views of one flat gradient vector;
+4. ``_adam_update`` updates the flat parameter vector in place.
+
+``MlpParams.views`` lays a flat vector out as per-layer weight and bias
+views in ``flatten()`` order, so the parameters, the gradients and both
+Adam moments each live in one contiguous vector.
+
 Checkpoint format (little-endian):
 
     magic  b"NPW1"
@@ -78,29 +93,70 @@ class MlpParams:
     def copy(self):
         return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.alpha)
 
+    @property
+    def size(self):
+        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+
     def flatten(self):
         return np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair])
 
+    def views(self, flat):
+        """Per-layer weight and bias views into ``flat``, laid out as ``flatten()``."""
+        weights, biases, at = [], [], 0
+        for w, b in zip(self.weights, self.biases):
+            weights.append(flat[at : at + w.size].reshape(w.shape))
+            at += w.size
+            biases.append(flat[at : at + b.size])
+            at += b.size
+        return weights, biases
 
-def _forward_cached(params: MlpParams, x):
-    x = np.asarray(x, dtype=np.float64)
+    def flat_copy(self):
+        """A flat copy of the parameters and an ``MlpParams`` viewing it."""
+        flat = self.flatten()
+        return flat, MlpParams(*self.views(flat), self.alpha)
+
+
+def _check_features(params: MlpParams, features):
+    x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
     if x.shape[1] != params.input_dim:
         raise ValueError(f"features have dim {x.shape[1]}, model expects {params.input_dim}")
-    pre_acts = []
-    h = x
+    return x, single
+
+
+def _forward_cached(params: MlpParams, x):
+    """Pre-activations and activations of every layer for ``(n, d)`` float64 ``x``.
+
+    ``acts[0]`` is ``x``, ``acts[-1]`` the logits, and ``pre[i]`` the
+    pre-activation behind ``acts[i + 1]``.
+    """
+    pre, acts = [], [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        pre_acts.append(z)
-        h = z if i == last else np.where(z > 0, z, params.alpha * z)
-    return x, pre_acts, h, single
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(z if i == last else np.where(z > 0, z, params.alpha * z))
+    return pre, acts
+
+
+def _backprop(params: MlpParams, pre, acts, delta, g_w, g_b):
+    """Backpropagate logit gradients ``delta`` through a cached forward pass.
+
+    Overwrites every array in ``g_w`` and ``g_b``.
+    """
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=g_w[i])
+        np.sum(delta, axis=0, out=g_b[i])
+        if i > 0:
+            delta = delta @ params.weights[i].T
+            delta *= np.where(pre[i - 1] > 0, 1.0, params.alpha)
 
 
 def forward(params: MlpParams, features):
     """Logits for one sample ``(d,)`` or a batch ``(n, d)``."""
-    _, _, logits, single = _forward_cached(params, features)
+    x, single = _check_features(params, features)
+    logits = _forward_cached(params, x)[1][-1]
     return logits[0] if single else logits
 
 
@@ -112,30 +168,21 @@ def backward(params: MlpParams, features, labels, kind: BaseLoss, mask):
     can treat it as a no-op step and count it.
     Returns ``(weight_grads, bias_grads)`` shaped like the parameters.
     """
-    x, pre_acts, logits, _ = _forward_cached(params, features)
+    x, _ = _check_features(params, features)
+    pre, acts = _forward_cached(params, x)
     y = np.atleast_1d(np.asarray(labels))
     mask = np.atleast_1d(np.asarray(mask, dtype=bool))
     if mask.shape != (x.shape[0],):
         raise ValueError("mask length must equal the batch size")
 
     selected = int(mask.sum())
-    g_w = [np.zeros_like(w) for w in params.weights]
-    g_b = [np.zeros_like(b) for b in params.biases]
+    g_w, g_b = params.views(np.zeros(params.size))
     if selected == 0:
         warnings.warn("empty selection: returning zero gradients", RuntimeWarning, stacklevel=2)
         return g_w, g_b
 
-    delta = kind.gradients(logits, y) * (mask[:, None] / selected)
-    last = len(params.weights) - 1
-    for i in range(last, -1, -1):
-        h_prev = x if i == 0 else np.where(
-            pre_acts[i - 1] > 0, pre_acts[i - 1], params.alpha * pre_acts[i - 1]
-        )
-        g_w[i] = h_prev.T @ delta
-        g_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = delta @ params.weights[i].T
-            delta *= np.where(pre_acts[i - 1] > 0, 1.0, params.alpha)
+    delta = kind.gradients(acts[-1], y) * (mask[:, None] / selected)
+    _backprop(params, pre, acts, delta, g_w, g_b)
     return g_w, g_b
 
 
@@ -149,44 +196,40 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moments, flat in ``MlpParams.flatten()`` order, and the step counter."""
 
     config: AdamConfig
-    m_w: list = field(repr=False, default=None)
-    v_w: list = field(repr=False, default=None)
-    m_b: list = field(repr=False, default=None)
-    v_b: list = field(repr=False, default=None)
+    m: np.ndarray = field(repr=False, default=None)
+    v: np.ndarray = field(repr=False, default=None)
     step: int = 0
 
     @classmethod
     def init(cls, params: MlpParams, config: AdamConfig = AdamConfig()):
-        return cls(
-            config=config,
-            m_w=[np.zeros_like(w) for w in params.weights],
-            v_w=[np.zeros_like(w) for w in params.weights],
-            m_b=[np.zeros_like(b) for b in params.biases],
-            v_b=[np.zeros_like(b) for b in params.biases],
-        )
+        return cls(config=config, m=np.zeros(params.size), v=np.zeros(params.size))
+
+
+def _adam_update(theta, grad, state: AdamState):
+    """One bias-corrected Adam update of the flat parameters ``theta``, in place."""
+    cfg = state.config
+    state.step += 1
+    bc1 = 1.0 - cfg.beta1**state.step
+    bc2 = 1.0 - cfg.beta2**state.step
+    m, v = state.m, state.v
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * (grad * grad)
+    theta -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
 def adam_step(params: MlpParams, grads, state: AdamState):
     """One bias-corrected Adam update; returns new params, advances state."""
     g_w, g_b = grads
-    cfg = state.config
-    state.step += 1
-    bc1 = 1.0 - cfg.beta1**state.step
-    bc2 = 1.0 - cfg.beta2**state.step
-
-    def update(value, g, m, v):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        return value - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-
-    new_w = [update(w, g, m, v) for w, g, m, v in zip(params.weights, g_w, state.m_w, state.v_w)]
-    new_b = [update(b, g, m, v) for b, g, m, v in zip(params.biases, g_b, state.m_b, state.v_b)]
-    return MlpParams(new_w, new_b, params.alpha)
+    if [g.shape for g in (*g_w, *g_b)] != [a.shape for a in (*params.weights, *params.biases)]:
+        raise ValueError("gradients must match the parameter shapes")
+    theta, new = params.flat_copy()
+    _adam_update(theta, MlpParams(g_w, g_b, params.alpha).flatten(), state)
+    return new
 
 
 def grad_check(params: MlpParams, features, labels, kind: BaseLoss, step=1e-5):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import BaseLoss, hinge_from_margins, multiclass_margin, zero_one
+from .losses import BaseLoss, hinge_from_margins, margins_and_values, zero_one
 from .selection import SelectionResult, ThresholdMode, compute_threshold, partial_optimize
 
 __all__ = [
@@ -66,8 +66,9 @@ class MarginBatch:
 
     @classmethod
     def from_logits(cls, logits, labels, base_loss: BaseLoss):
-        u = multiclass_margin(logits, labels)
-        return cls(np.atleast_1d(u), np.atleast_1d(base_loss.values(logits, labels)))
+        """Margins and base losses of raw logits, from one loss pass."""
+        u, values = margins_and_values(logits, labels, base_loss)
+        return cls(np.atleast_1d(u), np.atleast_1d(values))
 
     def __len__(self):
         return self.margins.size

@@ -12,6 +12,18 @@ Every epoch appends one metrics row:
 ``label_precision`` the clean fraction among them (absent, reported as NaN,
 if nothing was selected all epoch).
 
+Inputs are validated once, on entry to ``train``.  Each step is then one
+fused pass over the batch:
+
+1. forward once, caching every layer's pre-activations and activations;
+2. one loss pass gives the margins, the loss values and the logit
+   gradients (it still rejects non-finite logits, so a diverging run stops
+   with an error);
+3. select: the threshold from the misclassified count, then the kernel;
+4. backward from the cached activations into a flat gradient vector;
+5. one in-place Adam update of the flat parameter vector, which the
+   model's weights and biases view.
+
 Randomness is split into independent PCG64 streams derived from the run
 seed: ``[seed, 0]`` initializes the weights and ``[seed, 1, k]`` shuffles
 epoch ``k``, so a config and seed pin down the whole trajectory.
@@ -24,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .losses import BaseLoss, multiclass_margin
-from .net import AdamConfig, AdamState, MlpParams, adam_step, backward, forward
+from .losses import BaseLoss, _loss_pass
+from .net import AdamConfig, AdamState, MlpParams, _adam_update, _backprop, _forward_cached, forward
 from .selection import ThresholdMode, compute_threshold, partial_optimize
 
 __all__ = [
@@ -61,6 +73,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if not 0 <= self.burn_in_epochs < self.epochs:
             raise ValueError("burn-in must be shorter than the run")
+        if any(size < 1 for size in self.hidden):
+            raise ValueError(f"hidden layer sizes must be >= 1, got {tuple(self.hidden)}")
 
 
 @dataclass
@@ -110,11 +124,17 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
         raise ValueError("datasets must be non-empty")
     if train_set.dim != test_set.dim:
         raise ValueError("train and test feature dims differ")
+    if train_set.num_classes != test_set.num_classes:
+        raise ValueError(
+            f"train and test class counts differ ({train_set.num_classes} vs {test_set.num_classes})"
+        )
 
     n = len(train_set)
     flags = train_set.flip_flags
     layer_sizes = [train_set.dim, *config.hidden, train_set.num_classes]
-    params = MlpParams.init(layer_sizes, seed=[config.seed, 0])
+    theta, params = MlpParams.init(layer_sizes, seed=[config.seed, 0]).flat_copy()
+    grad = np.empty_like(theta)
+    g_w, g_b = params.views(grad)
     state = AdamState.init(params, config.optimizer)
 
     metrics: list[EpochMetrics] = []
@@ -132,17 +152,15 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
         empty_batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb = train_set.features[idx]
-            yb = train_set.labels[idx]
             m = idx.size
-
-            logits = forward(params, xb)
-            losses = np.atleast_1d(loss_kind.values(logits, yb))
+            pre, acts = _forward_cached(params, train_set.features[idx])
+            margins, losses, loss_grads = _loss_pass(
+                acts[-1], train_set.labels[idx], loss_kind, gradients=True
+            )
             if burn_in or not config.selection:
                 mask = np.ones(m, dtype=bool)
                 value = float(losses.sum())
             else:
-                margins = multiclass_margin(logits, yb)
                 misclassified = int(np.count_nonzero(margins < 0))
                 c = compute_threshold(config.threshold, m, misclassified)
                 result = partial_optimize(losses, c)
@@ -158,8 +176,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
             selected_total += selected
             clean_selected += int((mask & ~flags[idx]).sum())
             loss_sum += float(losses[mask].sum())
-            grads = backward(params, xb, yb, loss_kind, mask)
-            params = adam_step(params, grads, state)
+            _backprop(params, pre, acts, loss_grads * (mask[:, None] / selected), g_w, g_b)
+            _adam_update(theta, grad, state)
 
         metrics.append(
             EpochMetrics(

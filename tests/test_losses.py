@@ -1,13 +1,17 @@
 """Margins, hinge losses, and their subgradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from npcl.losses import (
     BaseLoss,
+    _loss_pass,
     hard_hinge,
     hinge_from_margins,
     loss_gradient,
+    margins_and_values,
     multiclass_margin,
     soft_hinge,
     weighted_loss,
@@ -200,3 +204,46 @@ class TestGradients:
         g = loss_gradient(t, y, BaseLoss.soft())
         for i in range(8):
             assert np.array_equal(g[i], loss_gradient(t[i], int(y[i]), BaseLoss.soft()))
+
+
+def tied_batch(seed, n=500, k=5):
+    # half-integer logits in a narrow range: rival ties, zero margins and
+    # unit margins (the hinge kink) all occur many times
+    rng = np.random.default_rng(seed)
+    t = rng.integers(-3, 4, size=(n, k)).astype(np.float64) * 0.5
+    return t, rng.integers(0, k, size=n)
+
+
+KINDS = [BaseLoss.hinge(), BaseLoss.soft(), BaseLoss.weighted(0.3)]
+
+
+class TestFusedLossPass:
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_matches_public_functions_bitwise(self, kind, seed):
+        t, y = tied_batch(seed)
+        u, values, grads = _loss_pass(t, y, kind, gradients=True)
+        assert np.array_equal(u, multiclass_margin(t, y))
+        assert np.array_equal(values, kind.values(t, y))
+        assert np.array_equal(grads, loss_gradient(t, y, kind))
+        u2, values2, none = _loss_pass(t, y, kind, gradients=False)
+        assert none is None
+        assert np.array_equal(u2, u) and np.array_equal(values2, values)
+        u3, values3 = margins_and_values(t, y, kind)
+        assert np.array_equal(u3, u) and np.array_equal(values3, values)
+
+    def test_outputs_match_recorded_digest(self):
+        # digest of the public outputs, recorded before the loss functions
+        # were rebuilt over the shared single-pass core
+        t, y = tied_batch(21)
+        h = hashlib.sha256(np.asarray(multiclass_margin(t, y)).tobytes())
+        for kind in KINDS:
+            h.update(np.asarray(kind.values(t, y)).tobytes())
+            h.update(np.asarray(loss_gradient(t, y, kind)).tobytes())
+        assert h.hexdigest() == "8afce8801e7689c2d5b5a611670625eb7a321deb6ece7332ad82acbb9c0c8414"
+
+    def test_rejects_non_finite_logits(self):
+        t, y = tied_batch(21, n=4)
+        t[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _loss_pass(t, y, BaseLoss.hinge(), gradients=False)

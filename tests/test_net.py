@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from npcl.losses import BaseLoss
+from npcl.losses import BaseLoss, _loss_pass
 from npcl.net import (
     AdamConfig,
     AdamState,
     MlpParams,
+    _adam_update,
+    _backprop,
+    _forward_cached,
     adam_step,
     backward,
     forward,
@@ -111,7 +114,50 @@ class TestBackward:
             backward(params, np.zeros((2, 3)), np.array([0, 1]), BaseLoss.hinge(), np.ones(3, bool))
 
 
+class TestFlatLayout:
+    def test_views_follow_flatten_order(self):
+        params = tiny_net(seed=13)
+        flat, viewing = params.flat_copy()
+        assert flat.size == params.size
+        for a, b in zip(viewing.weights + viewing.biases, params.weights + params.biases):
+            np.testing.assert_array_equal(a, b)
+        flat[:] = 0.0  # views share the flat vector's memory
+        assert all(np.all(w == 0) for w in viewing.weights)
+        assert np.all(params.weights[0] != 0)
+
+    def test_public_step_matches_fused_cores(self):
+        # backward + adam_step and the training loop's cores give the same step
+        params = tiny_net(seed=14)
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(6, 3))
+        y = rng.integers(0, 4, size=6)
+        mask = np.array([True, False, True, True, False, True])
+        public = adam_step(params, backward(params, x, y, BaseLoss.soft(), mask), AdamState.init(params))
+
+        theta, fused = params.flat_copy()
+        grad = np.empty_like(theta)
+        pre, acts = _forward_cached(fused, x)
+        g = _loss_pass(acts[-1], y, BaseLoss.soft(), gradients=True)[2]
+        _backprop(fused, pre, acts, g * (mask[:, None] / 4), *fused.views(grad))
+        _adam_update(theta, grad, AdamState.init(fused))
+        np.testing.assert_array_equal(public.flatten(), theta)
+
+
 class TestAdam:
+    def test_leaves_input_params_unchanged(self):
+        params = tiny_net(seed=16)
+        before = params.flatten()
+        grads = ([np.ones_like(w) for w in params.weights], [np.ones_like(b) for b in params.biases])
+        new = adam_step(params, grads, AdamState.init(params))
+        np.testing.assert_array_equal(params.flatten(), before)
+        assert np.all(new.flatten() != before)
+
+    def test_rejects_mismatched_gradients(self):
+        params = tiny_net(seed=17)
+        grads = ([np.zeros((2, 2))] * len(params.weights), [np.zeros_like(b) for b in params.biases])
+        with pytest.raises(ValueError, match="shapes"):
+            adam_step(params, grads, AdamState.init(params))
+
     def test_zero_gradient_is_noop(self):
         params = tiny_net(seed=9)
         state = AdamState.init(params)

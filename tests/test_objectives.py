@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from npcl.losses import BaseLoss, multiclass_margin
 from npcl.objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from npcl.selection import ThresholdMode, brute_force_optimize, compute_threshold
 
@@ -19,6 +20,19 @@ def dyadic_margins(rng, n):
 
 
 class TestMarginBatch:
+    @pytest.mark.parametrize("kind", [BaseLoss.hinge(), BaseLoss.soft(), BaseLoss.weighted(0.5)], ids=str)
+    def test_from_logits_matches_margin_and_values(self, kind):
+        rng = np.random.default_rng(31)
+        t = rng.integers(-8, 9, size=(200, 4)) / 4.0
+        y = rng.integers(0, 4, size=200)
+        batch = MarginBatch.from_logits(t, y, kind)
+        assert np.array_equal(batch.margins, multiclass_margin(t, y))
+        assert np.array_equal(batch.base_losses, kind.values(t, y))
+
+    def test_from_logits_single_sample(self):
+        batch = MarginBatch.from_logits([0.5, 2.0, -1.0], 0, BaseLoss.hinge())
+        assert batch.margins.tolist() == [-1.5] and batch.base_losses.tolist() == [2.5]
+
     def test_from_margins_uses_hinge(self):
         b = MarginBatch.from_margins(np.array([2.0, -1.0]))
         assert np.array_equal(b.base_losses, [0.0, 2.0])

@@ -1,5 +1,6 @@
 """Training loop: burn-in, selection behavior, metrics, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -49,6 +50,11 @@ class TestConfig:
             small_config(batch_size=0)
         with pytest.raises(ValueError):
             small_config(burn_in_epochs=8)  # must be < epochs
+
+    @pytest.mark.parametrize("hidden", [(0,), (16, 0), (-1,)])
+    def test_rejects_degenerate_hidden_sizes(self, hidden):
+        with pytest.raises(ValueError, match="hidden"):
+            small_config(hidden=hidden)
 
 
 class TestLabelPrecision:
@@ -189,3 +195,72 @@ class TestTrainLoop:
         other = synth_blobs(10, 2, separation=4.0, noise_std=1.0, seed=3, dim=5)
         with pytest.raises(ValueError):
             train(small_config(), train_set, other)
+
+    def test_rejects_class_count_mismatch(self):
+        train_set, _ = separable_sets()
+        three_class = synth_blobs(12, 3, separation=4.0, noise_std=1.0, seed=3)
+        with pytest.raises(ValueError, match="class counts"):
+            train(small_config(), train_set, three_class)
+
+    def test_diverging_run_raises_on_non_finite_logits(self):
+        train_set, test_set = separable_sets()
+        cfg = small_config(optimizer=AdamConfig(lr=1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                train(cfg, train_set, test_set)
+
+
+def desk_sets():
+    blob = dict(num_classes=4, separation=4.0, noise_std=1.0, dim=64)
+    train_set = synth_blobs(1000, seed=[5, 100], **blob)
+    test_set = synth_blobs(200, seed=[5, 200], **blob)
+    return corrupt_dataset(train_set, CorruptionSpec("symmetric", 0.4, 5, 4)), test_set
+
+
+class TestBitIdentity:
+    """sha256 of the metrics rows and the final parameter bytes of a small desk run.
+
+    The digests were recorded before the training step was fused (one
+    forward pass, one loss pass, cached backward, flat Adam); the fused step
+    must reproduce them bit for bit.  They were recorded with numpy 2.4 and
+    OpenBLAS 0.3 on x86-64; a BLAS that rounds matmuls differently changes
+    them without any change to the code.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides,rows_sha,params_sha",
+        [
+            (
+                dict(base_loss=BaseLoss.hinge()),
+                "bbc00dc4bdb6e8da1f2c6a3d7e71e64aba84e8d8c9805bae5b26239d329ed3f4",
+                "c28bea52b331867370fcfbcde0ebb8eb0afd6b49660d452bfc096f02f24fdef6",
+            ),
+            (
+                dict(base_loss=BaseLoss.soft()),
+                "5b836c7e76a68a7b7e76761c48deecabedcd4dc93cebb7c72d67ae17a9c7866f",
+                "8ae68b7c708485c3a146a6e142624546c9065c2c65e85c239df83a596848c6c6",
+            ),
+            (
+                dict(base_loss=BaseLoss.weighted(0.5)),
+                "e22191b6515a252b3f2827d8e201d7d6e483e924469f1a4014a7999842555fca",
+                "6b2ad815851a126ce97af808caea174ebfadcd5027a79b1b3bd711bc8a2f750e",
+            ),
+            (
+                dict(base_loss=BaseLoss.hinge(), selection=False),
+                "5ef3f6cd71f14292ce32abbaf5dff0b91b62ad10d6c51ad277c4cdd5aea3d5a4",
+                "02d038edaa7f0d95aa09a9be30dcfaec51d0f0389b696129c6bd0eef4afc94b2",
+            ),
+        ],
+        ids=["hinge", "soft-hinge", "weighted:0.5", "no-selection"],
+    )
+    def test_desk_run_digests(self, overrides, rows_sha, params_sha):
+        train_set, test_set = desk_sets()
+        cfg = TrainConfig(
+            epochs=8, batch_size=128, burn_in_epochs=2,
+            threshold=ThresholdMode.npcl_adaptive(0.4), seed=5, **overrides,
+        )
+        metrics, params = train(cfg, train_set, test_set)
+        rows = "\n".join(m.as_row() for m in metrics).encode()
+        assert hashlib.sha256(rows).hexdigest() == rows_sha
+        flat = params.flatten().astype("<f8").tobytes()
+        assert hashlib.sha256(flat).hexdigest() == params_sha
