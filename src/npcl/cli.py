@@ -30,6 +30,15 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        self.options = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
     def error(self, message):
         raise CliError(message)
 
@@ -133,25 +142,23 @@ def parse_config_file(path):
     return values
 
 
-def _apply_config_file(sub, values):
-    actions = {a.dest: a for a in sub._actions}
-    defaults = {}
-    for key, raw in values.items():
-        action = actions.get(key)
-        if action is None:
+def _config_argv(sub, path):
+    """The config file as flag tokens, to go ahead of the user's flags so those override it."""
+    tokens = []
+    for key, raw in parse_config_file(path).items():
+        action = sub.options.get(key)
+        if action is None or key in ("help", "config"):
             raise CliError(f"unknown config key {key.replace('_', '-')!r}")
-        if isinstance(action, argparse._StoreTrueAction):
-            defaults[key] = raw.lower() in ("1", "true", "yes")
-        elif action.nargs == 2:
-            defaults[key] = raw.split()
-        elif action.type is not None:
-            try:
-                defaults[key] = action.type(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise CliError(f"config key {key!r}: {exc}") from exc
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            tokens += [flag] if raw.lower() in ("1", "true", "yes") else []
         else:
-            defaults[key] = raw
-    sub.set_defaults(**defaults)
+            tokens += [flag, *(raw.split() if action.nargs == 2 else [raw])]
+    try:
+        sub.parse_args(tokens)
+    except CliError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    return tokens
 
 
 def _echo_config(args, path):
@@ -289,8 +296,8 @@ def run(argv):
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            _apply_config_file(subparsers[args.command], parse_config_file(args.config))
-            args = parser.parse_args(argv)
+            tokens = _config_argv(subparsers[args.command], args.config)
+            args = parser.parse_args([args.command, *tokens, *argv[1:]])
         handler = {
             "train": _cmd_train,
             "corrupt": _cmd_corrupt,

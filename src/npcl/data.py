@@ -101,40 +101,48 @@ class Dataset:
         return self.labels != self.clean_labels
 
 
-def _read_be_u32(fh, path, what):
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise TruncatedFileError(f"{path}: truncated while reading {what}")
-    return struct.unpack(">I", raw)[0]
+def _read_exact(fh, size, path, what):
+    """The next ``size`` bytes of ``fh``; a short read names the file and the field."""
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise TruncatedFileError(
+            f"{path}: truncated while reading {what}: expected {size} bytes, got {len(raw)}"
+        )
+    return raw
+
+
+def _read_scalar(fh, fmt, path, what):
+    """One ``struct`` value of format ``fmt`` read with ``_read_exact``."""
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), path, what))[0]
+
+
+def _read_array(fh, count, dtype, path, what):
+    """``count`` values of ``dtype`` read with ``_read_exact``, as a writable array."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(_read_exact(fh, count * dtype.itemsize, path, what), dtype=dtype).copy()
 
 
 def load_idx(images_path, labels_path):
     """Load an IDX image/label file pair into a Dataset."""
     with open(images_path, "rb") as fh:
-        magic = _read_be_u32(fh, images_path, "image magic")
+        magic = _read_scalar(fh, ">I", images_path, "image magic")
         if magic != IDX_IMAGE_MAGIC:
             raise BadMagicError(
                 f"{images_path}: bad image magic {magic} at offset 0, expected {IDX_IMAGE_MAGIC}"
             )
-        n = _read_be_u32(fh, images_path, "image count")
-        rows = _read_be_u32(fh, images_path, "row count")
-        cols = _read_be_u32(fh, images_path, "column count")
-        raw = fh.read(n * rows * cols)
-        if len(raw) != n * rows * cols:
-            raise TruncatedFileError(f"{images_path}: expected {n * rows * cols} pixels, got {len(raw)}")
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
+        n = _read_scalar(fh, ">I", images_path, "image count")
+        rows = _read_scalar(fh, ">I", images_path, "row count")
+        cols = _read_scalar(fh, ">I", images_path, "column count")
+        pixels = _read_array(fh, n * rows * cols, np.uint8, images_path, "pixels").reshape(n, rows * cols)
 
     with open(labels_path, "rb") as fh:
-        magic = _read_be_u32(fh, labels_path, "label magic")
+        magic = _read_scalar(fh, ">I", labels_path, "label magic")
         if magic != IDX_LABEL_MAGIC:
             raise BadMagicError(
                 f"{labels_path}: bad label magic {magic} at offset 0, expected {IDX_LABEL_MAGIC}"
             )
-        n_labels = _read_be_u32(fh, labels_path, "label count")
-        raw = fh.read(n_labels)
-        if len(raw) != n_labels:
-            raise TruncatedFileError(f"{labels_path}: expected {n_labels} labels, got {len(raw)}")
-        labels = np.frombuffer(raw, dtype=np.uint8)
+        n_labels = _read_scalar(fh, ">I", labels_path, "label count")
+        labels = _read_array(fh, n_labels, np.uint8, labels_path, "labels")
 
     if n != n_labels:
         raise CountMismatchError(f"{n} images but {n_labels} labels")
@@ -211,13 +219,17 @@ def save_dataset(path, dataset: Dataset):
 
 def load_dataset(path):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = _read_exact(fh, 4, path, "magic")
         if magic != DATASET_MAGIC:
             raise ValueError(f"{path}: not a dataset file (magic {magic!r})")
-        version, n, d, k, flags = struct.unpack("<IQIII", fh.read(24))
+        version = _read_scalar(fh, "<I", path, "version")
         if version != 1:
             raise ValueError(f"{path}: unsupported dataset version {version}")
-        features = np.frombuffer(fh.read(n * d * 8), dtype="<f8").reshape(n, d)
-        labels = np.frombuffer(fh.read(n * 8), dtype="<i8")
-        clean = np.frombuffer(fh.read(n * 8), dtype="<i8") if flags & 1 else None
-    return Dataset(features.copy(), labels.copy(), k, None if clean is None else clean.copy())
+        n = _read_scalar(fh, "<Q", path, "sample count")
+        d = _read_scalar(fh, "<I", path, "feature count")
+        k = _read_scalar(fh, "<I", path, "class count")
+        flags = _read_scalar(fh, "<I", path, "flags")
+        features = _read_array(fh, n * d, "<f8", path, "features").reshape(n, d)
+        labels = _read_array(fh, n, "<i8", path, "labels")
+        clean = _read_array(fh, n, "<i8", path, "clean labels") if flags & 1 else None
+    return Dataset(features, labels, k, clean)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _read_array, _read_exact, _read_scalar
 from .losses import BaseLoss
 
 __all__ = [
@@ -239,28 +240,23 @@ def grad_check(params: MlpParams, features, labels, kind: BaseLoss, step=1e-5):
     normalized by max(1, |analytic|, |numeric|).
     """
     mask = np.ones(np.atleast_2d(features).shape[0], dtype=bool)
-    g_w, g_b = backward(params, features, labels, kind, mask)
+    analytic = MlpParams(*backward(params, features, labels, kind, mask), params.alpha).flatten()
+    theta, probe = params.flat_copy()
 
-    def loss_at(p):
-        logits = forward(p, features)
+    def loss_at():
+        logits = forward(probe, features)
         return float(np.mean(np.atleast_1d(kind.values(logits, np.atleast_1d(labels)))))
 
     worst = 0.0
-    for which, grads in (("w", g_w), ("b", g_b)):
-        arrays = params.weights if which == "w" else params.biases
-        for idx, arr in enumerate(arrays):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                probe = params.copy()
-                target = probe.weights[idx] if which == "w" else probe.biases[idx]
-                target[it.multi_index] += step
-                up = loss_at(probe)
-                target[it.multi_index] -= 2 * step
-                down = loss_at(probe)
-                numeric = (up - down) / (2 * step)
-                analytic = grads[idx][it.multi_index]
-                scale = max(1.0, abs(analytic), abs(numeric))
-                worst = max(worst, abs(analytic - numeric) / scale)
+    for i, original in enumerate(theta.copy()):
+        theta[i] += step
+        up = loss_at()
+        theta[i] -= 2 * step
+        down = loss_at()
+        theta[i] = original
+        numeric = (up - down) / (2 * step)
+        scale = max(1.0, abs(analytic[i]), abs(numeric))
+        worst = max(worst, abs(analytic[i] - numeric) / scale)
     return worst
 
 
@@ -276,13 +272,15 @@ def save_params(path, params: MlpParams):
 
 def load_params(path):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = _read_exact(fh, 4, path, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
-        alpha, count = struct.unpack("<dI", fh.read(12))
+        alpha = _read_scalar(fh, "<d", path, "slope")
+        count = _read_scalar(fh, "<I", path, "layer count")
         weights, biases = [], []
-        for _ in range(count):
-            d_in, d_out = struct.unpack("<II", fh.read(8))
-            weights.append(np.frombuffer(fh.read(d_in * d_out * 8), dtype="<f8").reshape(d_in, d_out).copy())
-            biases.append(np.frombuffer(fh.read(d_out * 8), dtype="<f8").copy())
+        for i in range(count):
+            d_in = _read_scalar(fh, "<I", path, f"layer {i} input size")
+            d_out = _read_scalar(fh, "<I", path, f"layer {i} output size")
+            weights.append(_read_array(fh, d_in * d_out, "<f8", path, f"layer {i} weights").reshape(d_in, d_out))
+            biases.append(_read_array(fh, d_out, "<f8", path, f"layer {i} biases"))
     return MlpParams(weights, biases, alpha)

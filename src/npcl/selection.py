@@ -36,11 +36,7 @@ class SelectionResult:
 
     ``mask`` is over the samples in their original order.  ``prefix_sums``
     holds ``L_1..L_n`` over the sorted order.  ``selected_loss_sum`` is
-    ``L_T`` for the ``T = selected_count`` chosen samples.  When the
-    count-penalty term dominates (``L_T < C - T``) the original index of the
-    next cheapest unselected sample is exposed in ``next_hint``; training
-    nevertheless proceeds on the selected set, which changes little in
-    practice.
+    ``L_T`` for the ``T = selected_count`` chosen samples.
     """
 
     mask: np.ndarray
@@ -49,7 +45,6 @@ class SelectionResult:
     threshold: float
     prefix_sums: np.ndarray = field(repr=False)
     selected_loss_sum: float = 0.0
-    next_hint: int | None = None
 
 
 def _check_losses(losses):
@@ -91,10 +86,6 @@ def partial_optimize(losses, C):
 
     mask = np.zeros(n, dtype=bool)
     mask[order[:t]] = True
-
-    hint = None
-    if t < n and loss_sum < c - t:
-        hint = int(order[t])
     return SelectionResult(
         mask=mask,
         selected_count=t,
@@ -102,7 +93,6 @@ def partial_optimize(losses, C):
         threshold=c,
         prefix_sums=prefix,
         selected_loss_sum=loss_sum,
-        next_hint=hint,
     )
 
 

@@ -1,31 +1,30 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
-Random instances that feed exact-equality assertions are drawn from a
-dyadic grid (multiples of 2^-10), which keeps every partial sum exactly
-representable in float64; the comparisons below are then genuinely exact
-rather than tolerance-based.
+Criteria 1-4, 6 and 7 run the property checks of ``npcl.verification`` at
+the criteria's seeds and counts.  Criterion 5 draws its losses from the
+same dyadic grid (multiples of 2^-10), so its sums are exact.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
-from npcl.adversarial import (
-    AdvRiskSpec,
-    adversarial_risk_numeric,
-    check_monotonicity,
-    empirical_adversarial_risk,
-)
+from npcl import verification
 from npcl.cli import run
 from npcl.corruption import CorruptionSpec, corrupt_dataset
 from npcl.data import synth_blobs
-from npcl.losses import BaseLoss, multiclass_margin
-from npcl.net import AdamConfig, MlpParams, forward, grad_check
-from npcl.objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
-from npcl.selection import ThresholdMode, brute_force_optimize, partial_optimize
+from npcl.losses import BaseLoss
+from npcl.net import AdamConfig
+from npcl.objectives import MarginBatch, curriculum_objective
+from npcl.selection import ThresholdMode
 from npcl.training import TrainConfig, train
+
+
+def timed_check(check, seed, count):
+    start = time.perf_counter()
+    results = check(np.random.default_rng(seed), count)
+    return results, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -34,49 +33,23 @@ from npcl.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
-def selector_instances():
-    rng = np.random.default_rng(2024)
-    instances = []
-    start = time.perf_counter()
-    for _ in range(1000):
-        n = int(rng.integers(1, 13))
-        losses = rng.integers(0, 4 * 1024 + 1, size=n) / 1024.0
-        c = float(rng.uniform(0, 2 * n))
-        instances.append((losses, c, partial_optimize(losses, c)))
-    return instances, time.perf_counter() - start
+def selector_checks():
+    return timed_check(verification.check_selector, 2024, 1000)
 
 
-def test_criterion_01_selector_optimality(criterion, selector_instances):
-    instances, build_seconds = selector_instances
-    start = time.perf_counter()
-    mismatches = sum(
-        1
-        for losses, c, result in instances
-        if result.objective != brute_force_optimize(losses, c).objective
-    )
-    elapsed = build_seconds + time.perf_counter() - start
+def test_criterion_01_selector_optimality(criterion, selector_checks):
+    (optimal, _), elapsed = selector_checks
     criterion(
         1,
-        mismatches == 0 and elapsed < 5.0,
+        optimal.ok and elapsed < 5.0,
         f"sort kernel equals brute force on 1000 instances exactly "
-        f"({mismatches} mismatches, {elapsed:.2f}s)",
+        f"({optimal.value} mismatches, {elapsed:.2f}s)",
     )
 
 
-def test_criterion_02_optimum_identities(criterion, selector_instances):
-    instances, _ = selector_instances
-    violations = 0
-    for losses, c, result in instances:
-        n = losses.size
-        t = result.selected_count
-        l_t = result.prefix_sums[t - 1] if t > 0 else 0.0
-        if l_t > c + 1.0 - t:
-            violations += 1
-        elif t < n:
-            nxt = result.prefix_sums[t]
-            if not (nxt > c - t and nxt > max(l_t, c - t)):
-                violations += 1
-    criterion(2, violations == 0, f"optimum identities hold on all instances ({violations} violations)")
+def test_criterion_02_optimum_identities(criterion, selector_checks):
+    (_, identities), _ = selector_checks
+    criterion(2, identities.ok, f"optimum identities hold on all instances ({identities.value} violations)")
 
 
 # ----------------------------------------------------------------------
@@ -85,45 +58,17 @@ def test_criterion_02_optimum_identities(criterion, selector_instances):
 
 
 def test_criterion_03_bound_chains(criterion):
-    rng = np.random.default_rng(7)
-    start = time.perf_counter()
-    failures = 0
-    for _ in range(1000):
-        n = 64
-        margins = rng.integers(-3 * 1024, 3 * 1024 + 1, size=n) / 1024.0
-        batch = MarginBatch.from_margins(margins)
-        m = int(rng.choice([4, 8, 16]))
-        perm = rng.permutation(n)
-        part = BatchPartition([perm[i : i + m] for i in range(0, n, m)])
-        j, j_hat = batch.zero_one_total, batch.loss_total
-        q, _ = curriculum_objective(batch, ThresholdMode.full_q())
-        q_hat, _ = batched_objective(batch, part, ThresholdMode.full_q())
-        e, _ = curriculum_objective(batch, ThresholdMode.full_e())
-        e_hat, _ = batched_objective(batch, part, ThresholdMode.full_e())
-        if not (j <= q <= q_hat <= j_hat and j <= 2 * e <= 2 * e_hat <= 2 * j_hat and e <= q):
-            failures += 1
-    elapsed = time.perf_counter() - start
+    [chains], elapsed = timed_check(verification.check_bound_chains, 7, 1000)
     criterion(
         3,
-        failures == 0 and elapsed < 5.0,
-        f"bound chains hold exactly on 1000 batches ({failures} failures, {elapsed:.2f}s)",
+        chains.ok and elapsed < 5.0,
+        f"bound chains hold exactly on 1000 batches ({chains.value} failures, {elapsed:.2f}s)",
     )
 
 
 def test_criterion_04_zero_prior_reductions(criterion):
-    rng = np.random.default_rng(8)
-    failures = 0
-    for _ in range(100):
-        n = int(rng.integers(1, 80))
-        margins = rng.integers(-3 * 1024, 3 * 1024 + 1, size=n) / 1024.0
-        batch = MarginBatch.from_margins(margins)
-        ve, _ = curriculum_objective(batch, ThresholdMode.full_e())
-        vf, _ = curriculum_objective(batch, ThresholdMode.npcl_fixed(0.0))
-        vq, _ = curriculum_objective(batch, ThresholdMode.full_q())
-        va, _ = curriculum_objective(batch, ThresholdMode.npcl_adaptive(0.0))
-        if vf != ve or va != vq:
-            failures += 1
-    criterion(4, failures == 0, f"zero-prior modes equal full modes exactly on 100 batches ({failures} failures)")
+    [reductions] = verification.check_zero_prior_reductions(np.random.default_rng(8), 100)
+    criterion(4, reductions.ok, f"zero-prior modes equal full modes exactly on 100 batches ({reductions.value} failures)")
 
 
 def test_criterion_05_pruning_counts(criterion):
@@ -167,31 +112,11 @@ def test_criterion_05_pruning_counts(criterion):
 
 
 def test_criterion_06_gradient_fidelity(criterion):
-    rng = np.random.default_rng(10)
-    kinds = [BaseLoss.hinge(), BaseLoss.soft(), BaseLoss.weighted(0.5)]
-    start = time.perf_counter()
-    worst = 0.0
-    configs = 0
-    while configs < 100:
-        params = MlpParams.init([3, 6, 4], seed=int(rng.integers(0, 2**31)))
-        x = rng.normal(0.0, 2.0, size=(3, 3))
-        y = rng.integers(0, 4, size=3)
-        logits = forward(params, x)
-        u = multiclass_margin(logits, y)
-        rivals = np.sort(
-            np.stack([np.delete(row, label) for row, label in zip(logits, y)]), axis=1
-        )
-        tie_gap = np.min(rivals[:, -1] - rivals[:, -2]) if logits.shape[1] > 2 else 1.0
-        if np.any(np.abs(u) < 1e-3) or np.any(np.abs(u - 1.0) < 1e-3) or tie_gap < 1e-3:
-            continue  # keep clear of the kinks the criterion excludes
-        for kind in kinds:
-            worst = max(worst, grad_check(params, x, y, kind))
-        configs += 1
-    elapsed = time.perf_counter() - start
+    [gradients], elapsed = timed_check(verification.check_gradients, 10, 100)
     criterion(
         6,
-        worst < 1e-5 and elapsed < 30.0,
-        f"grad check on 100 nets x 3 losses, max relative error {worst:.2e} ({elapsed:.1f}s)",
+        gradients.ok and elapsed < 30.0,
+        f"grad check on 100 nets x 3 losses, max relative error {gradients.value:.2e} ({elapsed:.1f}s)",
     )
 
 
@@ -202,33 +127,13 @@ def test_criterion_06_gradient_fidelity(criterion):
 
 def test_criterion_07_adversarial(criterion):
     rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(500):
-        n = int(rng.integers(2, 60))
-        losses = np.zeros(n)
-        k = int(rng.integers(0, n + 1))
-        losses[rng.choice(n, size=k, replace=False)] = 1.0
-        spec = AdvRiskSpec(float(rng.uniform(0.0, 2.0)))
-        worst = max(
-            worst,
-            abs(empirical_adversarial_risk(losses, spec) - adversarial_risk_numeric(losses, spec)),
-        )
-    violations = 0
-    for delta in (0.01, 0.1, 1.0):
-        spec = AdvRiskSpec(delta)
-        for _ in range(200):
-            n = int(rng.integers(2, 40))
-            pair = []
-            for _ in range(2):
-                v = np.zeros(n)
-                v[rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)] = 1.0
-                pair.append(v)
-            violations += len(check_monotonicity(pair, spec).violations)
+    [agreement] = verification.check_solver_agreement(rng, 500)
+    [order] = verification.check_risk_order(rng, 200)
     criterion(
         7,
-        worst < 1e-6 and violations == 0,
-        f"closed form vs solver max gap {worst:.2e} on 500 instances; "
-        f"{violations} monotonicity violations on 200 pairs x 3 deltas",
+        agreement.ok and order.ok,
+        f"closed form vs solver max gap {agreement.value:.2e} on 500 instances; "
+        f"{order.value} monotonicity violations on 200 pairs x 3 deltas",
     )
 
 

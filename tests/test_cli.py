@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 import npcl.cli
+from npcl.adversarial import empirical_adversarial_risk
 from npcl.cli import run
 from npcl.corruption import CorruptionSpec, corrupt_labels, read_sidecar
 from npcl.data import load_dataset, synth_blobs
+from npcl.losses import loss_gradient
+from npcl.selection import partial_optimize
 from npcl.training import METRICS_HEADER
+from npcl.verification import SUITES, run_suites
 
 
 def smoke_args(out, epochs=3, extra=()):
@@ -124,6 +128,14 @@ class TestTrain:
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "no-such-option" in capsys.readouterr().err
 
+    def test_config_file_bad_choice(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("synthetic = gaussian\n")
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "--synthetic" in err and "gaussian" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCorrupt:
     def test_writes_dataset_and_sidecar(self, tmp_path, capsys):
@@ -168,13 +180,31 @@ class TestCorrupt:
 
 
 class TestVerify:
-    def test_selector_suite_passes(self, capsys):
-        assert run(["verify", "selector"]) == 0
+    @pytest.mark.parametrize("suite", ["all", *SUITES])
+    def test_suite_passes(self, capsys, suite):
+        assert run(["verify", suite]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert out.endswith("all checks passed\n")
 
-    def test_bounds_suite_passes(self, capsys):
-        assert run(["verify", "bounds"]) == 0
+    @pytest.mark.parametrize("suite, modules, name, sabotage", [
+        ("selector", ["npcl.verification"], "partial_optimize",
+         lambda losses, c: partial_optimize(losses, max(c - 1.0, 0.0))),
+        ("adversarial", ["npcl.verification", "npcl.adversarial"], "empirical_adversarial_risk",
+         lambda losses, spec: 1.0 - empirical_adversarial_risk(losses, spec)),
+        ("gradients", ["npcl.losses"], "loss_gradient",
+         lambda logits, labels, kind: 2.0 * loss_gradient(logits, labels, kind)),
+    ], ids=["selector", "adversarial", "gradients"])
+    def test_sabotaged_kernel_fails_its_suite(self, capsys, monkeypatch, suite, modules, name, sabotage):
+        for module in modules:
+            monkeypatch.setattr(f"{module}.{name}", sabotage)
+        assert all(not r.ok for r in run_suites([suite]))
+        assert run(["verify", suite]) == 3
+        out = capsys.readouterr().out
+        assert "PASS" not in out and out.endswith("SOME CHECKS FAILED\n")
+
+    def test_suites_seed_independently(self):
+        assert run_suites(seed=5)[:2] == run_suites(["selector"], seed=5)
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 """IDX parsing, synthetic blobs, stratified splits, binary round-trips."""
 
+import re
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from npcl.data import (
     split,
     synth_blobs,
 )
+from npcl.net import MlpParams, load_params, save_params
 
 
 def write_idx_pair(tmp_path, pixels, labels, image_magic=2051, label_magic=2049, label_count=None):
@@ -171,6 +173,28 @@ class TestSerialization:
         path.write_bytes(b"JUNKxxxx")
         with pytest.raises(ValueError):
             load_dataset(path)
+
+
+@pytest.mark.parametrize("save, load, value, fields", [
+    (save_dataset, load_dataset,
+     corrupt_dataset(synth_blobs(10, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2)),
+     ["magic", "version", "sample count", "feature count", "class count", "flags",
+      "features", "labels", "clean labels"]),
+    (save_params, load_params, MlpParams.init([3, 5, 2], seed=0),
+     ["magic", "slope", "layer count"]
+     + [f"layer {i} {field}" for i in (0, 1) for field in ("input size", "output size", "weights", "biases")]),
+], ids=["npds", "npw1"])
+def test_every_truncation_names_file_and_field(tmp_path, save, load, value, fields):
+    path = tmp_path / "cut.bin"
+    save(path, value)
+    data = path.read_bytes()
+    named = []
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(TruncatedFileError, match=re.escape(f"{path}: truncated while reading ")) as info:
+            load(path)
+        named.append(str(info.value).split("reading ")[1].split(":")[0])
+    assert list(dict.fromkeys(named)) == fields  # every field, in file order
 
 
 def test_dataset_validation():

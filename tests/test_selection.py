@@ -94,14 +94,6 @@ class TestPartialOptimize:
         # stable sort admits earlier-index duplicates first
         assert a.mask[4] and a.mask[5]
 
-    def test_next_hint_only_when_count_term_dominates(self):
-        r = partial_optimize([0.0, 0.0, 5.0], 3.0)
-        # T*=2, L=0 < C-T*=1, next cheapest is index 2
-        assert r.selected_count == 2
-        assert r.next_hint == 2
-        r2 = partial_optimize([0.1, 0.2, 0.5, 2.0], 3.0)
-        assert r2.next_hint is None  # L=0.8 > C-T*=0
-
 
 class TestBruteForce:
     def test_examples(self):
