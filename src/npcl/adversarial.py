@@ -17,9 +17,13 @@ The cap binds exactly when ``p >= 1 / (1 + delta)``, where the risk
 saturates at 1.
 
 ``adversarial_risk_numeric`` ignores all of that and maximizes over the
-full n-dimensional weight set by projected gradient ascent, with the
-projection computed from its own KKT system.  The two routes validate
-each other; the closed form is what the fast API returns.
+full n-dimensional weight set by projected gradient ascent.  Its
+Euclidean projection onto the weight set is exact: the KKT point
+``max(0, s * (w - theta))`` has a closed form for each top-k support of
+the sorted ``w``, and one scan over the prefix sums of ``w`` and ``w^2``
+finds the consistent k, as in the l1-ball projection of Duchi et al.
+(ICML 2008).  The two routes validate each other; the closed form is
+what the fast API returns.
 """
 
 from __future__ import annotations
@@ -71,11 +75,16 @@ def empirical_adversarial_risk(losses01, spec: AdvRiskSpec):
 def project_chi_square_ball(w, delta):
     """Euclidean projection onto {r : mean(r)=1, r>=0, mean((r-1)^2) <= delta}.
 
-    KKT: with multiplier ``lam >= 0`` on the quadratic constraint and ``mu``
-    on the mean, the projection is ``r = max(0, (w + lam - mu) / (1 + lam))``.
-    For fixed ``lam``, ``mu`` solves ``sum(max(0, w + lam - mu)) = n`` exactly
-    via the sorted-prefix formula; ``lam`` is then bisected until the
-    quadratic constraint is tight (or ``lam = 0`` already satisfies it).
+    KKT: with multiplier ``lam >= 0`` on the quadratic constraint, the
+    projection is ``r = max(0, s * (w - theta))`` with ``s = 1 / (1 + lam)``
+    in (0, 1].  Its support is the top k of the sorted ``w``.  For that set,
+    ``sum(r) = n`` gives ``theta = mean_k - n / (k * s)``, and a tight
+    quadratic constraint gives ``s^2 * S_k = n * (1 + delta) - n^2 / k``,
+    with ``mean_k`` and ``S_k`` the mean and scatter of the top k.  Where
+    that ``s`` exceeds 1 the constraint is slack and ``s = 1`` (``lam = 0``).
+    Every k is scored in one vectorised pass from prefix sums, and the k
+    whose cut is consistent, ``w_(k) > theta >= w_(k+1)``, is the exact
+    projection.  Under rounding the least inconsistent k is taken.
     """
     w = np.asarray(w, dtype=np.float64)
     n = w.size
@@ -84,41 +93,21 @@ def project_chi_square_ball(w, delta):
     if delta == 0.0:
         return np.ones(n)
 
-    w_sorted = np.sort(w)[::-1]
-    cumsum = np.cumsum(w_sorted)
-
-    def solve_mu(lam):
-        # largest k active entries: mu = ((cumsum_k + k*lam) - n*(1+lam)) / k,
-        # valid when the k-th sorted value stays above the cut
-        shifted = w_sorted + lam
-        ks = np.arange(1, n + 1)
-        mu_candidates = (cumsum + ks * lam - n * (1.0 + lam)) / ks
-        valid = shifted - mu_candidates > 0
-        k = int(np.max(np.flatnonzero(valid))) + 1
-        return mu_candidates[k - 1]
-
-    def r_of(lam):
-        mu = solve_mu(lam)
-        return np.maximum(0.0, (w + lam - mu) / (1.0 + lam))
-
-    def excess(lam):
-        r = r_of(lam)
-        return float(np.mean((r - 1.0) ** 2)) - delta
-
-    if excess(0.0) <= 0:
-        return r_of(0.0)
-    lo, hi = 0.0, max(1.0, float(np.max(np.abs(w))))
-    while excess(hi) > 0:
-        hi *= 4.0
-        if hi > 1e14:
-            break
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return r_of(hi)
+    # a shift of w leaves the projection unchanged (sum(r) is fixed); moving
+    # the maximum to 0 limits cancellation in the prefix sums of squares
+    u = w - np.max(w)
+    v = np.sort(u)[::-1]
+    k = np.arange(1, n + 1)
+    mean = np.cumsum(v) / k
+    scatter = np.maximum(np.cumsum(v * v) - k * mean * mean, 0.0)
+    # equal weights on k samples already spend n^2 / k - n of the budget
+    budget = n * (1.0 + delta) - n * n / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(np.minimum(1.0, budget / scatter))
+        theta = mean - n / (k * s)
+    inconsistency = np.maximum(theta - v, np.append(v[1:], -np.inf) - theta)
+    j = int(np.argmin(np.where(budget > 0, inconsistency, np.inf)))
+    return np.maximum(0.0, s[j] * (u - theta[j]))
 
 
 def adversarial_risk_numeric(losses01, spec: AdvRiskSpec, max_step=1e8, polish=6):

@@ -170,28 +170,37 @@ def _echo_config(args, path):
         value = getattr(args, key)
         if value is None:
             continue
-        if isinstance(value, (list, tuple)):
-            value = " ".join(str(v) for v in value)
+        if isinstance(value, list):  # nargs=2 path pairs
+            value = " ".join(value)
+        elif isinstance(value, tuple):  # --hidden sizes
+            value = ",".join(str(v) for v in value)
         lines.append(f"{key.replace('_', '-')} = {value}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _check_source(args):
+    if args.synthetic and args.dataset:
+        raise CliError("choose either --dataset or --synthetic, not both")
+    if not (args.synthetic or args.dataset):
+        raise CliError("need --dataset or --synthetic")
+
+
+def _blobs(args, size, stream):
+    return synth_blobs(size, args.classes, args.separation, args.noise_std,
+                       seed=[args.seed, stream], dim=args.blob_dim)
+
+
 def _load_datasets(args):
+    _check_source(args)
     if args.synthetic:
-        if args.dataset:
-            raise CliError("choose either --dataset or --synthetic, not both")
-        train_set = synth_blobs(args.train_size, args.classes, args.separation,
-                                args.noise_std, seed=[args.seed, 100], dim=args.blob_dim)
-        test_set = synth_blobs(args.test_size, args.classes, args.separation,
-                               args.noise_std, seed=[args.seed, 200], dim=args.blob_dim)
-    elif args.dataset:
+        train_set = _blobs(args, args.train_size, 100)
+        test_set = _blobs(args, args.test_size, 200)
+    else:
         train_set = load_idx(*args.dataset)
         if args.test_dataset:
             test_set = load_idx(*args.test_dataset)
         else:
             train_set, test_set = split(train_set, args.test_fraction, seed=[args.seed, 300])
-    else:
-        raise CliError("need --dataset or --synthetic")
 
     if args.noise:
         spec = CorruptionSpec(args.noise, args.noise_rate, args.seed, train_set.num_classes)
@@ -236,15 +245,10 @@ def _cmd_train(args):
 def _cmd_corrupt(args):
     if not args.noise:
         raise CliError("corrupt needs --noise")
+    _check_source(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.synthetic:
-        dataset = synth_blobs(args.train_size, args.classes, args.separation,
-                              args.noise_std, seed=[args.seed, 100], dim=args.blob_dim)
-    elif args.dataset:
-        dataset = load_idx(*args.dataset)
-    else:
-        raise CliError("need --dataset or --synthetic")
+    dataset = _blobs(args, args.train_size, 100) if args.synthetic else load_idx(*args.dataset)
     spec = CorruptionSpec(args.noise, args.noise_rate, args.seed, dataset.num_classes)
     corrupted = corrupt_dataset(dataset, spec)
     flags = corrupted.flip_flags  # every flip changes the label

@@ -32,9 +32,9 @@ from .net import MlpParams, forward, grad_check
 from .objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from .selection import ThresholdMode, brute_force_optimize, partial_optimize
 
-__all__ = ["CheckResult", "SUITES", "run_suites", "check_selector", "check_bound_chains",
-           "check_zero_prior_reductions", "check_gradients", "check_solver_agreement",
-           "check_risk_order"]
+__all__ = ["CheckResult", "SUITES", "run_suites", "optimum_identities_hold", "check_selector",
+           "check_bound_chains", "check_zero_prior_reductions", "check_gradients",
+           "check_solver_agreement", "check_risk_order"]
 
 
 @dataclass
@@ -58,6 +58,15 @@ def _losses01(rng, n):
     return losses
 
 
+def optimum_identities_hold(result, c):
+    """The kernel's cut at threshold ``c``: ``L_T <= C + 1 - T``, and ``L_{T+1} > C - T``
+    unless T = n.  ``L_{T+1} > L_T`` is not implied: a zero next loss adds nothing.
+    """
+    t, prefix = result.selected_count, result.prefix_sums
+    l_t = prefix[t - 1] if t > 0 else 0.0
+    return bool(l_t <= c + 1.0 - t and (t == prefix.size or prefix[t] > c - t))
+
+
 def check_selector(rng, count):
     """Kernel optimality and optimum identities on ``count`` instances, n in [1, 12]."""
     mismatches = violations = 0
@@ -67,10 +76,7 @@ def check_selector(rng, count):
         c = float(rng.uniform(0, 2 * n))
         result = partial_optimize(losses, c)
         mismatches += result.objective != brute_force_optimize(losses, c).objective
-        # optimum identities: L_T <= C + 1 - T, and L_{T+1} > max(L_T, C - T) unless T = n
-        t, prefix = result.selected_count, result.prefix_sums
-        l_t = prefix[t - 1] if t > 0 else 0.0
-        violations += bool(l_t > c + 1.0 - t or (t < n and not prefix[t] > max(l_t, c - t)))
+        violations += not optimum_identities_hold(result, c)
     return [
         CheckResult("selector", "sort-kernel matches brute force", mismatches == 0, mismatches,
                     f"{count - mismatches}/{count} instances"),

@@ -86,6 +86,102 @@ class TestProjection:
         np.testing.assert_array_equal(project_chi_square_ball(np.array([3.0, -1.0]), 0.0), [1.0, 1.0])
 
 
+def bisection_projection(w, delta):
+    """Slow reference: bisect the quadratic constraint's multiplier ``lam``.
+
+    For fixed ``lam`` the projection is ``max(0, (w + lam - mu) / (1 + lam))``
+    with ``mu`` from the sorted-prefix cut that makes the mean 1.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    n = w.size
+    v = np.sort(w)[::-1]
+    k = np.arange(1, n + 1)
+
+    def r_of(lam):
+        mu = (np.cumsum(v) + k * lam - n * (1.0 + lam)) / k
+        j = np.flatnonzero(v + lam - mu > 0)[-1]
+        return np.maximum(0.0, (w + lam - mu[j]) / (1.0 + lam))
+
+    def excess(lam):
+        return np.mean((r_of(lam) - 1.0) ** 2) - delta
+
+    if excess(0.0) <= 0:
+        return r_of(0.0)
+    lo, hi = 0.0, 1.0
+    while excess(hi) > 0:
+        lo, hi = hi, 4.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    return r_of(hi)
+
+
+def assert_matches_bisection(w, delta):
+    r = project_chi_square_ball(w, delta)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    np.testing.assert_allclose(r, bisection_projection(w, delta), rtol=0, atol=1e-12 * scale)
+    return r
+
+
+class TestExactProjection:
+    def test_matches_bisection_on_random_inputs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 50))
+            w = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 10), size=n)
+            assert_matches_bisection(w, float(rng.uniform(0.001, 3.0)))
+
+    def test_matches_bisection_on_solver_iterates(self):
+        # the numeric solver projects r + step * l: two-level inputs with
+        # many ties, steps growing to 1e8
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            n = int(rng.integers(2, 60))
+            l = random_loss_vector(rng, n, int(rng.integers(1, n)))
+            delta = float(rng.uniform(0.01, 2.0))
+            r = np.ones(n)
+            for step in 4.0 ** np.arange(14):
+                r = assert_matches_bisection(r + min(step, 1e8) * l, delta)
+                assert r.mean() == pytest.approx(1.0, abs=1e-12)
+
+    def test_kkt_form(self):
+        # r = max(0, s * (w - theta)) with 0 < s <= 1, and a tight quadratic
+        # constraint whenever s < 1
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n = int(rng.integers(3, 40))
+            w = rng.normal(0.0, rng.uniform(0.1, 5.0), size=n)
+            delta = float(rng.uniform(0.01, 1.5))
+            r = project_chi_square_ball(w, delta)
+            active = np.flatnonzero(r > 0)
+            assert active.size >= 2  # one active sample alone would cost n - 1 > delta
+            i, j = active[np.argmax(w[active])], active[np.argmin(w[active])]
+            s = (r[i] - r[j]) / (w[i] - w[j])
+            theta = w[i] - r[i] / s
+            assert 0.0 < s <= 1.0 + 1e-9
+            np.testing.assert_allclose(r, np.maximum(0.0, s * (w - theta)), atol=1e-9)
+            assert r.mean() == pytest.approx(1.0, abs=1e-12)
+            if s < 1.0 - 1e-9:
+                assert np.mean((r - 1.0) ** 2) == pytest.approx(delta, abs=1e-9)
+
+    def test_single_sample(self):
+        np.testing.assert_array_equal(project_chi_square_ball(np.array([-7.0]), 0.3), [1.0])
+
+    def test_interior_point_returned_as_is(self):
+        w = np.array([0.8, 1.1, 1.3, 0.8])
+        np.testing.assert_allclose(project_chi_square_ball(w, 0.5), w, atol=1e-15)
+
+    def test_all_equal_inputs(self):
+        np.testing.assert_allclose(project_chi_square_ball(np.full(7, -3.5), 0.4), np.ones(7), atol=1e-15)
+
+    def test_large_budget_needs_no_multiplier(self):
+        # delta = 5 admits the plain simplex cut [4, 0, 0, 0], whose mean((r - 1)^2) is 3
+        w = np.array([10.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(project_chi_square_ball(w, 5.0), [4.0, 0.0, 0.0, 0.0], atol=1e-15)
+        r = assert_matches_bisection(w, 2.0)
+        assert np.mean((r - 1.0) ** 2) == pytest.approx(2.0, abs=1e-12)
+
+
 class TestSolverAgreement:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(4)
@@ -97,6 +193,17 @@ class TestSolverAgreement:
             assert adversarial_risk_numeric(l, spec) == pytest.approx(
                 empirical_adversarial_risk(l, spec), abs=1e-6
             )
+
+    def test_saturated_solver_stays_at_one(self):
+        # a worst-case risk above 1 would need mean(r) > 1; the projection
+        # holds the mean even at the solver's 1e8 steps
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            n = int(rng.integers(10, 60))
+            l = random_loss_vector(rng, n, int(rng.integers(n // 2, n)))
+            spec = AdvRiskSpec(float(rng.uniform(n / l.sum() - 1.0, 2.0)))
+            assert empirical_adversarial_risk(l, spec) == 1.0
+            assert adversarial_risk_numeric(l, spec) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMonotonicity:

@@ -1,7 +1,9 @@
 """Command-line surface: flags, exit codes, artifacts, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from npcl.data import load_dataset, synth_blobs
 from npcl.losses import loss_gradient
 from npcl.selection import partial_optimize
 from npcl.training import METRICS_HEADER
-from npcl.verification import SUITES, run_suites
+from npcl.verification import SUITES, optimum_identities_hold, run_suites
 
 
 def smoke_args(out, epochs=3, extra=()):
@@ -122,6 +124,28 @@ class TestTrain:
         assert len(rows) == 3  # flag overrode the file's epochs = 4
         assert "seed = 7" in (out / "config.txt").read_text()
 
+    def test_config_echo_round_trips(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(smoke_args(first, extra=["--hidden", "16,8"])) == 0
+        assert "hidden = 16,8" in (first / "config.txt").read_text()
+        assert run(["train", "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+        assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+        assert (second / "config.txt").read_text() == (
+            (first / "config.txt").read_text().replace(f"out = {first}", f"out = {second}"))
+
+    def test_config_echo_keeps_path_pairs(self, tmp_path):
+        rng = np.random.default_rng(4)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 2051, 60, 2, 2)
+                           + rng.integers(0, 256, 240, dtype=np.uint8).tobytes())
+        labels.write_bytes(struct.pack(">II", 2049, 60) + (np.arange(60, dtype=np.uint8) % 3).tobytes())
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["train", "--dataset", str(images), str(labels), "--epochs", "2",
+                    "--batch-size", "16", "--burn-in", "1", "--out", str(first)]) == 0
+        assert f"dataset = {images} {labels}" in (first / "config.txt").read_text()
+        assert run(["train", "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+        assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
     def test_config_file_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no-such-option = 1\n")
@@ -178,6 +202,13 @@ class TestCorrupt:
     def test_needs_noise_flag(self, tmp_path):
         assert run(["corrupt", "--synthetic", "blobs", "--out", str(tmp_path)]) == 1
 
+    def test_dataset_and_synthetic_conflict(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert run(["corrupt", "--synthetic", "blobs", "--dataset", "A", "B",
+                    "--noise", "symmetric", "--noise-rate", "0.2", "--out", str(out)]) == 1
+        assert "choose either --dataset or --synthetic, not both" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["all", *SUITES])
@@ -202,6 +233,27 @@ class TestVerify:
         assert run(["verify", suite]) == 3
         out = capsys.readouterr().out
         assert "PASS" not in out and out.endswith("SOME CHECKS FAILED\n")
+
+    def test_zero_next_loss_is_optimal(self):
+        # L_{T+1} = L_T = 0 here, yet T = 3 is the kernel's cut and optimal
+        result = partial_optimize(np.zeros(5), 2.5)
+        assert result.selected_count == 3 and result.objective == 0.0
+        assert optimum_identities_hold(result, 2.5)
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["one_fewer", "one_more"])
+    def test_selector_off_by_one_fails_identities(self, capsys, monkeypatch, shift):
+        def off_by_one(losses, c):
+            result = partial_optimize(losses, c)
+            t = min(max(result.selected_count + shift, 0), result.prefix_sums.size)
+            l_t = float(result.prefix_sums[t - 1]) if t > 0 else 0.0
+            return dataclasses.replace(result, selected_count=t, objective=max(l_t, c - t),
+                                       selected_loss_sum=l_t)
+
+        monkeypatch.setattr("npcl.verification.partial_optimize", off_by_one)
+        [_, identities] = run_suites(["selector"])
+        assert not identities.ok
+        assert run(["verify", "selector"]) == 3
+        assert capsys.readouterr().out.endswith("SOME CHECKS FAILED\n")
 
     def test_suites_seed_independently(self):
         assert run_suites(seed=5)[:2] == run_suites(["selector"], seed=5)

@@ -62,7 +62,7 @@ class TestPartialOptimize:
             assert not in_sorted[r.selected_count :].any()
 
     def test_optimum_identities(self):
-        # L_T <= C+1-T; if T < n: L_{T+1} > C-T and L_{T+1} > max(L_T, C-T)
+        # L_T <= C+1-T; if T < n: L_{T+1} > C-T
         rng = np.random.default_rng(6)
         for _ in range(500):
             n = int(rng.integers(1, 30))
@@ -74,7 +74,6 @@ class TestPartialOptimize:
             assert l_t <= c + 1.0 - t
             if t < n:
                 assert r.prefix_sums[t] > c - t
-                assert r.prefix_sums[t] > max(l_t, c - t)
             assert r.objective == max(l_t, c - t)
 
     def test_monotone_in_threshold(self):
