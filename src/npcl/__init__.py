@@ -2,12 +2,14 @@
 
 The core pieces:
 
-* :mod:`npcl.losses` — margins, 0-1 loss, hinge-family upper bounds
+* :mod:`npcl.losses` — margins, 0-1 loss, hinge-family upper bounds and
+  their logit subgradients (``BaseLoss.values``, ``BaseLoss.gradients``)
 * :mod:`npcl.selection` — the sort/prefix-sum selection kernel and its
   brute-force oracle
 * :mod:`npcl.objectives` — whole-set and per-batch curriculum objectives
 * :mod:`npcl.corruption` — seeded symmetric / pair label flipping
-* :mod:`npcl.net` — a small numpy MLP with masked backprop and Adam
+* :mod:`npcl.net` — a small numpy MLP on one flat parameter vector, with
+  cached backprop and an in-place Adam update
 * :mod:`npcl.training` — the epoch loop with burn-in and per-batch pruning
 * :mod:`npcl.adversarial` — worst-case reweighted risk under a chi-square
   divergence budget
@@ -23,17 +25,8 @@ from .adversarial import (
 )
 from .corruption import CorruptionSpec, corrupt_dataset, corrupt_labels, flip_pair, flip_symmetric
 from .data import Dataset, load_dataset, load_idx, save_dataset, split, synth_blobs
-from .losses import (
-    BaseLoss,
-    hard_hinge,
-    hinge_from_margins,
-    loss_gradient,
-    multiclass_margin,
-    soft_hinge,
-    weighted_loss,
-    zero_one,
-)
-from .net import AdamConfig, AdamState, MlpParams, adam_step, backward, forward, grad_check
+from .losses import BaseLoss, hinge_from_margins, multiclass_margin, zero_one
+from .net import AdamConfig, AdamState, MlpParams, forward, grad_check
 from .objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from .selection import SelectionResult, ThresholdMode, brute_force_optimize, compute_threshold, partial_optimize
 from .training import EpochMetrics, TrainConfig, evaluate, label_precision, train
@@ -54,9 +47,7 @@ __all__ = [
     "SelectionResult",
     "ThresholdMode",
     "TrainConfig",
-    "adam_step",
     "adversarial_risk_numeric",
-    "backward",
     "batched_objective",
     "brute_force_optimize",
     "check_monotonicity",
@@ -70,19 +61,15 @@ __all__ = [
     "flip_symmetric",
     "forward",
     "grad_check",
-    "hard_hinge",
     "hinge_from_margins",
     "label_precision",
     "load_dataset",
     "load_idx",
-    "loss_gradient",
     "multiclass_margin",
     "partial_optimize",
     "save_dataset",
-    "soft_hinge",
     "split",
     "synth_blobs",
     "train",
-    "weighted_loss",
     "zero_one",
 ]

@@ -44,14 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdvRiskSpec:
-    delta: float
-    divergence: str = "chi-square"
+    delta: float  # chi-square divergence budget
 
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError("divergence budget must be nonnegative")
-        if self.divergence != "chi-square":
-            raise ValueError(f"unsupported divergence {self.divergence!r}")
 
 
 def _check_losses01(losses01):

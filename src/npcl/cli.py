@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .corruption import CorruptionSpec, corrupt_dataset, write_sidecar
 from .data import IdxFormatError, load_idx, save_dataset, split, synth_blobs
 from .losses import BaseLoss

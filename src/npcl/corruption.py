@@ -117,9 +117,26 @@ def write_sidecar(path, spec: CorruptionSpec, flags):
 
 
 def read_sidecar(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    spec = CorruptionSpec(**payload["spec"])
-    flags = np.zeros(payload["num_samples"], dtype=bool)
-    flags[np.asarray(payload["flipped_indices"], dtype=np.int64)] = True
+    """The spec and flag vector recorded by ``write_sidecar``.
+
+    Malformed content raises ValueError naming the file and the key.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # UTF-8 and JSON decode errors
+        raise ValueError(f"{path}: not a sidecar JSON file: {exc}") from exc
+    entries = payload if isinstance(payload, dict) else {}
+    for key, kind in (("spec", dict), ("num_samples", int), ("flipped_indices", list)):
+        if type(entries.get(key)) is not kind:
+            raise ValueError(f"{path}: key {key!r} missing or not a JSON {kind.__name__}")
+    try:
+        spec = CorruptionSpec(**entries["spec"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: key 'spec': {exc}") from exc
+    n, indices = entries["num_samples"], entries["flipped_indices"]
+    if n < 0 or not all(type(i) is int and 0 <= i < n for i in indices):
+        raise ValueError(f"{path}: key 'flipped_indices' needs integers in [0, num_samples = {n})")
+    flags = np.zeros(n, dtype=bool)
+    flags[indices] = True
     return spec, flags

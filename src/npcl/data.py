@@ -24,6 +24,8 @@ Round-tripping through this format is bit-exact.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -103,7 +105,10 @@ class Dataset:
 
 def _read_exact(fh, size, path, what):
     """The next ``size`` bytes of ``fh``; a short read names the file and the field."""
-    raw = fh.read(size)
+    # capped at a regular file's bytes left: a corrupt size field must not make read() allocate it
+    st = os.fstat(fh.fileno())
+    left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else size
+    raw = fh.read(min(size, left))
     if len(raw) != size:
         raise TruncatedFileError(
             f"{path}: truncated while reading {what}: expected {size} bytes, got {len(raw)}"
@@ -145,7 +150,7 @@ def load_idx(images_path, labels_path):
         labels = _read_array(fh, n_labels, np.uint8, labels_path, "labels")
 
     if n != n_labels:
-        raise CountMismatchError(f"{n} images but {n_labels} labels")
+        raise CountMismatchError(f"{images_path}: {n} images but {labels_path}: {n_labels} labels")
     num_classes = max(int(labels.max()) + 1, 2) if labels.size else 2
     return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64), num_classes)
 
@@ -232,4 +237,7 @@ def load_dataset(path):
         features = _read_array(fh, n * d, "<f8", path, "features").reshape(n, d)
         labels = _read_array(fh, n, "<i8", path, "labels")
         clean = _read_array(fh, n, "<i8", path, "clean labels") if flags & 1 else None
-    return Dataset(features, labels, k, clean)
+    try:
+        return Dataset(features, labels, k, clean)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -10,9 +10,13 @@ indicator ``1(u < 0)``:
                   ``max(1 - t[y] + logsumexp(t), 0)``
 * weighted        ``beta * soft + (1 - beta) * hard``
 
+A ``BaseLoss`` names one of them; its ``values`` and ``gradients`` give the
+loss values and logit subgradients.  Every loss computation, the training
+loop's included, is one pass (``_loss_pass``) over shared rival scores.
+
 Binary classification is the K=2 special case; there is no separate code
-path.  All functions accept a single sample (``logits`` of shape ``(K,)``,
-integer label) or a batch (``(n, K)`` logits, ``(n,)`` labels).
+path.  The public functions accept a single sample (``logits`` of shape
+``(K,)``, integer label) or a batch (``(n, K)`` logits, ``(n,)`` labels).
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ __all__ = [
     "BaseLoss",
     "multiclass_margin",
     "zero_one",
-    "hard_hinge",
-    "soft_hinge",
-    "weighted_loss",
-    "loss_gradient",
     "hinge_from_margins",
     "margins_and_values",
 ]
@@ -163,26 +163,6 @@ def hinge_from_margins(margins):
     return np.maximum(1.0 - u, 0.0)
 
 
-def hard_hinge(logits, labels):
-    """Multi-class hard hinge ``max(1 - t[y] + max_{i != y} t[i], 0)``."""
-    return BaseLoss.hinge().values(logits, labels)
-
-
-def soft_hinge(logits, labels):
-    """Hinge with the rival max smoothed by logsumexp on misclassified samples.
-
-    For ``u >= 0`` this equals the hard hinge.  For ``u < 0`` the rival max
-    is replaced by ``logsumexp(t)`` over all classes, which upper-bounds the
-    max, so the soft hinge always dominates the hard hinge.
-    """
-    return BaseLoss.soft().values(logits, labels)
-
-
-def weighted_loss(logits, labels, beta):
-    """Convex combination ``beta * soft_hinge + (1 - beta) * hard_hinge``."""
-    return BaseLoss.weighted(beta).values(logits, labels)
-
-
 @dataclass(frozen=True)
 class BaseLoss:
     """Named per-sample upper bound of the 0-1 loss.
@@ -227,23 +207,24 @@ class BaseLoss:
         return self.kind
 
     def values(self, logits, labels):
+        """Per-sample loss values.
+
+        The soft hinge equals the hard hinge for ``u >= 0``.  For ``u < 0``
+        the rival max is replaced by ``logsumexp(t)`` over all classes,
+        which upper-bounds the max, so the soft hinge always dominates the
+        hard hinge.
+        """
         return margins_and_values(logits, labels, self)[1]
 
     def gradients(self, logits, labels):
-        return loss_gradient(logits, labels, self)
+        """Subgradient of the loss with respect to the logits.
 
-
-def loss_gradient(logits, labels, kind):
-    """Subgradient of the chosen loss with respect to the logits.
-
-    Shape matches ``logits``.  Conventions at the non-differentiable points:
-    the hinge kink ``u == 1`` takes the flat (zero) branch, the boundary
-    ``u == 0`` of the soft hinge takes the hard branch, and rival-score ties
-    resolve to the smallest index.  Away from those points the result is the
-    exact gradient.
-    """
-    if isinstance(kind, str):
-        kind = BaseLoss.parse(kind)
-    t, y, single = _as_batch(logits, labels)
-    g = _loss_pass(t, y, kind, gradients=True)[2]
-    return g[0] if single else g
+        Shape matches ``logits``.  Conventions at the non-differentiable
+        points: the hinge kink ``u == 1`` takes the flat (zero) branch, the
+        boundary ``u == 0`` of the soft hinge takes the hard branch, and
+        rival-score ties resolve to the smallest index.  Away from those
+        points the result is the exact gradient.
+        """
+        t, y, single = _as_batch(logits, labels)
+        g = _loss_pass(t, y, self, gradients=True)[2]
+        return g[0] if single else g

@@ -1,24 +1,22 @@
-"""Small MLP with explicit forward/backward passes and an Adam optimizer.
+"""Small MLP with an explicit cached forward pass, backprop and Adam.
 
 The model is a stack of affine layers with leaky-ReLU between them and raw
-logits at the output.  Backpropagation averages the per-sample loss
-gradients over an explicit selection mask, so unselected samples contribute
-exactly zero to the update.
+logits at the output.  ``MlpParams`` keeps every weight and bias in one
+flat vector, ``params.flat``, and its ``weights`` and ``biases`` are views
+into it, so the parameters, the gradients and both Adam moments each live
+in one contiguous vector laid out alike (``MlpParams.views``).
 
-A training step is built from three private cores; ``forward``,
-``backward`` and ``adam_step`` are validating wrappers over the same cores:
+A training step runs these cores in order; ``grad_check`` runs the first
+three as the training loop does:
 
 1. ``_forward_cached`` runs the forward pass once and keeps every layer's
    pre-activation and activation;
 2. the caller turns the logits into per-sample loss gradients in one loss
-   pass and scales them by the selection mask;
+   pass (``losses._loss_pass``) and scales them by the selection mask
+   over the selected count;
 3. ``_backprop`` backpropagates from the cached activations, writing each
    layer's gradients into its views of one flat gradient vector;
-4. ``_adam_update`` updates the flat parameter vector in place.
-
-``MlpParams.views`` lays a flat vector out as per-layer weight and bias
-views in ``flatten()`` order, so the parameters, the gradients and both
-Adam moments each live in one contiguous vector.
+4. ``_adam_update`` updates ``params.flat`` in place.
 
 Checkpoint format (little-endian):
 
@@ -32,21 +30,18 @@ Checkpoint format (little-endian):
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import _read_array, _read_exact, _read_scalar
-from .losses import BaseLoss
+from .losses import BaseLoss, _as_batch, _loss_pass
 
 __all__ = [
     "MlpParams",
     "AdamConfig",
     "AdamState",
     "forward",
-    "backward",
-    "adam_step",
     "grad_check",
     "save_params",
     "load_params",
@@ -57,9 +52,12 @@ CHECKPOINT_MAGIC = b"NPW1"
 
 @dataclass
 class MlpParams:
+    """Layer weights and biases, copied on construction into one flat vector they view."""
+
     weights: list
     biases: list
     alpha: float = 0.01  # leaky-ReLU slope
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -69,6 +67,9 @@ class MlpParams:
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} mismatch")
             if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {i}: input dim breaks the chain")
+        self.flat = np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair],
+                                   dtype=np.float64)
+        self.weights, self.biases = self.views(self.flat)
 
     @classmethod
     def init(cls, layer_sizes, seed, alpha=0.01):
@@ -91,18 +92,8 @@ class MlpParams:
     def input_dim(self):
         return self.weights[0].shape[0]
 
-    def copy(self):
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.alpha)
-
-    @property
-    def size(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def flatten(self):
-        return np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair])
-
     def views(self, flat):
-        """Per-layer weight and bias views into ``flat``, laid out as ``flatten()``."""
+        """Per-layer weight and bias views into ``flat``, laid out as ``self.flat``."""
         weights, biases, at = [], [], 0
         for w, b in zip(self.weights, self.biases):
             weights.append(flat[at : at + w.size].reshape(w.shape))
@@ -110,11 +101,6 @@ class MlpParams:
             biases.append(flat[at : at + b.size])
             at += b.size
         return weights, biases
-
-    def flat_copy(self):
-        """A flat copy of the parameters and an ``MlpParams`` viewing it."""
-        flat = self.flatten()
-        return flat, MlpParams(*self.views(flat), self.alpha)
 
 
 def _check_features(params: MlpParams, features):
@@ -161,32 +147,6 @@ def forward(params: MlpParams, features):
     return logits[0] if single else logits
 
 
-def backward(params: MlpParams, features, labels, kind: BaseLoss, mask):
-    """Gradients of the mean base loss over the selected samples.
-
-    ``mask`` is boolean over the batch.  An empty selection produces zero
-    gradients and a RuntimeWarning rather than an error, so a training loop
-    can treat it as a no-op step and count it.
-    Returns ``(weight_grads, bias_grads)`` shaped like the parameters.
-    """
-    x, _ = _check_features(params, features)
-    pre, acts = _forward_cached(params, x)
-    y = np.atleast_1d(np.asarray(labels))
-    mask = np.atleast_1d(np.asarray(mask, dtype=bool))
-    if mask.shape != (x.shape[0],):
-        raise ValueError("mask length must equal the batch size")
-
-    selected = int(mask.sum())
-    g_w, g_b = params.views(np.zeros(params.size))
-    if selected == 0:
-        warnings.warn("empty selection: returning zero gradients", RuntimeWarning, stacklevel=2)
-        return g_w, g_b
-
-    delta = kind.gradients(acts[-1], y) * (mask[:, None] / selected)
-    _backprop(params, pre, acts, delta, g_w, g_b)
-    return g_w, g_b
-
-
 @dataclass(frozen=True)
 class AdamConfig:
     lr: float = 1e-3
@@ -197,7 +157,7 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
-    """First/second moments, flat in ``MlpParams.flatten()`` order, and the step counter."""
+    """First/second moments, laid out like ``MlpParams.flat``, and the step counter."""
 
     config: AdamConfig
     m: np.ndarray = field(repr=False, default=None)
@@ -206,7 +166,7 @@ class AdamState:
 
     @classmethod
     def init(cls, params: MlpParams, config: AdamConfig = AdamConfig()):
-        return cls(config=config, m=np.zeros(params.size), v=np.zeros(params.size))
+        return cls(config=config, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def _adam_update(theta, grad, state: AdamState):
@@ -223,29 +183,25 @@ def _adam_update(theta, grad, state: AdamState):
     theta -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
-def adam_step(params: MlpParams, grads, state: AdamState):
-    """One bias-corrected Adam update; returns new params, advances state."""
-    g_w, g_b = grads
-    if [g.shape for g in (*g_w, *g_b)] != [a.shape for a in (*params.weights, *params.biases)]:
-        raise ValueError("gradients must match the parameter shapes")
-    theta, new = params.flat_copy()
-    _adam_update(theta, MlpParams(g_w, g_b, params.alpha).flatten(), state)
-    return new
-
-
 def grad_check(params: MlpParams, features, labels, kind: BaseLoss, step=1e-5):
-    """Worst relative error of the analytic gradient vs central differences.
+    """Worst relative error of the training step's gradient vs central differences.
 
-    Meaningful away from the hinge kinks and rival-score ties; the error is
-    normalized by max(1, |analytic|, |numeric|).
+    The analytic gradient of the mean loss comes from the cores the training
+    loop runs, with every sample selected.  Meaningful away from the hinge
+    kinks and rival-score ties; the error is normalized by
+    max(1, |analytic|, |numeric|).
     """
-    mask = np.ones(np.atleast_2d(features).shape[0], dtype=bool)
-    analytic = MlpParams(*backward(params, features, labels, kind, mask), params.alpha).flatten()
-    theta, probe = params.flat_copy()
+    x, _ = _check_features(params, features)
+    probe = MlpParams(params.weights, params.biases, params.alpha)
+    theta = probe.flat
+    pre, acts = _forward_cached(probe, x)
+    t, y, _ = _as_batch(acts[-1], labels)
+    analytic = np.empty_like(theta)
+    delta = _loss_pass(t, y, kind, gradients=True)[2] * (1.0 / x.shape[0])
+    _backprop(probe, pre, acts, delta, *probe.views(analytic))
 
     def loss_at():
-        logits = forward(probe, features)
-        return float(np.mean(np.atleast_1d(kind.values(logits, np.atleast_1d(labels)))))
+        return float(np.mean(kind.values(_forward_cached(probe, x)[1][-1], y)))
 
     worst = 0.0
     for i, original in enumerate(theta.copy()):
@@ -283,4 +239,7 @@ def load_params(path):
             d_out = _read_scalar(fh, "<I", path, f"layer {i} output size")
             weights.append(_read_array(fh, d_in * d_out, "<f8", path, f"layer {i} weights").reshape(d_in, d_out))
             biases.append(_read_array(fh, d_out, "<f8", path, f"layer {i} biases"))
-    return MlpParams(weights, biases, alpha)
+    try:
+        return MlpParams(weights, biases, alpha)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

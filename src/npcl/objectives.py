@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import BaseLoss, hinge_from_margins, margins_and_values, zero_one
+from .losses import BaseLoss, hinge_from_margins, margins_and_values
 from .selection import SelectionResult, ThresholdMode, compute_threshold, partial_optimize
 
 __all__ = [

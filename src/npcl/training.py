@@ -31,7 +31,7 @@ epoch ``k``, so a config and seed pin down the whole trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
     n = len(train_set)
     flags = train_set.flip_flags
     layer_sizes = [train_set.dim, *config.hidden, train_set.num_classes]
-    theta, params = MlpParams.init(layer_sizes, seed=[config.seed, 0]).flat_copy()
+    params = MlpParams.init(layer_sizes, seed=[config.seed, 0])
+    theta = params.flat
     grad = np.empty_like(theta)
     g_w, g_b = params.views(grad)
     state = AdamState.init(params, config.optimizer)

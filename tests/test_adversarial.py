@@ -62,8 +62,6 @@ class TestClosedForm:
             empirical_adversarial_risk(np.array([0.5]), AdvRiskSpec(0.1))
         with pytest.raises(ValueError):
             AdvRiskSpec(-0.1)
-        with pytest.raises(ValueError):
-            AdvRiskSpec(0.1, divergence="kl")
 
 
 class TestProjection:

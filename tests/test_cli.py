@@ -13,7 +13,7 @@ from npcl.adversarial import empirical_adversarial_risk
 from npcl.cli import run
 from npcl.corruption import CorruptionSpec, corrupt_labels, read_sidecar
 from npcl.data import load_dataset, synth_blobs
-from npcl.losses import loss_gradient
+from npcl.net import _backprop
 from npcl.selection import partial_optimize
 from npcl.training import METRICS_HEADER
 from npcl.verification import SUITES, optimum_identities_hold, run_suites
@@ -66,6 +66,18 @@ class TestExitCodes:
         code = run(["train", "--dataset", "nope.idx", "also-nope.idx", "--out", str(tmp_path)])
         assert code == 2
         assert "i/o" in capsys.readouterr().err
+
+    def test_corrupt_idx_row_count_is_io_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        header = bytearray(struct.pack(">IIII", 2051, 5, 2, 2))
+        header[8] ^= 0x80  # the row count becomes 2**31 + 2
+        images.write_bytes(bytes(header) + bytes(range(20)))
+        labels.write_bytes(struct.pack(">II", 2049, 5) + bytes([0, 1, 0, 1, 0]))
+        code = run(["train", "--dataset", str(images), str(labels), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {images}: truncated while reading pixels: ")
+        assert "Traceback" not in err
 
 
 class TestTrain:
@@ -223,8 +235,8 @@ class TestVerify:
          lambda losses, c: partial_optimize(losses, max(c - 1.0, 0.0))),
         ("adversarial", ["npcl.verification", "npcl.adversarial"], "empirical_adversarial_risk",
          lambda losses, spec: 1.0 - empirical_adversarial_risk(losses, spec)),
-        ("gradients", ["npcl.losses"], "loss_gradient",
-         lambda logits, labels, kind: 2.0 * loss_gradient(logits, labels, kind)),
+        ("gradients", ["npcl.net"], "_backprop",
+         lambda params, pre, acts, delta, g_w, g_b: _backprop(params, pre, acts, 2.0 * delta, g_w, g_b)),
     ], ids=["selector", "adversarial", "gradients"])
     def test_sabotaged_kernel_fails_its_suite(self, capsys, monkeypatch, suite, modules, name, sabotage):
         for module in modules:

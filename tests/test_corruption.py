@@ -1,5 +1,8 @@
 """Label flipping: rates, determinism, and sidecar round-trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -111,3 +114,21 @@ def test_sidecar_round_trip(tmp_path):
     spec2, flags2 = read_sidecar(path)
     assert spec2 == spec
     assert np.array_equal(flags2, flags)
+
+
+SPEC = {"kind": "pair", "rate": 0.35, "seed": 42, "num_classes": 10}
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"num_samples": 4, "flipped_indices": [1]}, "spec"),
+    ({"spec": {**SPEC, "noise": 1}, "num_samples": 4, "flipped_indices": [1]}, "spec"),
+    ({"spec": {**SPEC, "kind": "typo"}, "num_samples": 4, "flipped_indices": [1]}, "spec"),
+    ({"spec": SPEC, "num_samples": "4", "flipped_indices": [1]}, "num_samples"),
+    ({"spec": SPEC, "num_samples": 4, "flipped_indices": [4]}, "flipped_indices"),
+    ({"spec": SPEC, "num_samples": 4, "flipped_indices": [-1]}, "flipped_indices"),
+], ids=["missing", "unknown-field", "bad-kind", "count-type", "index-range", "negative-index"])
+def test_malformed_sidecar_names_file_and_key(tmp_path, payload, key):
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: key '{key}'")):
+        read_sidecar(path)

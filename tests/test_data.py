@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from npcl.corruption import CorruptionSpec, corrupt_dataset
+from npcl.cli import run
+from npcl.corruption import CorruptionSpec, corrupt_dataset, read_sidecar, write_sidecar
 from npcl.data import (
     BadMagicError,
     CountMismatchError,
@@ -174,6 +175,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_dataset(path)
 
+    def test_labels_out_of_range_names_file(self, tmp_path):
+        path = tmp_path / "blobs.npds"
+        save_dataset(path, synth_blobs(30, 3, separation=3.0, noise_std=0.7, seed=8))
+        data = bytearray(path.read_bytes())
+        data[20:24] = struct.pack("<I", 2)  # class count 3 -> 2 under labels 0..2
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: labels out of range")):
+            load_dataset(path)
+
 
 @pytest.mark.parametrize("save, load, value, fields", [
     (save_dataset, load_dataset,
@@ -195,6 +205,54 @@ def test_every_truncation_names_file_and_field(tmp_path, save, load, value, fiel
             load(path)
         named.append(str(info.value).split("reading ")[1].split(":")[0])
     assert list(dict.fromkeys(named)) == fields  # every field, in file order
+
+
+FLIPS = 200
+
+
+def bit_flips(data, seed):
+    """``FLIPS`` copies of ``data``, each with one seeded random bit flipped."""
+    rng = np.random.default_rng(seed)
+    for bit in rng.integers(0, 8 * len(data), size=FLIPS):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+
+
+def expect_value_error_naming(load, path, *args):
+    """``load(path, *args)`` either succeeds or raises a ValueError that names a file."""
+    try:
+        load(path, *args)
+    except ValueError as exc:  # IdxFormatError, JSON and UTF-8 decode errors included
+        assert str(path.parent) in str(exc)
+
+
+@pytest.mark.parametrize("save, load, value", [
+    (save_dataset, load_dataset,
+     corrupt_dataset(synth_blobs(4, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2))),
+    (save_params, load_params, MlpParams.init([2, 2, 2], seed=0)),
+    (lambda path, flags: write_sidecar(path, CorruptionSpec("pair", 0.35, 5, 3), flags), read_sidecar,
+     np.array([True, False, True, True, False, False, True])),
+], ids=["npds", "npw1", "sidecar"])
+def test_bit_flips_raise_only_value_errors(tmp_path, save, load, value):
+    path = tmp_path / "flipped.bin"
+    save(path, value)
+    for data in bit_flips(path.read_bytes(), seed=7):
+        path.write_bytes(data)
+        expect_value_error_naming(load, path)
+
+
+@pytest.mark.parametrize("target", ["images", "labels"])
+def test_idx_bit_flips_fail_cleanly(tmp_path, target):
+    pixels = np.arange(20, dtype=np.uint8).reshape(5, 2, 2)
+    paths = dict(zip(["images", "labels"], write_idx_pair(tmp_path, pixels, np.array([0, 1, 0, 1, 0]))))
+    path = paths[target]
+    argv = ["train", "--dataset", str(paths["images"]), str(paths["labels"]), "--epochs", "1",
+            "--burn-in", "0", "--hidden", "4", "--out", str(tmp_path / "run")]
+    for data in bit_flips(path.read_bytes(), seed=11):
+        path.write_bytes(data)
+        expect_value_error_naming(load_idx, paths["images"], paths["labels"])
+        assert run(argv) in (0, 1, 2)
 
 
 def test_dataset_validation():

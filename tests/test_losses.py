@@ -5,20 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from npcl.losses import (
-    BaseLoss,
-    _loss_pass,
-    hard_hinge,
-    hinge_from_margins,
-    loss_gradient,
-    margins_and_values,
-    multiclass_margin,
-    soft_hinge,
-    weighted_loss,
-    zero_one,
-)
+from npcl.losses import BaseLoss, _loss_pass, hinge_from_margins, margins_and_values, multiclass_margin, zero_one
 
 SOFT_HINGE_01 = 2.3132616875182228  # 1 + log(1 + e), t=[0,1], y=0
+HARD, SOFT = BaseLoss.hinge(), BaseLoss.soft()
 
 
 class TestMargin:
@@ -81,31 +71,31 @@ class TestZeroOne:
 
 class TestHinges:
     def test_hard_hinge_examples(self):
-        assert hard_hinge([3.0, 0.0], 0) == 0.0
-        assert hard_hinge([0.0, 1.0], 0) == 2.0
-        assert hard_hinge([1.0, 1.0], 0) == 1.0
+        assert HARD.values([3.0, 0.0], 0) == 0.0
+        assert HARD.values([0.0, 1.0], 0) == 2.0
+        assert HARD.values([1.0, 1.0], 0) == 1.0
 
     def test_soft_hinge_correct_branch_equals_hard(self):
-        assert soft_hinge([3.0, 0.0], 0) == hard_hinge([3.0, 0.0], 0)
+        assert SOFT.values([3.0, 0.0], 0) == HARD.values([3.0, 0.0], 0)
 
     def test_soft_hinge_misclassified_value(self):
-        assert soft_hinge([0.0, 1.0], 0) == pytest.approx(SOFT_HINGE_01, abs=1e-12)
+        assert SOFT.values([0.0, 1.0], 0) == pytest.approx(SOFT_HINGE_01, abs=1e-12)
 
     def test_soft_hinge_zero_margin_takes_hard_branch(self):
-        assert soft_hinge([0.0, 0.0, 0.0], 0) == 1.0
+        assert SOFT.values([0.0, 0.0, 0.0], 0) == 1.0
 
     def test_weighted_endpoints_and_midpoint(self):
         t, y = [0.0, 1.0], 0
-        assert weighted_loss(t, y, 0.0) == hard_hinge(t, y)
-        assert weighted_loss(t, y, 1.0) == soft_hinge(t, y)
-        assert weighted_loss(t, y, 0.5) == pytest.approx(
+        assert BaseLoss.weighted(0.0).values(t, y) == HARD.values(t, y)
+        assert BaseLoss.weighted(1.0).values(t, y) == SOFT.values(t, y)
+        assert BaseLoss.weighted(0.5).values(t, y) == pytest.approx(
             (2.0 + SOFT_HINGE_01) / 2.0, abs=1e-12
         )
 
     def test_weighted_rejects_bad_beta(self):
         for beta in (-0.1, 1.1):
             with pytest.raises(ValueError):
-                weighted_loss([0.0, 1.0], 0, beta)
+                BaseLoss.weighted(beta)
 
     def test_hinge_from_margins(self):
         u = np.array([3.0, -1.0, 0.0, 1.0])
@@ -118,13 +108,13 @@ class TestHinges:
         y = rng.integers(0, 4, size=1000)
         u = multiclass_margin(t, y)
         z = zero_one(u)
-        h = hard_hinge(t, y)
-        s = soft_hinge(t, y)
+        h = HARD.values(t, y)
+        s = SOFT.values(t, y)
         assert np.all(s >= h)
         assert np.all(h >= z)
         assert np.all(z >= 0)
         for beta in (0.0, 0.3, 1.0):
-            assert np.all(weighted_loss(t, y, beta) >= z)
+            assert np.all(BaseLoss.weighted(beta).values(t, y) >= z)
 
 
 class TestBaseLoss:
@@ -162,18 +152,18 @@ def relative_error(a, b):
 
 class TestGradients:
     def test_flat_region_is_zero(self):
-        assert np.array_equal(loss_gradient([5.0, 0.0], 0, BaseLoss.hinge()), [0.0, 0.0])
+        assert np.array_equal(HARD.gradients([5.0, 0.0], 0), [0.0, 0.0])
 
     def test_hard_hinge_misclassified_subgradient(self):
-        g = loss_gradient([0.0, 2.0, 1.0], 0, BaseLoss.hinge())
+        g = HARD.gradients([0.0, 2.0, 1.0], 0)
         assert np.array_equal(g, [-1.0, 1.0, 0.0])
 
     def test_rival_tie_breaks_to_smallest_index(self):
-        g = loss_gradient([0.0, 2.0, 2.0], 0, BaseLoss.hinge())
+        g = HARD.gradients([0.0, 2.0, 2.0], 0)
         assert np.array_equal(g, [-1.0, 1.0, 0.0])
 
     def test_kink_at_unit_margin_takes_flat_branch(self):
-        g = loss_gradient([1.0, 0.0], 0, BaseLoss.hinge())
+        g = HARD.gradients([1.0, 0.0], 0)
         assert np.array_equal(g, [0.0, 0.0])
 
     @pytest.mark.parametrize(
@@ -192,7 +182,7 @@ class TestGradients:
             tie_gap = rival[-1] - rival[-2] if k > 2 else 1.0
             if abs(u) < 1e-3 or abs(u - 1.0) < 1e-3 or tie_gap < 1e-3:
                 continue
-            analytic = loss_gradient(t, y, kind)
+            analytic = kind.gradients(t, y)
             numeric = numeric_gradient(lambda x: kind.values(x, y), t)
             assert relative_error(analytic, numeric) < 1e-5
             checked += 1
@@ -201,9 +191,9 @@ class TestGradients:
         rng = np.random.default_rng(3)
         t = rng.normal(size=(8, 3))
         y = rng.integers(0, 3, size=8)
-        g = loss_gradient(t, y, BaseLoss.soft())
+        g = SOFT.gradients(t, y)
         for i in range(8):
-            assert np.array_equal(g[i], loss_gradient(t[i], int(y[i]), BaseLoss.soft()))
+            assert np.array_equal(g[i], SOFT.gradients(t[i], int(y[i])))
 
 
 def tied_batch(seed, n=500, k=5):
@@ -225,7 +215,7 @@ class TestFusedLossPass:
         u, values, grads = _loss_pass(t, y, kind, gradients=True)
         assert np.array_equal(u, multiclass_margin(t, y))
         assert np.array_equal(values, kind.values(t, y))
-        assert np.array_equal(grads, loss_gradient(t, y, kind))
+        assert np.array_equal(grads, kind.gradients(t, y))
         u2, values2, none = _loss_pass(t, y, kind, gradients=False)
         assert none is None
         assert np.array_equal(u2, u) and np.array_equal(values2, values)
@@ -239,7 +229,7 @@ class TestFusedLossPass:
         h = hashlib.sha256(np.asarray(multiclass_margin(t, y)).tobytes())
         for kind in KINDS:
             h.update(np.asarray(kind.values(t, y)).tobytes())
-            h.update(np.asarray(loss_gradient(t, y, kind)).tobytes())
+            h.update(np.asarray(kind.gradients(t, y)).tobytes())
         assert h.hexdigest() == "8afce8801e7689c2d5b5a611670625eb7a321deb6ece7332ad82acbb9c0c8414"
 
     def test_rejects_non_finite_logits(self):

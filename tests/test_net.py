@@ -1,8 +1,9 @@
-"""MLP forward/backward, Adam, gradient checks, checkpoints."""
+"""MLP forward/backward cores, the flat layout, Adam, gradient checks, checkpoints."""
 
 import numpy as np
 import pytest
 
+from npcl.data import synth_blobs
 from npcl.losses import BaseLoss, _loss_pass
 from npcl.net import (
     AdamConfig,
@@ -11,17 +12,25 @@ from npcl.net import (
     _adam_update,
     _backprop,
     _forward_cached,
-    adam_step,
-    backward,
     forward,
     grad_check,
     load_params,
     save_params,
 )
+from npcl.training import TrainConfig, train
 
 
 def tiny_net(seed=0, sizes=(3, 8, 8, 4)):
     return MlpParams.init(list(sizes), seed=seed)
+
+
+def masked_gradient(params, x, y, kind, mask):
+    """The training step's flat gradient: cached forward, one loss pass, masked mean, backprop."""
+    pre, acts = _forward_cached(params, np.asarray(x, dtype=np.float64))
+    g = _loss_pass(acts[-1], y, kind, gradients=True)[2]
+    grad = np.empty_like(params.flat)
+    _backprop(params, pre, acts, g * (mask[:, None] / mask.sum()), *params.views(grad))
+    return grad
 
 
 def plain_forward(params, x):
@@ -60,15 +69,6 @@ class TestForward:
 
 
 class TestBackward:
-    def test_empty_mask_zero_gradients_with_warning(self):
-        params = tiny_net()
-        x = np.zeros((2, 3))
-        y = np.array([0, 1])
-        with pytest.warns(RuntimeWarning):
-            g_w, g_b = backward(params, x, y, BaseLoss.hinge(), np.zeros(2, dtype=bool))
-        assert all(np.all(g == 0) for g in g_w)
-        assert all(np.all(g == 0) for g in g_b)
-
     def test_single_sample_matches_finite_differences(self):
         params = tiny_net(seed=3)
         rng = np.random.default_rng(4)
@@ -82,8 +82,8 @@ class TestBackward:
         rng = np.random.default_rng(6)
         x = rng.normal(size=3)
         y = np.array([1])
-        single = backward(params, x[None, :], y, BaseLoss.soft(), np.array([True]))
-        doubled = backward(
+        single = masked_gradient(params, x[None, :], y, BaseLoss.soft(), np.array([True]))
+        doubled = masked_gradient(
             params,
             np.vstack([x, x]),
             np.array([1, 1]),
@@ -92,8 +92,7 @@ class TestBackward:
         )
         # matmul kernels may differ between the 1-row and 2-row paths, so
         # equality is asserted at ulp scale rather than bitwise
-        for a, b in zip(single[0] + single[1], doubled[0] + doubled[1]):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(single, doubled, rtol=1e-12, atol=1e-15)
 
     def test_unselected_samples_do_not_touch_gradients(self):
         params = tiny_net(seed=7)
@@ -101,94 +100,69 @@ class TestBackward:
         x = rng.normal(size=(4, 3))
         y = rng.integers(0, 4, size=4)
         mask = np.array([True, False, True, False])
-        base = backward(params, x, y, BaseLoss.hinge(), mask)
+        base = masked_gradient(params, x, y, BaseLoss.hinge(), mask)
         x2 = x.copy()
         x2[1] += 100.0  # unselected row
-        perturbed = backward(params, x2, y, BaseLoss.hinge(), mask)
-        for a, b in zip(base[0] + base[1], perturbed[0] + perturbed[1]):
-            np.testing.assert_array_equal(a, b)
-
-    def test_mask_length_check(self):
-        params = tiny_net()
-        with pytest.raises(ValueError):
-            backward(params, np.zeros((2, 3)), np.array([0, 1]), BaseLoss.hinge(), np.ones(3, bool))
+        perturbed = masked_gradient(params, x2, y, BaseLoss.hinge(), mask)
+        np.testing.assert_array_equal(base, perturbed)
 
 
 class TestFlatLayout:
-    def test_views_follow_flatten_order(self):
-        params = tiny_net(seed=13)
-        flat, viewing = params.flat_copy()
-        assert flat.size == params.size
-        for a, b in zip(viewing.weights + viewing.biases, params.weights + params.biases):
-            np.testing.assert_array_equal(a, b)
-        flat[:] = 0.0  # views share the flat vector's memory
-        assert all(np.all(w == 0) for w in viewing.weights)
-        assert np.all(params.weights[0] != 0)
+    def test_weights_and_biases_view_flat(self):
+        weights = [np.arange(6.0).reshape(3, 2), np.ones((2, 2))]
+        biases = [np.array([6.0, 7.0]), np.zeros(2)]
+        params = MlpParams(weights, biases)
+        np.testing.assert_array_equal(params.flat, [0, 1, 2, 3, 4, 5, 6, 7, 1, 1, 1, 1, 0, 0])
+        for a in params.weights + params.biases:
+            assert a.base is params.flat
+        params.flat[:] = -1.0  # the views share the flat vector's memory
+        assert all(np.all(a == -1.0) for a in params.weights + params.biases)
+        assert weights[0][0, 0] == 0.0  # construction copied the inputs
 
-    def test_public_step_matches_fused_cores(self):
-        # backward + adam_step and the training loop's cores give the same step
-        params = tiny_net(seed=14)
-        rng = np.random.default_rng(15)
-        x = rng.normal(size=(6, 3))
-        y = rng.integers(0, 4, size=6)
-        mask = np.array([True, False, True, True, False, True])
-        public = adam_step(params, backward(params, x, y, BaseLoss.soft(), mask), AdamState.init(params))
+    def test_train_step_matches_cores(self):
+        # one full batch, no burn-in, no selection: train() takes exactly one step
+        data = synth_blobs(6, 2, separation=3.0, noise_std=1.0, seed=15)
+        cfg = TrainConfig(epochs=1, batch_size=6, burn_in_epochs=0, base_loss=BaseLoss.soft(),
+                          selection=False, shuffle=False, hidden=(4,), seed=14)
+        _, trained = train(cfg, data, data)
 
-        theta, fused = params.flat_copy()
-        grad = np.empty_like(theta)
-        pre, acts = _forward_cached(fused, x)
-        g = _loss_pass(acts[-1], y, BaseLoss.soft(), gradients=True)[2]
-        _backprop(fused, pre, acts, g * (mask[:, None] / 4), *fused.views(grad))
-        _adam_update(theta, grad, AdamState.init(fused))
-        np.testing.assert_array_equal(public.flatten(), theta)
+        params = MlpParams.init([2, 4, 2], seed=[14, 0])
+        grad = masked_gradient(params, data.features, data.labels, BaseLoss.soft(), np.ones(6, bool))
+        _adam_update(params.flat, grad, AdamState.init(params))
+        np.testing.assert_array_equal(trained.flat, params.flat)
 
 
 class TestAdam:
-    def test_leaves_input_params_unchanged(self):
-        params = tiny_net(seed=16)
-        before = params.flatten()
-        grads = ([np.ones_like(w) for w in params.weights], [np.ones_like(b) for b in params.biases])
-        new = adam_step(params, grads, AdamState.init(params))
-        np.testing.assert_array_equal(params.flatten(), before)
-        assert np.all(new.flatten() != before)
-
-    def test_rejects_mismatched_gradients(self):
-        params = tiny_net(seed=17)
-        grads = ([np.zeros((2, 2))] * len(params.weights), [np.zeros_like(b) for b in params.biases])
-        with pytest.raises(ValueError, match="shapes"):
-            adam_step(params, grads, AdamState.init(params))
-
     def test_zero_gradient_is_noop(self):
         params = tiny_net(seed=9)
+        before = params.flat.copy()
         state = AdamState.init(params)
-        zeros = ([np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases])
-        new = adam_step(params, zeros, state)
-        for a, b in zip(new.weights, params.weights):
-            np.testing.assert_array_equal(a, b)
+        _adam_update(params.flat, np.zeros_like(params.flat), state)
+        np.testing.assert_array_equal(params.flat, before)
         assert state.step == 1
 
     def test_scalar_first_step_magnitude(self):
         params = MlpParams([np.array([[0.0, 0.0]])], [np.zeros(2)])
         state = AdamState.init(params, AdamConfig(lr=1e-3))
-        grads = ([np.array([[1.0, 0.0]])], [np.zeros(2)])
-        new = adam_step(params, grads, state)
+        _adam_update(params.flat, np.array([1.0, 0.0, 0.0, 0.0]), state)
         # bias-corrected first step moves by ~lr against the gradient
-        assert new.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
-        assert new.weights[0][0, 1] == 0.0
+        assert params.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
+        assert params.weights[0][0, 1] == 0.0
 
     def test_independent_states_match(self):
         params = tiny_net(seed=10)
-        grads = backward(
+        grad = masked_gradient(
             params,
             np.ones((2, 3)),
             np.array([0, 1]),
             BaseLoss.soft(),
             np.ones(2, dtype=bool),
         )
-        a = adam_step(params, grads, AdamState.init(params))
-        b = adam_step(params, grads, AdamState.init(params))
-        for wa, wb in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(wa, wb)
+        a, b = params.flat.copy(), params.flat.copy()
+        _adam_update(a, grad, AdamState.init(params))
+        _adam_update(b, grad, AdamState.init(params))
+        np.testing.assert_array_equal(a, b)
+        assert np.any(a != params.flat)
 
 
 class TestGradCheck:

@@ -262,5 +262,5 @@ class TestBitIdentity:
         metrics, params = train(cfg, train_set, test_set)
         rows = "\n".join(m.as_row() for m in metrics).encode()
         assert hashlib.sha256(rows).hexdigest() == rows_sha
-        flat = params.flatten().astype("<f8").tobytes()
+        flat = params.flat.astype("<f8").tobytes()
         assert hashlib.sha256(flat).hexdigest() == params_sha
