@@ -13,13 +13,15 @@ The internal dataset format is little-endian binary:
     u32    version (1)
     u64    n samples
     u32    d features
-    u32    K classes
+    u32    K classes, at most ``MAX_CLASSES``
     u32    flags (bit 0: clean labels present)
     f64[n*d]  features, row-major
     i64[n]    labels
     i64[n]    clean labels, only when flagged
 
-Round-tripping through this format is bit-exact.
+Round-tripping through this format is bit-exact.  Readers reject an IDX
+image with no rows or no columns and a dataset file whose class count
+exceeds ``MAX_CLASSES``, naming the file and the field.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ __all__ = [
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 DATASET_MAGIC = b"NPDS"
+# Highest class count a dataset file may declare.  A model's output layer and
+# every batch's logits scale with it, so a corrupt count must not size them.
+MAX_CLASSES = 65536
 
 
 class IdxFormatError(ValueError):
@@ -138,6 +143,9 @@ def load_idx(images_path, labels_path):
         n = _read_scalar(fh, ">I", images_path, "image count")
         rows = _read_scalar(fh, ">I", images_path, "row count")
         cols = _read_scalar(fh, ">I", images_path, "column count")
+        for what, size in (("row count", rows), ("column count", cols)):
+            if size == 0:
+                raise IdxFormatError(f"{images_path}: {what} is 0; an image needs at least one pixel")
         pixels = _read_array(fh, n * rows * cols, np.uint8, images_path, "pixels").reshape(n, rows * cols)
 
     with open(labels_path, "rb") as fh:
@@ -233,6 +241,8 @@ def load_dataset(path):
         n = _read_scalar(fh, "<Q", path, "sample count")
         d = _read_scalar(fh, "<I", path, "feature count")
         k = _read_scalar(fh, "<I", path, "class count")
+        if k > MAX_CLASSES:
+            raise ValueError(f"{path}: class count {k} exceeds MAX_CLASSES = {MAX_CLASSES}")
         flags = _read_scalar(fh, "<I", path, "flags")
         features = _read_array(fh, n * d, "<f8", path, "features").reshape(n, d)
         labels = _read_array(fh, n, "<i8", path, "labels")

@@ -15,14 +15,23 @@ if nothing was selected all epoch).
 Inputs are validated once, on entry to ``train``.  Each step is then one
 fused pass over the batch:
 
-1. forward once, caching every layer's pre-activations and activations;
+1. gather the batch rows into an input buffer and forward once, caching
+   every layer's pre-activations and activations;
 2. one loss pass gives the margins, the loss values and the logit
    gradients (it still rejects non-finite logits, so a diverging run stops
    with an error);
 3. select: the threshold from the misclassified count, then the kernel;
-4. backward from the cached activations into a flat gradient vector;
+4. scale the logit gradients by the mask over the selected count, in
+   place, and backpropagate them into a flat gradient vector;
 5. one in-place Adam update of the flat parameter vector, which the
    model's weights and biases view.
+
+``train`` builds its ``net.Workspace`` buffers once per run: one for the
+full batch, one for the shorter last batch when the batch size does not
+divide the training set, and one for the test set, which ``evaluate``
+reuses every epoch.  Steps 1 and 4 and the Adam update then allocate no
+array the size of a layer's activations or of the parameters; the loss
+pass and the selection kernel still allocate their per-batch results.
 
 Randomness is split into independent PCG64 streams derived from the run
 seed: ``[seed, 0]`` initializes the weights and ``[seed, 1, k]`` shuffles
@@ -37,7 +46,16 @@ import numpy as np
 
 from .data import Dataset
 from .losses import BaseLoss, _loss_pass
-from .net import AdamConfig, AdamState, MlpParams, _adam_update, _backprop, _forward_cached, forward
+from .net import (
+    AdamConfig,
+    AdamState,
+    MlpParams,
+    Workspace,
+    _adam_update,
+    _backprop,
+    _forward_cached,
+    forward,
+)
 from .selection import ThresholdMode, compute_threshold, partial_optimize
 
 __all__ = [
@@ -105,9 +123,13 @@ def label_precision(mask, flip_flags):
     return float((mask & ~flags).sum() / selected)
 
 
-def evaluate(params: MlpParams, dataset: Dataset):
-    """Fraction of samples whose argmax logit hits the label (ties: smallest index)."""
-    logits = forward(params, dataset.features)
+def evaluate(params: MlpParams, dataset: Dataset, workspace: Workspace | None = None):
+    """Fraction of samples whose argmax logit hits the label (ties: smallest index).
+
+    ``workspace``, built for ``len(dataset)`` rows, lets repeated calls reuse
+    one set of forward buffers.
+    """
+    logits = forward(params, dataset.features, workspace)
     predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == dataset.labels))
 
@@ -137,6 +159,13 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
     grad = np.empty_like(theta)
     g_w, g_b = params.views(grad)
     state = AdamState.init(params, config.optimizer)
+    batch = config.batch_size
+    # an input buffer and a workspace per batch row count: full batches and the last one
+    steps = {
+        m: (np.empty((m, train_set.dim)), Workspace(params, m))
+        for m in {min(batch, n), n - (n - 1) // batch * batch}
+    }
+    test_ws = Workspace(params, len(test_set))
 
     metrics: list[EpochMetrics] = []
     for epoch in range(config.epochs):
@@ -151,12 +180,14 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
         selected_total = 0
         clean_selected = 0
         empty_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
             m = idx.size
-            pre, acts = _forward_cached(params, train_set.features[idx])
+            x, ws = steps[m]
+            # "clip" gathers straight into x, "raise" through a buffer; idx is always in range
+            np.take(train_set.features, idx, axis=0, out=x, mode="clip")
             margins, losses, loss_grads = _loss_pass(
-                acts[-1], train_set.labels[idx], loss_kind, gradients=True
+                _forward_cached(params, x, ws), train_set.labels[idx], loss_kind, gradients=True
             )
             if burn_in or not config.selection:
                 mask = np.ones(m, dtype=bool)
@@ -169,7 +200,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
                 value = result.objective
             selected = int(mask.sum())
             if on_batch is not None:
-                on_batch(epoch, start // config.batch_size, value, float(losses.sum()), selected)
+                on_batch(epoch, start // batch, value, float(losses.sum()), selected)
 
             if selected == 0:
                 empty_batches += 1
@@ -177,14 +208,15 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
             selected_total += selected
             clean_selected += int((mask & ~flags[idx]).sum())
             loss_sum += float(losses[mask].sum())
-            _backprop(params, pre, acts, loss_grads * (mask[:, None] / selected), g_w, g_b)
+            loss_grads *= mask[:, None] / selected
+            _backprop(params, ws, loss_grads, g_w, g_b)
             _adam_update(theta, grad, state)
 
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
                 train_loss=loss_sum / selected_total if selected_total else float("nan"),
-                test_acc=evaluate(params, test_set),
+                test_acc=evaluate(params, test_set, test_ws),
                 label_precision=(
                     clean_selected / selected_total if selected_total else float("nan")
                 ),

@@ -236,7 +236,7 @@ class TestVerify:
         ("adversarial", ["npcl.verification", "npcl.adversarial"], "empirical_adversarial_risk",
          lambda losses, spec: 1.0 - empirical_adversarial_risk(losses, spec)),
         ("gradients", ["npcl.net"], "_backprop",
-         lambda params, pre, acts, delta, g_w, g_b: _backprop(params, pre, acts, 2.0 * delta, g_w, g_b)),
+         lambda params, ws, delta, g_w, g_b: _backprop(params, ws, 2.0 * delta, g_w, g_b)),
     ], ids=["selector", "adversarial", "gradients"])
     def test_sabotaged_kernel_fails_its_suite(self, capsys, monkeypatch, suite, modules, name, sabotage):
         for module in modules:

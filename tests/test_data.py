@@ -9,9 +9,11 @@ import pytest
 from npcl.cli import run
 from npcl.corruption import CorruptionSpec, corrupt_dataset, read_sidecar, write_sidecar
 from npcl.data import (
+    MAX_CLASSES,
     BadMagicError,
     CountMismatchError,
     Dataset,
+    IdxFormatError,
     TruncatedFileError,
     load_dataset,
     load_idx,
@@ -76,6 +78,12 @@ class TestIdx:
         labels = np.zeros(3, dtype=np.uint8)
         paths = write_idx_pair(tmp_path, pixels, labels, label_count=3)
         with pytest.raises(CountMismatchError):
+            load_idx(*paths)
+
+    @pytest.mark.parametrize("shape, field", [((3, 0, 2), "row count"), ((3, 2, 0), "column count")])
+    def test_zero_image_dimension_names_file_and_field(self, tmp_path, shape, field):
+        paths = write_idx_pair(tmp_path, np.zeros(shape, np.uint8), np.array([0, 1, 0], np.uint8))
+        with pytest.raises(IdxFormatError, match=re.escape(f"{paths[0]}: {field} is 0")):
             load_idx(*paths)
 
 
@@ -184,6 +192,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(f"{path}: labels out of range")):
             load_dataset(path)
 
+    def test_class_count_above_cap_names_file_and_field(self, tmp_path):
+        path = tmp_path / "blobs.npds"
+        save_dataset(path, synth_blobs(30, 3, separation=3.0, noise_std=0.7, seed=8))
+        data = bytearray(path.read_bytes())
+        data[20:24] = struct.pack("<I", MAX_CLASSES + 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: class count {MAX_CLASSES + 1} exceeds")):
+            load_dataset(path)
+        data[20:24] = struct.pack("<I", MAX_CLASSES)  # the cap itself loads
+        path.write_bytes(bytes(data))
+        assert load_dataset(path).num_classes == MAX_CLASSES
+
 
 @pytest.mark.parametrize("save, load, value, fields", [
     (save_dataset, load_dataset,
@@ -220,26 +240,29 @@ def bit_flips(data, seed):
 
 
 def expect_value_error_naming(load, path, *args):
-    """``load(path, *args)`` either succeeds or raises a ValueError that names a file."""
+    """``load(path, *args)``, or None if it raised a ValueError that names a file."""
     try:
-        load(path, *args)
+        return load(path, *args)
     except ValueError as exc:  # IdxFormatError, JSON and UTF-8 decode errors included
         assert str(path.parent) in str(exc)
+        return None
 
 
-@pytest.mark.parametrize("save, load, value", [
+@pytest.mark.parametrize("save, load, value, plausible", [
     (save_dataset, load_dataset,
-     corrupt_dataset(synth_blobs(4, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2))),
-    (save_params, load_params, MlpParams.init([2, 2, 2], seed=0)),
+     corrupt_dataset(synth_blobs(4, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2)),
+     lambda dataset: dataset.num_classes <= MAX_CLASSES),
+    (save_params, load_params, MlpParams.init([2, 2, 2], seed=0), lambda params: 0.0 <= params.alpha <= 1.0),
     (lambda path, flags: write_sidecar(path, CorruptionSpec("pair", 0.35, 5, 3), flags), read_sidecar,
-     np.array([True, False, True, True, False, False, True])),
+     np.array([True, False, True, True, False, False, True]), lambda loaded: True),
 ], ids=["npds", "npw1", "sidecar"])
-def test_bit_flips_raise_only_value_errors(tmp_path, save, load, value):
+def test_bit_flips_raise_only_value_errors(tmp_path, save, load, value, plausible):
     path = tmp_path / "flipped.bin"
     save(path, value)
     for data in bit_flips(path.read_bytes(), seed=7):
         path.write_bytes(data)
-        expect_value_error_naming(load, path)
+        loaded = expect_value_error_naming(load, path)
+        assert loaded is None or plausible(loaded)
 
 
 @pytest.mark.parametrize("target", ["images", "labels"])
@@ -251,7 +274,8 @@ def test_idx_bit_flips_fail_cleanly(tmp_path, target):
             "--burn-in", "0", "--hidden", "4", "--out", str(tmp_path / "run")]
     for data in bit_flips(path.read_bytes(), seed=11):
         path.write_bytes(data)
-        expect_value_error_naming(load_idx, paths["images"], paths["labels"])
+        loaded = expect_value_error_naming(load_idx, paths["images"], paths["labels"])
+        assert loaded is None or loaded.dim > 0
         assert run(argv) in (0, 1, 2)
 
 

@@ -1,5 +1,9 @@
 """MLP forward/backward cores, the flat layout, Adam, gradient checks, checkpoints."""
 
+import re
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from npcl.net import (
     AdamConfig,
     AdamState,
     MlpParams,
+    Workspace,
     _adam_update,
     _backprop,
     _forward_cached,
@@ -26,10 +31,11 @@ def tiny_net(seed=0, sizes=(3, 8, 8, 4)):
 
 def masked_gradient(params, x, y, kind, mask):
     """The training step's flat gradient: cached forward, one loss pass, masked mean, backprop."""
-    pre, acts = _forward_cached(params, np.asarray(x, dtype=np.float64))
-    g = _loss_pass(acts[-1], y, kind, gradients=True)[2]
+    x = np.asarray(x, dtype=np.float64)
+    ws = Workspace(params, x.shape[0])
+    g = _loss_pass(_forward_cached(params, x, ws), y, kind, gradients=True)[2]
     grad = np.empty_like(params.flat)
-    _backprop(params, pre, acts, g * (mask[:, None] / mask.sum()), *params.views(grad))
+    _backprop(params, ws, g * (mask[:, None] / mask.sum()), *params.views(grad))
     return grad
 
 
@@ -66,6 +72,11 @@ class TestForward:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             forward(tiny_net(), np.zeros(5))
+
+    @pytest.mark.parametrize("alpha", [5.0, -0.01, float("nan"), float("inf")])
+    def test_rejects_slope_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="leaky-ReLU slope must be finite and in"):
+            MlpParams.init([3, 4, 2], seed=0, alpha=alpha)
 
 
 class TestBackward:
@@ -130,6 +141,86 @@ class TestFlatLayout:
         grad = masked_gradient(params, data.features, data.labels, BaseLoss.soft(), np.ones(6, bool))
         _adam_update(params.flat, grad, AdamState.init(params))
         np.testing.assert_array_equal(trained.flat, params.flat)
+
+
+def allocating_step(params, x, delta, m, v, step, cfg=AdamConfig()):
+    """Forward, backprop and Adam as plain allocating expressions; returns logits and gradient.
+
+    The workspace cores must reproduce it bit for bit.  Updates ``params.flat``, ``m`` and ``v``.
+    """
+    pre, acts = [], [x]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(z if i == last else np.where(z > 0, z, params.alpha * z))
+    grads = []
+    for i in range(last, -1, -1):
+        grads[:0] = [acts[i].T @ delta, np.sum(delta, axis=0)]
+        if i > 0:
+            delta = (delta @ params.weights[i].T) * np.where(pre[i - 1] > 0, 1.0, params.alpha)
+    grad = np.concatenate([g.ravel() for g in grads])
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * (grad * grad)
+    bc1, bc2 = 1.0 - cfg.beta1**step, 1.0 - cfg.beta2**step
+    params.flat -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    return acts[-1], grad
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("rows", [1, 7, 128])
+    def test_cores_match_allocating_expressions_bitwise(self, rows, alpha):
+        rng = np.random.default_rng(rows)
+        params = MlpParams.init([5, 6, 6, 3], seed=16, alpha=alpha)
+        reference = MlpParams(params.weights, params.biases, alpha)
+        m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        ws, state = Workspace(params, rows), AdamState.init(params)
+        grad = np.empty_like(params.flat)
+        for step in range(1, 4):
+            x = rng.normal(size=(rows, 5))
+            x[0] = 0.0  # pre-activations equal to the biases, zeros among them
+            delta = rng.normal(size=(rows, 3))
+            logits, expected = allocating_step(reference, x, delta, m, v, step)
+            np.testing.assert_array_equal(_forward_cached(params, x, ws), logits)
+            _backprop(params, ws, delta, *params.views(grad))
+            np.testing.assert_array_equal(grad, expected)
+            _adam_update(params.flat, grad, state)
+            np.testing.assert_array_equal(params.flat, reference.flat)
+
+    def test_warm_step_allocates_under_16_kib(self):
+        # a 128x64 batch: each batch-sized temporary would be 64 KiB
+        params = MlpParams.init([64, 64, 64, 4], seed=17)
+        rng = np.random.default_rng(18)
+        x, delta = rng.normal(size=(128, 64)), rng.normal(size=(128, 4))
+        ws, state = Workspace(params, 128), AdamState.init(params)
+        grad = np.empty_like(params.flat)
+        g_w, g_b = params.views(grad)
+
+        def step():
+            _forward_cached(params, x, ws)
+            _backprop(params, ws, delta, g_w, g_b)
+            _adam_update(params.flat, grad, state)
+
+        step()  # warm-up: the first backprop allocates the workspace's backward buffers
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rise < 16 * 1024
+
+    def test_forward_reuses_given_workspace(self):
+        params = tiny_net(seed=19)
+        x = np.random.default_rng(20).normal(size=(4, 3))
+        ws = Workspace(params, 4)
+        logits = forward(params, x, ws)
+        assert logits is ws.acts[-1]
+        np.testing.assert_array_equal(logits, forward(params, x))
 
 
 class TestAdam:
@@ -199,4 +290,13 @@ class TestCheckpoints:
         path = tmp_path / "bogus.npw"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            load_params(path)
+
+    def test_rejects_nan_slope_naming_file(self, tmp_path):
+        path = tmp_path / "model.npw"
+        save_params(path, tiny_net(seed=13))
+        data = bytearray(path.read_bytes())
+        data[4:12] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: leaky-ReLU slope must be finite")):
             load_params(path)

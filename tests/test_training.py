@@ -210,9 +210,9 @@ class TestTrainLoop:
                 train(cfg, train_set, test_set)
 
 
-def desk_sets():
+def desk_sets(n_train=1000):
     blob = dict(num_classes=4, separation=4.0, noise_std=1.0, dim=64)
-    train_set = synth_blobs(1000, seed=[5, 100], **blob)
+    train_set = synth_blobs(n_train, seed=[5, 100], **blob)
     test_set = synth_blobs(200, seed=[5, 200], **blob)
     return corrupt_dataset(train_set, CorruptionSpec("symmetric", 0.4, 5, 4)), test_set
 
@@ -222,43 +222,56 @@ class TestBitIdentity:
 
     The digests were recorded before the training step was fused (one
     forward pass, one loss pass, cached backward, flat Adam); the fused step
-    must reproduce them bit for bit.  They were recorded with numpy 2.4 and
-    OpenBLAS 0.3 on x86-64; a BLAS that rounds matmuls differently changes
-    them without any change to the code.
+    must reproduce them bit for bit.  The ``batch-1`` and ``batch-over-n``
+    cases pin the single-row and the one-short-batch shapes; they were
+    recorded before the step ran in preallocated workspaces.  All were
+    recorded with numpy 2.4 and OpenBLAS 0.3 on x86-64; a BLAS that rounds
+    matmuls differently changes them without any change to the code.
     """
 
     @pytest.mark.parametrize(
-        "overrides,rows_sha,params_sha",
+        "n_train,overrides,rows_sha,params_sha",
         [
             (
-                dict(base_loss=BaseLoss.hinge()),
+                1000, dict(base_loss=BaseLoss.hinge()),
                 "bbc00dc4bdb6e8da1f2c6a3d7e71e64aba84e8d8c9805bae5b26239d329ed3f4",
                 "c28bea52b331867370fcfbcde0ebb8eb0afd6b49660d452bfc096f02f24fdef6",
             ),
             (
-                dict(base_loss=BaseLoss.soft()),
+                1000, dict(base_loss=BaseLoss.soft()),
                 "5b836c7e76a68a7b7e76761c48deecabedcd4dc93cebb7c72d67ae17a9c7866f",
                 "8ae68b7c708485c3a146a6e142624546c9065c2c65e85c239df83a596848c6c6",
             ),
             (
-                dict(base_loss=BaseLoss.weighted(0.5)),
+                1000, dict(base_loss=BaseLoss.weighted(0.5)),
                 "e22191b6515a252b3f2827d8e201d7d6e483e924469f1a4014a7999842555fca",
                 "6b2ad815851a126ce97af808caea174ebfadcd5027a79b1b3bd711bc8a2f750e",
             ),
             (
-                dict(base_loss=BaseLoss.hinge(), selection=False),
+                1000, dict(base_loss=BaseLoss.hinge(), selection=False),
                 "5ef3f6cd71f14292ce32abbaf5dff0b91b62ad10d6c51ad277c4cdd5aea3d5a4",
                 "02d038edaa7f0d95aa09a9be30dcfaec51d0f0389b696129c6bd0eef4afc94b2",
             ),
+            (
+                200, dict(base_loss=BaseLoss.hinge(), epochs=3, burn_in_epochs=1, batch_size=1),
+                "5d7f74d5780c3dc950059d91bfa0908f930a5bc67745c9811ecf6e42ec9b8322",
+                "45819cff6c5267846f537d798e554e82959bc58b199d8d0acdaef1ac838ee798",
+            ),
+            (
+                1000, dict(base_loss=BaseLoss.hinge(), batch_size=4096),
+                "08f84d01b0640340efb6a9e6d9980b98f3a52d38ff4b6edf5069e5a9098f32c9",
+                "1a7b5dede3e459242963b7903d8670c12e299ee4a2ef36f97392ec90214d82e1",
+            ),
         ],
-        ids=["hinge", "soft-hinge", "weighted:0.5", "no-selection"],
+        ids=["hinge", "soft-hinge", "weighted:0.5", "no-selection", "batch-1", "batch-over-n"],
     )
-    def test_desk_run_digests(self, overrides, rows_sha, params_sha):
-        train_set, test_set = desk_sets()
-        cfg = TrainConfig(
-            epochs=8, batch_size=128, burn_in_epochs=2,
-            threshold=ThresholdMode.npcl_adaptive(0.4), seed=5, **overrides,
-        )
+    def test_desk_run_digests(self, n_train, overrides, rows_sha, params_sha):
+        train_set, test_set = desk_sets(n_train)
+        cfg = TrainConfig(**{
+            **dict(epochs=8, batch_size=128, burn_in_epochs=2,
+                   threshold=ThresholdMode.npcl_adaptive(0.4), seed=5),
+            **overrides,
+        })
         metrics, params = train(cfg, train_set, test_set)
         rows = "\n".join(m.as_row() for m in metrics).encode()
         assert hashlib.sha256(rows).hexdigest() == rows_sha
