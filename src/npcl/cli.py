@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .corruption import CorruptionSpec, corrupt_dataset, write_sidecar
-from .data import IdxFormatError, load_idx, save_dataset, split, synth_blobs
+from .data import Dataset, IdxFormatError, load_idx, save_dataset, split, synth_blobs
 from .losses import BaseLoss
 from .net import AdamConfig, save_params
 from .selection import ThresholdMode
@@ -188,6 +188,21 @@ def _blobs(args, size, stream):
                        seed=[args.seed, stream], dim=args.blob_dim)
 
 
+def _match_classes(train_set, test_set, args):
+    """The test set under the train set's class count K, which its labels must fit.
+
+    IDX files carry no class count, so K is one past the largest label, and
+    a held-out split that lacks the top label would come out with a smaller K.
+    """
+    k = train_set.num_classes
+    if test_set.num_classes > k:
+        raise CliError(
+            f"test set {' '.join(args.test_dataset)} has labels up to {test_set.num_classes - 1}, "
+            f"but train set {' '.join(args.dataset)} has {k} classes"
+        )
+    return Dataset(test_set.features, test_set.labels, k)
+
+
 def _load_datasets(args):
     _check_source(args)
     if args.synthetic:
@@ -196,7 +211,7 @@ def _load_datasets(args):
     else:
         train_set = load_idx(*args.dataset)
         if args.test_dataset:
-            test_set = load_idx(*args.test_dataset)
+            test_set = _match_classes(train_set, load_idx(*args.test_dataset), args)
         else:
             train_set, test_set = split(train_set, args.test_fraction, seed=[args.seed, 300])
 

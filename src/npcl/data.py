@@ -20,8 +20,9 @@ The internal dataset format is little-endian binary:
     i64[n]    clean labels, only when flagged
 
 Round-tripping through this format is bit-exact.  Readers reject an IDX
-image with no rows or no columns and a dataset file whose class count
-exceeds ``MAX_CLASSES``, naming the file and the field.
+image with no rows or no columns, a dataset file with no features or whose
+class count exceeds ``MAX_CLASSES``, and any file with bytes left after its
+last field, naming the file and the field or the leftover byte count.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "BadMagicError",
     "TruncatedFileError",
     "CountMismatchError",
+    "TrailingBytesError",
     "load_idx",
     "synth_blobs",
     "split",
@@ -67,6 +69,10 @@ class TruncatedFileError(IdxFormatError):
 
 
 class CountMismatchError(IdxFormatError):
+    pass
+
+
+class TrailingBytesError(IdxFormatError):
     pass
 
 
@@ -121,6 +127,14 @@ def _read_exact(fh, size, path, what):
     return raw
 
 
+def _expect_end(fh, path):
+    """Raise ``TrailingBytesError`` if ``fh`` holds bytes after the last field read."""
+    st = os.fstat(fh.fileno())
+    left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else len(fh.read())
+    if left:
+        raise TrailingBytesError(f"{path}: {left} bytes left after the last field")
+
+
 def _read_scalar(fh, fmt, path, what):
     """One ``struct`` value of format ``fmt`` read with ``_read_exact``."""
     return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), path, what))[0]
@@ -147,6 +161,7 @@ def load_idx(images_path, labels_path):
             if size == 0:
                 raise IdxFormatError(f"{images_path}: {what} is 0; an image needs at least one pixel")
         pixels = _read_array(fh, n * rows * cols, np.uint8, images_path, "pixels").reshape(n, rows * cols)
+        _expect_end(fh, images_path)
 
     with open(labels_path, "rb") as fh:
         magic = _read_scalar(fh, ">I", labels_path, "label magic")
@@ -156,6 +171,7 @@ def load_idx(images_path, labels_path):
             )
         n_labels = _read_scalar(fh, ">I", labels_path, "label count")
         labels = _read_array(fh, n_labels, np.uint8, labels_path, "labels")
+        _expect_end(fh, labels_path)
 
     if n != n_labels:
         raise CountMismatchError(f"{images_path}: {n} images but {labels_path}: {n_labels} labels")
@@ -240,6 +256,8 @@ def load_dataset(path):
             raise ValueError(f"{path}: unsupported dataset version {version}")
         n = _read_scalar(fh, "<Q", path, "sample count")
         d = _read_scalar(fh, "<I", path, "feature count")
+        if d == 0:
+            raise ValueError(f"{path}: feature count is 0; a sample needs at least one feature")
         k = _read_scalar(fh, "<I", path, "class count")
         if k > MAX_CLASSES:
             raise ValueError(f"{path}: class count {k} exceeds MAX_CLASSES = {MAX_CLASSES}")
@@ -247,6 +265,7 @@ def load_dataset(path):
         features = _read_array(fh, n * d, "<f8", path, "features").reshape(n, d)
         labels = _read_array(fh, n, "<i8", path, "labels")
         clean = _read_array(fh, n, "<i8", path, "clean labels") if flags & 1 else None
+        _expect_end(fh, path)
     try:
         return Dataset(features, labels, k, clean)
     except ValueError as exc:

@@ -41,6 +41,8 @@ Checkpoint format (little-endian):
     u32    layer count
     per layer: u32 d_in, u32 d_out, f64[d_in*d_out] weights row-major,
                f64[d_out] biases
+
+Bytes after the last layer's biases are rejected.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _read_array, _read_exact, _read_scalar
+from .data import _expect_end, _read_array, _read_exact, _read_scalar
 from .losses import BaseLoss, _as_batch, _loss_pass
 
 __all__ = [
@@ -314,6 +316,7 @@ def load_params(path):
             d_out = _read_scalar(fh, "<I", path, f"layer {i} output size")
             weights.append(_read_array(fh, d_in * d_out, "<f8", path, f"layer {i} weights").reshape(d_in, d_out))
             biases.append(_read_array(fh, d_out, "<f8", path, f"layer {i} biases"))
+        _expect_end(fh, path)
     try:
         return MlpParams(weights, biases, alpha)
     except ValueError as exc:

@@ -13,7 +13,8 @@ of threshold:
 
 ``batched_objective`` applies the same construction per group of a
 partition with group-local thresholds and sums the values; the result
-upper-bounds the whole-set objective.
+upper-bounds the whole-set objective.  It solves all groups of one size in
+one call of the row-wise selection kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import BaseLoss, hinge_from_margins, margins_and_values
-from .selection import SelectionResult, ThresholdMode, compute_threshold, partial_optimize
+from .selection import ThresholdMode, _select_rows, _thresholds, compute_threshold
 
 __all__ = [
     "MarginBatch",
@@ -83,13 +84,13 @@ class MarginBatch:
         """The conventional surrogate: plain sum of base losses."""
         return float(self.base_losses.sum())
 
-    def subset(self, indices):
-        return MarginBatch(self.margins[indices], self.base_losses[indices])
-
 
 @dataclass
 class BatchPartition:
-    """Disjoint index groups covering 0..n-1; the last group may be short."""
+    """Disjoint index groups covering 0..n-1; the last group may be short.
+
+    ``index`` holds the groups concatenated in order, ``sizes`` their lengths.
+    """
 
     groups: list
 
@@ -97,11 +98,12 @@ class BatchPartition:
         if not self.groups:
             raise ValueError("partition needs at least one group")
         self.groups = [np.asarray(g, dtype=np.int64) for g in self.groups]
-        if any(g.size == 0 for g in self.groups):
+        self.sizes = np.array([g.size for g in self.groups])
+        if np.any(self.sizes == 0):
             raise ValueError("partition contains an empty group")
-        flat = np.concatenate(self.groups)
-        n = flat.size
-        if not np.array_equal(np.sort(flat), np.arange(n)):
+        self.index = np.concatenate(self.groups)
+        n = self.index.size
+        if not np.array_equal(np.sort(self.index), np.arange(n)):
             raise ValueError("groups must be disjoint and cover all indices exactly once")
         self.size = n
 
@@ -115,7 +117,7 @@ class BatchPartition:
 def curriculum_objective(batch: MarginBatch, mode: ThresholdMode):
     """Objective value and selection for the whole batch under one threshold."""
     c = compute_threshold(mode, len(batch), batch.misclassified_count)
-    result = partial_optimize(batch.base_losses, c)
+    result = _select_rows(batch.base_losses[None], np.array([c]))[0]
     return result.objective, result
 
 
@@ -124,15 +126,22 @@ def batched_objective(batch: MarginBatch, partition: BatchPartition, mode: Thres
 
     Each group's threshold uses the group's own size and misclassification
     count, so the value depends on the partition; any partition still yields
-    an upper bound of the unpartitioned objective.
+    an upper bound of the unpartitioned objective.  Results come back in
+    partition order, and the total sums their objectives left to right.
     """
     if partition.size != len(batch):
         raise ValueError(f"partition covers {partition.size} samples, batch has {len(batch)}")
+    sizes = partition.sizes
+    starts = np.cumsum(sizes) - sizes
+    results = [None] * sizes.size
+    for m in np.unique(sizes).tolist():
+        groups = np.flatnonzero(sizes == m)
+        rows = partition.index[starts[groups, None] + np.arange(m)]
+        wrong = np.count_nonzero(batch.margins[rows] < 0, axis=1)
+        c = _thresholds(mode, np.full(groups.size, m), wrong)
+        for g, result in zip(groups.tolist(), _select_rows(batch.base_losses[rows], c)):
+            results[g] = result
     total = 0.0
-    results: list[SelectionResult] = []
-    for group in partition.groups:
-        sub = batch.subset(group)
-        value, result = curriculum_objective(sub, mode)
-        total += value
-        results.append(result)
+    for result in results:
+        total += result.objective
     return total, results

@@ -11,6 +11,10 @@ Because ``L_i`` is non-decreasing while ``C + 1 - i`` strictly decreases,
 the selected set is a prefix of the sorted order.  The optimum value is
 ``max(L_T, C - T)`` with ``T`` the number selected.
 
+The rule lives only in ``_select_rows``, which solves G equal-size problems
+at once and checks nothing; inputs are validated at the public entries
+(``partial_optimize``, ``MarginBatch``, ``train``).
+
 ``brute_force_optimize`` enumerates all ``2^n`` masks and is the
 independent optimality oracle for small ``n``.
 """
@@ -65,35 +69,46 @@ def _check_c(c, n):
     return c
 
 
+def _select_rows(losses, c):
+    """The selection rule on each row of ``losses``; one ``SelectionResult`` per row.
+
+    ``losses`` is a ``(G, m)`` float64 matrix of finite, nonnegative losses
+    and ``c`` a ``(G,)`` float64 vector of thresholds in ``[0, 2m]``; neither
+    is checked.  Each row is sorted stably, and ``order + row * m`` indexes
+    the flattened matrix, so one gather, one row-wise ``cumsum`` and one
+    comparison serve every row.  The results' masks and prefix sums are
+    row views of two ``(G, m)`` arrays.
+    """
+    g, m = losses.shape
+    starts = np.arange(0, g * m, m)
+    flat = losses.argsort(axis=1, kind="stable")
+    flat += starts[:, None]
+    prefix = losses.take(flat).cumsum(axis=1)
+    keep = prefix <= (c + 1.0)[:, None] - np.arange(1.0, m + 1.0)
+    counts = keep.sum(axis=1)
+    mask = np.zeros((g, m), dtype=bool)
+    mask.ravel()[flat[keep]] = True
+    # L_T per row; a row with T = 0 reads another row's entry, which goes unused
+    ends = prefix.take(starts + counts - 1).tolist()
+    results = []
+    for ci, t, end, row_mask, row_prefix in zip(c.tolist(), counts.tolist(), ends, mask, prefix):
+        s = end if t else 0.0
+        results.append(SelectionResult(mask=row_mask, selected_count=t, objective=max(s, ci - t), threshold=ci,
+                                       prefix_sums=row_prefix, selected_loss_sum=s))
+    return results
+
+
 def partial_optimize(losses, C):
     """Exact minimizer of ``max(sum v*l, C - sum v)`` over binary masks.
 
-    Losses must be nonnegative and finite, ``0 <= C <= 2n``.  The sort is
-    stable, so ties are broken by original index and identical inputs yield
-    identical masks.
+    Losses must be nonnegative and finite, ``0 <= C <= 2n``; both are checked
+    here, and the problem is then ``_select_rows``'s one-row case.  The sort
+    is stable, so ties are broken by original index and identical inputs
+    yield identical masks.
     """
     l = _check_losses(losses)
-    n = l.size
-    c = _check_c(C, n)
-
-    order = np.argsort(l, kind="stable")
-    prefix = np.cumsum(l[order])
-    keep = prefix <= c + 1.0 - np.arange(1, n + 1)
-
-    t = int(np.count_nonzero(keep))
-    loss_sum = float(prefix[t - 1]) if t > 0 else 0.0
-    objective = max(loss_sum, c - t)
-
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:t]] = True
-    return SelectionResult(
-        mask=mask,
-        selected_count=t,
-        objective=float(objective),
-        threshold=c,
-        prefix_sums=prefix,
-        selected_loss_sum=loss_sum,
-    )
+    c = _check_c(C, l.size)
+    return _select_rows(l[None], np.array([c]))[0]
 
 
 @dataclass(frozen=True)
@@ -150,10 +165,17 @@ def compute_threshold(mode: ThresholdMode, n, misclassified_count):
         raise ValueError("group size must be >= 1")
     if not 0 <= k <= n:
         raise ValueError(f"misclassified count {k} outside [0, {n}]")
+    return _thresholds(mode, n, k)
+
+
+def _thresholds(mode: ThresholdMode, n, k):
+    """``compute_threshold`` unchecked; on equal-shape integer arrays ``n`` and ``k``
+    it gives the scalar results elementwise, bit for bit.
+    """
     if mode.kind == "full-q":
-        return float(n + k)
+        return 1.0 * (n + k)
     if mode.kind == "full-e":
-        return float(n)
+        return 1.0 * n
     if mode.kind == "npcl-fixed":
         return (1.0 - mode.epsilon) * n
     one = 1.0 - mode.epsilon

@@ -10,7 +10,9 @@ Every epoch appends one metrics row:
 
 ``train_loss`` is the mean base loss over the samples actually trained on,
 ``label_precision`` the clean fraction among them (absent, reported as NaN,
-if nothing was selected all epoch).
+if nothing was selected all epoch).  A run in which no batch after burn-in
+selected anything trained only during burn-in; ``train`` then emits a
+``RuntimeWarning`` and still returns its metrics.
 
 Inputs are validated once, on entry to ``train``.  Each step is then one
 fused pass over the batch:
@@ -20,7 +22,10 @@ fused pass over the batch:
 2. one loss pass gives the margins, the loss values and the logit
    gradients (it still rejects non-finite logits, so a diverging run stops
    with an error);
-3. select: the threshold from the misclassified count, then the kernel;
+3. select: the threshold from the misclassified count, then one call of
+   the row-wise selection kernel on the batch's losses as a single row
+   (the loss pass already guarantees them finite and nonnegative, so
+   nothing is validated again);
 4. scale the logit gradients by the mask over the selected count, in
    place, and backpropagate them into a flat gradient vector;
 5. one in-place Adam update of the flat parameter vector, which the
@@ -40,6 +45,7 @@ epoch ``k``, so a config and seed pin down the whole trajectory.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +62,7 @@ from .net import (
     _forward_cached,
     forward,
 )
-from .selection import ThresholdMode, compute_threshold, partial_optimize
+from .selection import ThresholdMode, _select_rows, compute_threshold
 
 __all__ = [
     "TrainConfig",
@@ -195,7 +201,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
             else:
                 misclassified = int(np.count_nonzero(margins < 0))
                 c = compute_threshold(config.threshold, m, misclassified)
-                result = partial_optimize(losses, c)
+                result = _select_rows(losses[None], np.array([c]))[0]
                 mask = result.mask
                 value = result.objective
             selected = int(mask.sum())
@@ -223,6 +229,13 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
                 selected_frac=selected_total / n,
                 empty_batches=empty_batches,
             )
+        )
+    if all(row.selected_frac == 0.0 for row in metrics[config.burn_in_epochs :]):
+        warnings.warn(
+            f"no batch selected any sample after burn-in ({config.epochs - config.burn_in_epochs} "
+            f"epochs, threshold {config.threshold}); the model trained only during burn-in",
+            RuntimeWarning,
+            stacklevel=2,
         )
     return metrics, params
 

@@ -3,7 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +176,59 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "--synthetic" in err and "gaussian" in err
         assert not (tmp_path / "o").exists()
+
+
+def write_idx(tmp_path, name, labels):
+    """An IDX image/label pair of 2x2 images with the given labels."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    images, label_file = tmp_path / f"{name}-images.idx", tmp_path / f"{name}-labels.idx"
+    pixels = np.random.default_rng(labels.size).integers(0, 256, size=(labels.size, 4), dtype=np.uint8)
+    images.write_bytes(struct.pack(">IIII", 2051, labels.size, 2, 2) + pixels.tobytes())
+    label_file.write_bytes(struct.pack(">II", 2049, labels.size) + labels.tobytes())
+    return [str(images), str(label_file)]
+
+
+class TestTestDataset:
+    def test_test_set_without_top_label_takes_train_class_count(self, tmp_path):
+        train_files = write_idx(tmp_path, "train", [0, 1, 2] * 10)
+        test_files = write_idx(tmp_path, "test", [0, 1] * 5)
+        code = run(["train", "--dataset", *train_files, "--test-dataset", *test_files, "--epochs", "2",
+                    "--burn-in", "1", "--hidden", "4", "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert (tmp_path / "run" / "metrics.csv").is_file()
+
+    def test_real_mismatch_names_both_files(self, tmp_path, capsys):
+        train_files = write_idx(tmp_path, "train", [0, 1] * 10)
+        test_files = write_idx(tmp_path, "test", [0, 1, 2] * 5)
+        code = run(["train", "--dataset", *train_files, "--test-dataset", *test_files, "--epochs", "2",
+                    "--burn-in", "1", "--hidden", "4", "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(path in err for path in train_files + test_files)
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+class TestEmptyRunWarning:
+    def test_all_empty_run_warns_on_stderr_and_exits_zero(self, tmp_path):
+        # near-constant features keep every logit near 0, so every hinge loss is
+        # near 1, above the threshold C = 0.05 * 10; nothing trains after burn-in
+        argv = ["train", "--synthetic", "blobs", "--train-size", "40", "--test-size", "10",
+                "--separation", "1e-6", "--noise-std", "1e-6", "--epochs", "2", "--burn-in", "0",
+                "--batch-size", "10", "--threshold", "npcl-fixed", "--epsilon-prior", "0.95",
+                "--hidden", "8", "--out", str(tmp_path / "run")]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "npcl", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning: no batch selected any sample after burn-in" in done.stderr
+        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["0.0", "0.0"]
+
+    def test_selecting_run_does_not_warn(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(smoke_args(tmp_path / "run")) == 0
 
 
 class TestCorrupt:

@@ -14,6 +14,7 @@ from npcl.data import (
     CountMismatchError,
     Dataset,
     IdxFormatError,
+    TrailingBytesError,
     TruncatedFileError,
     load_dataset,
     load_idx,
@@ -85,6 +86,14 @@ class TestIdx:
         paths = write_idx_pair(tmp_path, np.zeros(shape, np.uint8), np.array([0, 1, 0], np.uint8))
         with pytest.raises(IdxFormatError, match=re.escape(f"{paths[0]}: {field} is 0")):
             load_idx(*paths)
+
+    @pytest.mark.parametrize("target", ["images", "labels"])
+    def test_trailing_bytes_name_file_and_count(self, tmp_path, target):
+        paths = dict(zip(["images", "labels"],
+                         write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8), np.array([0, 1, 0]))))
+        paths[target].write_bytes(paths[target].read_bytes() + b"\x00" * 5)
+        with pytest.raises(TrailingBytesError, match=re.escape(f"{paths[target]}: 5 bytes left after the last field")):
+            load_idx(paths["images"], paths["labels"])
 
 
 class TestBlobs:
@@ -205,6 +214,25 @@ class TestSerialization:
         assert load_dataset(path).num_classes == MAX_CLASSES
 
 
+class TestNpdsHeader:
+    def test_zero_feature_count_names_file_and_field(self, tmp_path):
+        path = tmp_path / "flat.npds"
+        path.write_bytes(b"NPDS" + struct.pack("<IQIII", 1, 3, 0, 2, 0) + struct.pack("<3q", 0, 1, 0))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: feature count is 0")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("save, load, value", [
+        (save_dataset, load_dataset, synth_blobs(6, 2, 3.0, 0.5, seed=1)),
+        (save_params, load_params, MlpParams.init([3, 4, 2], seed=0)),
+    ], ids=["npds", "npw1"])
+    def test_trailing_bytes_name_file_and_count(self, tmp_path, save, load, value):
+        path = tmp_path / "padded.bin"
+        save(path, value)
+        path.write_bytes(path.read_bytes() + b"junkjunk")
+        with pytest.raises(TrailingBytesError, match=re.escape(f"{path}: 8 bytes left after the last field")):
+            load(path)
+
+
 @pytest.mark.parametrize("save, load, value, fields", [
     (save_dataset, load_dataset,
      corrupt_dataset(synth_blobs(10, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2)),
@@ -251,7 +279,7 @@ def expect_value_error_naming(load, path, *args):
 @pytest.mark.parametrize("save, load, value, plausible", [
     (save_dataset, load_dataset,
      corrupt_dataset(synth_blobs(4, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2)),
-     lambda dataset: dataset.num_classes <= MAX_CLASSES),
+     lambda dataset: dataset.num_classes <= MAX_CLASSES and dataset.dim > 0),
     (save_params, load_params, MlpParams.init([2, 2, 2], seed=0), lambda params: 0.0 <= params.alpha <= 1.0),
     (lambda path, flags: write_sidecar(path, CorruptionSpec("pair", 0.35, 5, 3), flags), read_sidecar,
      np.array([True, False, True, True, False, False, True]), lambda loaded: True),

@@ -1,11 +1,15 @@
 """Curriculum objective values, bound chains, and pruning behavior."""
 
+import hashlib
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from npcl.losses import BaseLoss, multiclass_margin
 from npcl.objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
-from npcl.selection import ThresholdMode, brute_force_optimize, compute_threshold
+from npcl.selection import ThresholdMode, brute_force_optimize, compute_threshold, partial_optimize
 
 
 def brute_value(batch, mode):
@@ -192,3 +196,103 @@ class TestNoisePrunedReductions:
                 assert pruned == prune_target - 1
                 seen_short = True
         assert seen_full and seen_short
+
+
+def _grouped_cases():
+    """(batch, partition) pairs: contiguous with a short tail, permuted equal groups, ragged."""
+    rng = np.random.default_rng(2024)
+    # continuous margins give inexact prefix sums; rounding some makes ties and zero losses
+    margins = rng.normal(0.4, 1.3, size=1000)
+    margins[::7] = np.round(margins[::7])
+    batch = MarginBatch.from_margins(margins)
+    yield batch, BatchPartition.contiguous(1000, 48)  # 20 groups of 48, one of 40
+    small = MarginBatch.from_margins(margins[:512])
+    perm = rng.permutation(512)
+    yield small, BatchPartition([perm[i : i + 32] for i in range(0, 512, 32)])
+    ragged = MarginBatch.from_margins(margins[:64])
+    perm = rng.permutation(64)
+    cuts = np.cumsum([1, 5, 5, 3, 17, 1, 1, 31])[:-1]
+    yield ragged, BatchPartition(np.split(perm, cuts))
+    yield ragged, BatchPartition([perm])  # one group of size n
+    yield ragged, BatchPartition([[i] for i in perm])  # n groups of size 1
+
+
+GROUPED_MODES = [ThresholdMode.full_q(), ThresholdMode.full_e(),
+                 ThresholdMode.npcl_fixed(0.3), ThresholdMode.npcl_adaptive(0.3)]
+
+
+class TestGroupedDigest:
+    """sha256 over ``batched_objective``'s outputs on fixed partitions, all four modes.
+
+    Recorded before the per-group loop was replaced by the row-wise kernel;
+    the kernel must reproduce every total, objective, threshold, count, mask
+    and prefix sum bit for bit.  Recorded with numpy 2.4 on x86-64.
+    """
+
+    DIGEST = "9ffdc3a017ee4e424bef587a12737aa086e9237a10cc8d244aee20a080f76666"
+
+    def test_grouped_outputs_bit_identical(self):
+        h = hashlib.sha256()
+        for batch, part in _grouped_cases():
+            for mode in GROUPED_MODES:
+                total, results = batched_objective(batch, part, mode)
+                h.update(struct.pack("<d", total))
+                for r in results:
+                    h.update(struct.pack("<ddq", r.objective, r.threshold, r.selected_count))
+                    h.update(np.asarray(r.mask, dtype=bool).tobytes())
+                    h.update(np.asarray(r.prefix_sums, dtype="<f8").tobytes())
+        assert h.hexdigest() == self.DIGEST
+
+    def test_matches_per_group_loop_on_random_ragged_partitions(self):
+        # the reference is the loop the kernel replaced: one threshold and one
+        # partial_optimize per group, the total summed left to right
+        rng = np.random.default_rng(99)
+        for _ in range(150):
+            n = int(rng.integers(1, 90))
+            batch = MarginBatch.from_margins(np.round(rng.normal(0.3, 1.5, size=n), int(rng.integers(1, 4))))
+            cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(0, 12))), replace=False))
+            part = BatchPartition(np.split(rng.permutation(n), cuts))
+            mode = GROUPED_MODES[int(rng.integers(0, 4))]
+            total, results = batched_objective(batch, part, mode)
+            expected = 0.0
+            for group, r in zip(part.groups, results, strict=True):
+                c = compute_threshold(mode, group.size, np.count_nonzero(batch.margins[group] < 0))
+                ref = partial_optimize(batch.base_losses[group], c)
+                assert (r.objective, r.threshold, r.selected_count, r.selected_loss_sum) == (
+                    ref.objective, ref.threshold, ref.selected_count, ref.selected_loss_sum)
+                assert np.array_equal(r.mask, ref.mask) and np.array_equal(r.prefix_sums, ref.prefix_sums)
+                expected += ref.objective
+            assert total == expected
+
+
+class TestPublicErrors:
+    """Validation stays at the public entries, with the same messages."""
+
+    @pytest.mark.parametrize("losses, c, message", [
+        ([0.1, -0.2], 1.0, "losses must be nonnegative"),
+        ([0.1, np.nan], 1.0, "losses contain non-finite values"),
+        ([0.1, np.inf], 1.0, "losses contain non-finite values"),
+        ([], 0.0, "losses must be a non-empty 1-D vector"),
+        ([[0.1, 0.2]], 1.0, "losses must be a non-empty 1-D vector"),
+        ([0.1, 0.2], -0.5, re.escape("threshold C=-0.5 outside [0, 4]")),
+        ([0.1, 0.2], 4.5, re.escape("threshold C=4.5 outside [0, 4]")),
+        ([0.1, 0.2], np.nan, re.escape("threshold C=nan outside [0, 4]")),
+    ])
+    def test_partial_optimize(self, losses, c, message):
+        with pytest.raises(ValueError, match=message):
+            partial_optimize(losses, c)
+
+    @pytest.mark.parametrize("margins, losses, message", [
+        ([1.0, 2.0], [0.0, np.nan], "non-finite margins or losses"),
+        ([1.0, 2.0], [0.0, -0.5], "base losses must upper-bound the 0-1 indicators"),
+        ([1.0, 2.0], [0.0], "margins and base_losses must be equal-length 1-D vectors"),
+    ])
+    def test_margin_batch(self, margins, losses, message):
+        with pytest.raises(ValueError, match=message):
+            MarginBatch(np.array(margins), np.array(losses))
+
+    def test_partition_size_mismatch(self):
+        batch = MarginBatch.from_margins(np.array([1.0, -1.0]))
+        for part in (BatchPartition.contiguous(3, 2), BatchPartition([[0]])):
+            with pytest.raises(ValueError, match=f"partition covers {part.size} samples, batch has 2"):
+                batched_objective(batch, part, ThresholdMode.full_e())

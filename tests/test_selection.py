@@ -7,6 +7,8 @@ import pytest
 
 from npcl.selection import (
     ThresholdMode,
+    _select_rows,
+    _thresholds,
     brute_force_optimize,
     compute_threshold,
     partial_optimize,
@@ -17,6 +19,63 @@ def dyadic_losses(rng, n, high=4.0):
     # multiples of 2^-10 keep every subset sum exact in float64, so the
     # sorted-prefix route and the enumeration route agree bit for bit
     return rng.integers(0, int(high * 1024) + 1, size=n) / 1024.0
+
+
+def reference_select(losses, c):
+    """The one-problem kernel the row-wise core replaced: (mask, T, objective, prefix sums, L_T)."""
+    l = np.asarray(losses, dtype=np.float64)
+    n = l.size
+    order = np.argsort(l, kind="stable")
+    prefix = np.cumsum(l[order])
+    keep = prefix <= c + 1.0 - np.arange(1, n + 1)
+    t = int(np.count_nonzero(keep))
+    loss_sum = float(prefix[t - 1]) if t > 0 else 0.0
+    mask = np.zeros(n, dtype=bool)
+    mask[order[:t]] = True
+    return mask, t, max(loss_sum, c - t), prefix, loss_sum
+
+
+def rough_losses(rng, n):
+    # continuous values with some rounded to give ties and exact zeros
+    l = rng.exponential(1.0, size=n)
+    tied = rng.random(n) < 0.3
+    l[tied] = np.round(l[tied], 1)
+    l[rng.random(n) < 0.2] = 0.0
+    return l
+
+
+class TestRowKernel:
+    def test_rows_match_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            g, m = int(rng.integers(1, 9)), int(rng.integers(1, 50))
+            rows = np.stack([rough_losses(rng, m) for _ in range(g)])
+            c = rng.uniform(0, 2 * m, size=g)
+            c[rng.random(g) < 0.3] = np.floor(c[0])
+            for row, ci, r in zip(rows, c, _select_rows(rows, c), strict=True):
+                mask, t, objective, prefix, loss_sum = reference_select(row, float(ci))
+                assert (r.selected_count, r.objective, r.threshold, r.selected_loss_sum) == (
+                    t, objective, float(ci), loss_sum)
+                assert np.array_equal(r.mask, mask) and np.array_equal(r.prefix_sums, prefix)
+
+    def test_partial_optimize_is_the_one_row_case(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            l, c = rough_losses(rng, n), float(rng.uniform(0, 2 * n))
+            r = partial_optimize(l, c)
+            mask, t, objective, prefix, loss_sum = reference_select(l, c)
+            assert (r.selected_count, r.objective, r.selected_loss_sum) == (t, objective, loss_sum)
+            assert np.array_equal(r.mask, mask) and np.array_equal(r.prefix_sums, prefix)
+
+    @pytest.mark.parametrize("mode", [ThresholdMode.full_q(), ThresholdMode.full_e(),
+                                      ThresholdMode.npcl_fixed(0.37), ThresholdMode.npcl_adaptive(0.37)],
+                             ids=str)
+    def test_vector_thresholds_equal_scalar_ones(self, mode):
+        n = np.repeat(np.arange(1, 60), 3)
+        k = np.random.default_rng(19).integers(0, n + 1)
+        vector = _thresholds(mode, n, k)
+        assert vector.tolist() == [compute_threshold(mode, a, b) for a, b in zip(n.tolist(), k.tolist())]
 
 
 class TestPartialOptimize:

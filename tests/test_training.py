@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,12 +184,20 @@ class TestTrainLoop:
             seed=11,
             hidden=(8,),
         )
-        metrics, _ = train(cfg, ds, ds)
+        with pytest.warns(RuntimeWarning, match="no batch selected any sample after burn-in"):
+            metrics, _ = train(cfg, ds, ds)
         for m in metrics:
             assert m.empty_batches == 4
             assert m.selected_frac == 0.0
             assert math.isnan(m.train_loss)
             assert math.isnan(m.label_precision)
+
+    def test_run_that_selects_does_not_warn(self):
+        train_set, test_set = separable_sets()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metrics, _ = train(small_config(threshold=ThresholdMode.npcl_fixed(0.5)), train_set, test_set)
+        assert all(m.selected_frac > 0 for m in metrics)
 
     def test_validation_errors(self):
         train_set, test_set = separable_sets()
