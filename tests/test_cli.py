@@ -15,12 +15,12 @@ import pytest
 
 import npcl.cli
 from npcl.adversarial import empirical_adversarial_risk
-from npcl.cli import run
+from npcl.cli import _echo_config, _train_config, build_parser, run
 from npcl.corruption import CorruptionSpec, corrupt_labels, read_sidecar
 from npcl.data import load_dataset, synth_blobs
 from npcl.net import _backprop
 from npcl.selection import partial_optimize
-from npcl.training import METRICS_HEADER
+from npcl.training import METRICS_HEADER, TrainConfig
 from npcl.verification import SUITES, optimum_identities_hold, run_suites
 
 
@@ -83,6 +83,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"i/o error: {images}: truncated while reading pixels: ")
         assert "Traceback" not in err
+
+
+class TestDefaults:
+    def default_train_args(self):
+        parser, _ = build_parser()
+        return parser.parse_args(["train", "--synthetic", "blobs"])
+
+    def test_default_config_echo_digest(self, tmp_path):
+        # recorded before the flag defaults were read from TrainConfig
+        _echo_config(self.default_train_args(), tmp_path / "config.txt")
+        digest = hashlib.sha256((tmp_path / "config.txt").read_bytes()).hexdigest()
+        assert digest == "f66559cc14df9e76a4aaca158e43fded666e94affb5824df30e0c9a12cb5e03c"
+
+    def test_default_flags_give_default_train_config(self):
+        assert _train_config(self.default_train_args()) == TrainConfig()
 
 
 class TestTrain:

@@ -134,6 +134,9 @@ class TestTrainLoop:
         first = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert first == METRICS_HEADER
 
+    def test_metrics_header_literal(self):
+        assert METRICS_HEADER == "epoch,train_loss,test_acc,label_precision,selected_frac,empty_batches"
+
     def test_no_shuffle_mode(self):
         train_set, test_set = separable_sets()
         cfg = small_config(shuffle=False)
