@@ -11,7 +11,6 @@ Takes about ten seconds.
 import numpy as np
 
 from npcl import (
-    AdamConfig,
     BaseLoss,
     CorruptionSpec,
     ThresholdMode,
@@ -33,7 +32,7 @@ for selection in (True, False):
         burn_in_epochs=5,
         threshold=ThresholdMode.npcl_adaptive(0.4),
         base_loss=BaseLoss.hinge(),
-        optimizer=AdamConfig(lr=1e-3),
+        lr=1e-3,
         seed=1,
         selection=selection,
     )

@@ -26,7 +26,7 @@ from .adversarial import (
 from .corruption import CorruptionSpec, corrupt_dataset, corrupt_labels, flip_pair, flip_symmetric
 from .data import Dataset, load_dataset, load_idx, save_dataset, split, synth_blobs
 from .losses import BaseLoss, hinge_from_margins, multiclass_margin, zero_one
-from .net import AdamConfig, AdamState, MlpParams, forward, grad_check
+from .net import AdamState, MlpParams, forward, grad_check
 from .objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from .selection import SelectionResult, ThresholdMode, brute_force_optimize, compute_threshold, partial_optimize
 from .training import EpochMetrics, TrainConfig, evaluate, label_precision, train
@@ -34,7 +34,6 @@ from .training import EpochMetrics, TrainConfig, evaluate, label_precision, trai
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamConfig",
     "AdamState",
     "AdvRiskSpec",
     "BaseLoss",

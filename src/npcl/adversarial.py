@@ -41,6 +41,9 @@ __all__ = [
     "MonotonicityReport",
 ]
 
+MAX_STEP = 1e8
+POLISH_STEPS = 6
+
 
 @dataclass(frozen=True)
 class AdvRiskSpec:
@@ -107,13 +110,13 @@ def project_chi_square_ball(w, delta):
     return np.maximum(0.0, s[j] * (u - theta[j]))
 
 
-def adversarial_risk_numeric(losses01, spec: AdvRiskSpec, max_step=1e8, polish=6):
+def adversarial_risk_numeric(losses01, spec: AdvRiskSpec):
     """Worst-case risk by projected gradient ascent over the weight set.
 
     The objective ``mean(r * l)`` is linear, so projected steps along ``l``
     with geometrically growing length walk to the boundary maximizer; the
-    step is capped so the projection arithmetic keeps its precision, and a
-    few fixed-length steps at the cap polish the active face.
+    step is capped at ``MAX_STEP`` so the projection arithmetic keeps its precision,
+    and ``POLISH_STEPS`` fixed-length steps at the cap polish the active face.
     """
     l = _check_losses01(losses01)
     n = l.size
@@ -123,12 +126,12 @@ def adversarial_risk_numeric(losses01, spec: AdvRiskSpec, max_step=1e8, polish=6
     r = np.ones(n)
     best = float(np.mean(r * l))
     step = 1.0
-    grow = int(np.ceil(np.log2(max_step) / 2.0))
-    for k in range(grow + polish):
+    grow = int(np.ceil(np.log2(MAX_STEP) / 2.0))
+    for k in range(grow + POLISH_STEPS):
         r = project_chi_square_ball(r + step * l, spec.delta)
         best = max(best, float(np.mean(r * l)))
         if k < grow:
-            step = min(step * 4.0, max_step)
+            step = min(step * 4.0, MAX_STEP)
     return best
 
 

@@ -15,12 +15,13 @@ from pathlib import Path
 from .corruption import CorruptionSpec, corrupt_dataset, write_sidecar
 from .data import Dataset, IdxFormatError, load_idx, save_dataset, split, synth_blobs
 from .losses import BaseLoss
-from .net import AdamConfig, save_params
+from .net import save_params
 from .selection import ThresholdMode
 from .training import TrainConfig, train, write_metrics_csv
 from .verification import SUITES, run_suites
 
 SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
+_DEFAULTS = TrainConfig()  # the run flags' defaults are the reference setup
 
 
 class CliError(Exception):
@@ -85,16 +86,16 @@ def _add_data_flags(sub):
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--loss", default="hinge",
+    sub.add_argument("--loss", default=str(_DEFAULTS.base_loss),
                      help="hinge | soft-hinge | weighted:<beta>")
-    sub.add_argument("--threshold", default="npcl-adaptive",
+    sub.add_argument("--threshold", default=_DEFAULTS.threshold.kind,
                      choices=list(ThresholdMode.KINDS))
-    sub.add_argument("--epsilon-prior", type=_prior, default=0.0)
-    sub.add_argument("--epochs", type=int, default=200)
-    sub.add_argument("--batch-size", type=int, default=128)
-    sub.add_argument("--burn-in", type=int, default=5)
-    sub.add_argument("--lr", type=float, default=1e-3)
-    sub.add_argument("--hidden", type=_hidden, default=(64, 64))
+    sub.add_argument("--epsilon-prior", type=_prior, default=_DEFAULTS.threshold.epsilon)
+    sub.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
+    sub.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
+    sub.add_argument("--burn-in", type=int, default=_DEFAULTS.burn_in_epochs)
+    sub.add_argument("--lr", type=float, default=_DEFAULTS.lr)
+    sub.add_argument("--hidden", type=_hidden, default=_DEFAULTS.hidden)
     sub.add_argument("--no-selection", action="store_true",
                      help="train on every sample (baseline path)")
     sub.add_argument("--no-shuffle", action="store_true")
@@ -113,7 +114,7 @@ def build_parser():
     ):
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", help="key = value file; flags override it")
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
         sub.add_argument("--out", default="out", help="output directory")
         _add_data_flags(sub)
         if name != "corrupt":
@@ -231,7 +232,7 @@ def _train_config(args, prior=None):
         burn_in_epochs=args.burn_in,
         threshold=mode,
         base_loss=BaseLoss.parse(args.loss),
-        optimizer=AdamConfig(lr=args.lr),
+        lr=args.lr,
         seed=args.seed,
         shuffle=not args.no_shuffle,
         hidden=args.hidden,

@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import Dataset
+
 __all__ = [
     "CorruptionSpec",
     "flip_symmetric",
@@ -86,8 +88,6 @@ def corrupt_labels(labels, spec: CorruptionSpec):
 
 def corrupt_dataset(dataset, spec: CorruptionSpec):
     """Corrupted copy of a dataset; originals kept as ``clean_labels``."""
-    from .data import Dataset
-
     if spec.num_classes != dataset.num_classes:
         raise ValueError("corruption spec and dataset disagree on class count")
     corrupted, _ = corrupt_labels(dataset.labels, spec)

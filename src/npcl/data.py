@@ -20,9 +20,10 @@ The internal dataset format is little-endian binary:
     i64[n]    clean labels, only when flagged
 
 Round-tripping through this format is bit-exact.  Readers reject an IDX
-image with no rows or no columns, a dataset file with no features or whose
-class count exceeds ``MAX_CLASSES``, and any file with bytes left after its
-last field, naming the file and the field or the leftover byte count.
+file with no images or no labels, an IDX image with no rows or no columns,
+a dataset file with no samples, no features or a class count above
+``MAX_CLASSES``, and any file with bytes left after its last field, naming
+the file and the field or the leftover byte count.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ def load_idx(images_path, labels_path):
         n = _read_scalar(fh, ">I", images_path, "image count")
         rows = _read_scalar(fh, ">I", images_path, "row count")
         cols = _read_scalar(fh, ">I", images_path, "column count")
-        for what, size in (("row count", rows), ("column count", cols)):
+        for what, size in (("image count", n), ("row count", rows), ("column count", cols)):
             if size == 0:
-                raise IdxFormatError(f"{images_path}: {what} is 0; an image needs at least one pixel")
+                raise IdxFormatError(f"{images_path}: {what} is 0; need at least one image of one pixel")
         pixels = _read_array(fh, n * rows * cols, np.uint8, images_path, "pixels").reshape(n, rows * cols)
         _expect_end(fh, images_path)
 
@@ -170,12 +171,14 @@ def load_idx(images_path, labels_path):
                 f"{labels_path}: bad label magic {magic} at offset 0, expected {IDX_LABEL_MAGIC}"
             )
         n_labels = _read_scalar(fh, ">I", labels_path, "label count")
+        if n_labels == 0:
+            raise IdxFormatError(f"{labels_path}: label count is 0; need at least one label")
         labels = _read_array(fh, n_labels, np.uint8, labels_path, "labels")
         _expect_end(fh, labels_path)
 
     if n != n_labels:
         raise CountMismatchError(f"{images_path}: {n} images but {labels_path}: {n_labels} labels")
-    num_classes = max(int(labels.max()) + 1, 2) if labels.size else 2
+    num_classes = max(int(labels.max()) + 1, 2)
     return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64), num_classes)
 
 
@@ -255,6 +258,8 @@ def load_dataset(path):
         if version != 1:
             raise ValueError(f"{path}: unsupported dataset version {version}")
         n = _read_scalar(fh, "<Q", path, "sample count")
+        if n == 0:
+            raise ValueError(f"{path}: sample count is 0; a dataset needs at least one sample")
         d = _read_scalar(fh, "<I", path, "feature count")
         if d == 0:
             raise ValueError(f"{path}: feature count is 0; a sample needs at least one feature")

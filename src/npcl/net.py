@@ -16,7 +16,7 @@ three as the training loop does:
    over the selected count;
 3. ``_backprop`` backpropagates from the workspace's cache, writing each
    layer's gradients into its views of one flat gradient vector;
-4. ``_adam_update`` updates ``params.flat`` in place.
+4. ``_adam_update`` updates ``params.flat`` in place at ``AdamState.lr``.
 
 A ``Workspace`` holds preallocated buffers for one row count, and every op
 of the forward pass and of backprop writes into them with ``out=`` or in
@@ -58,7 +58,6 @@ from .losses import BaseLoss, _as_batch, _loss_pass
 __all__ = [
     "MlpParams",
     "Workspace",
-    "AdamConfig",
     "AdamState",
     "forward",
     "grad_check",
@@ -67,6 +66,11 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"NPW1"
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+GRAD_CHECK_STEP = 1e-5  # central-difference step of ``grad_check``
 
 
 @dataclass
@@ -94,7 +98,7 @@ class MlpParams:
         self.weights, self.biases = self.views(self.flat)
 
     @classmethod
-    def init(cls, layer_sizes, seed, alpha=0.01):
+    def init(cls, layer_sizes, seed, alpha=alpha):  # the slope defaults to the field's
         """Seeded uniform init in +-sqrt(6 / (d_in + d_out)); zero biases."""
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
@@ -205,19 +209,11 @@ def forward(params: MlpParams, features, workspace: Workspace | None = None):
     return logits[0] if single else logits
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 @dataclass
 class AdamState:
-    """First/second moments, laid out like ``MlpParams.flat``, and the step counter."""
+    """Learning rate, first/second moments laid out like ``MlpParams.flat``, and the step counter."""
 
-    config: AdamConfig
+    lr: float
     m: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     step: int = 0
@@ -227,8 +223,8 @@ class AdamState:
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
-    def init(cls, params: MlpParams, config: AdamConfig = AdamConfig()):
-        return cls(config=config, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    def init(cls, params: MlpParams, lr):
+        return cls(lr=lr, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def _adam_update(theta, grad, state: AdamState):
@@ -236,37 +232,36 @@ def _adam_update(theta, grad, state: AdamState):
 
     Runs, op for op, ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2) g g``
     and ``theta -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` through the state's
-    scratch vectors.
+    scratch vectors, with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
     """
-    cfg = state.config
     state.step += 1
-    bc1 = 1.0 - cfg.beta1**state.step
-    bc2 = 1.0 - cfg.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     m, v = state.m, state.v
     s, t = state.scratch
-    m *= cfg.beta1
-    np.multiply(grad, 1.0 - cfg.beta1, out=s)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
     m += s
-    v *= cfg.beta2
+    v *= ADAM_BETA2
     np.multiply(grad, grad, out=s)
-    s *= 1.0 - cfg.beta2
+    s *= 1.0 - ADAM_BETA2
     v += s
     np.divide(m, bc1, out=s)
-    s *= cfg.lr
+    s *= state.lr
     np.divide(v, bc2, out=t)
     np.sqrt(t, out=t)
-    t += cfg.eps
+    t += ADAM_EPS
     s /= t
     theta -= s
 
 
-def grad_check(params: MlpParams, features, labels, kind: BaseLoss, step=1e-5):
+def grad_check(params: MlpParams, features, labels, kind: BaseLoss):
     """Worst relative error of the training step's gradient vs central differences.
 
     The analytic gradient of the mean loss comes from the cores the training
     loop runs, with every sample selected.  Meaningful away from the hinge
-    kinks and rival-score ties; the error is normalized by
-    max(1, |analytic|, |numeric|).
+    kinks and rival-score ties; the differences step by ``GRAD_CHECK_STEP``
+    and the error is normalized by max(1, |analytic|, |numeric|).
     """
     x, _ = _check_features(params, features)
     probe = MlpParams(params.weights, params.biases, params.alpha)
@@ -282,12 +277,12 @@ def grad_check(params: MlpParams, features, labels, kind: BaseLoss, step=1e-5):
 
     worst = 0.0
     for i, original in enumerate(theta.copy()):
-        theta[i] += step
+        theta[i] += GRAD_CHECK_STEP
         up = loss_at()
-        theta[i] -= 2 * step
+        theta[i] -= 2 * GRAD_CHECK_STEP
         down = loss_at()
         theta[i] = original
-        numeric = (up - down) / (2 * step)
+        numeric = (up - down) / (2 * GRAD_CHECK_STEP)
         scale = max(1.0, abs(analytic[i]), abs(numeric))
         worst = max(worst, abs(analytic[i] - numeric) / scale)
     return worst

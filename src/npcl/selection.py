@@ -55,9 +55,11 @@ def _check_losses(losses):
     l = np.asarray(losses, dtype=np.float64)
     if l.ndim != 1 or l.size == 0:
         raise ValueError("losses must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(l)):
+    # NaN propagates through min and max, so it is reported as non-finite, as is -inf
+    low, high = l.min(), l.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("losses contain non-finite values")
-    if np.any(l < 0):
+    if low < 0:
         raise ValueError("losses must be nonnegative")
     return l
 

@@ -4,7 +4,8 @@ Each epoch shuffles the training set (seeded), walks it in mini-batches,
 and updates the model on the subset the selection kernel admits.  The
 first ``burn_in_epochs`` epochs train on every sample with the soft hinge
 loss; afterwards the configured base loss and threshold mode take over.
-Every epoch appends one metrics row:
+Every epoch appends one metrics row, an ``EpochMetrics`` whose fields, in
+order, are the ``metrics.csv`` columns:
 
     epoch, train_loss, test_acc, label_precision, selected_frac, empty_batches
 
@@ -28,8 +29,8 @@ fused pass over the batch:
    nothing is validated again);
 4. scale the logit gradients by the mask over the selected count, in
    place, and backpropagate them into a flat gradient vector;
-5. one in-place Adam update of the flat parameter vector, which the
-   model's weights and biases view.
+5. one in-place Adam update at ``TrainConfig.lr`` of the flat parameter
+   vector, which the model's weights and biases view.
 
 ``train`` builds its ``net.Workspace`` buffers once per run: one for the
 full batch, one for the shorter last batch when the batch size does not
@@ -46,14 +47,13 @@ epoch ``k``, so a config and seed pin down the whole trajectory.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import Dataset
 from .losses import BaseLoss, _loss_pass
 from .net import (
-    AdamConfig,
     AdamState,
     MlpParams,
     Workspace,
@@ -74,8 +74,6 @@ __all__ = [
     "METRICS_HEADER",
 ]
 
-METRICS_HEADER = "epoch,train_loss,test_acc,label_precision,selected_frac,empty_batches"
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -84,7 +82,7 @@ class TrainConfig:
     burn_in_epochs: int = 5
     threshold: ThresholdMode = ThresholdMode.npcl_adaptive(0.0)
     base_loss: BaseLoss = BaseLoss.hinge()
-    optimizer: AdamConfig = AdamConfig()
+    lr: float = 1e-3  # Adam learning rate
     seed: int = 0
     shuffle: bool = True
     hidden: tuple = (64, 64)
@@ -111,10 +109,10 @@ class EpochMetrics:
     empty_batches: int
 
     def as_row(self):
-        return (
-            f"{self.epoch},{self.train_loss!r},{self.test_acc!r},"
-            f"{self.label_precision!r},{self.selected_frac!r},{self.empty_batches}"
-        )
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(EpochMetrics))
 
 
 def label_precision(mask, flip_flags):
@@ -164,7 +162,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
     theta = params.flat
     grad = np.empty_like(theta)
     g_w, g_b = params.views(grad)
-    state = AdamState.init(params, config.optimizer)
+    state = AdamState.init(params, config.lr)
     batch = config.batch_size
     # an input buffer and a workspace per batch row count: full batches and the last one
     steps = {

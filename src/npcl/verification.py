@@ -36,6 +36,8 @@ __all__ = ["CheckResult", "SUITES", "run_suites", "optimum_identities_hold", "ch
            "check_bound_chains", "check_zero_prior_reductions", "check_gradients",
            "check_solver_agreement", "check_risk_order"]
 
+KINK_GAP = 1e-3  # distance from a loss kink within which check_gradients redraws a net
+
 
 @dataclass
 class CheckResult:
@@ -118,14 +120,14 @@ def check_zero_prior_reductions(rng, count):
                         f"{count - failures}/{count} batches")]
 
 
-def _near_kink(logits, labels, gap=1e-3):
-    """A margin within ``gap`` of 0 or 1, or a sample's top two rival scores within ``gap``."""
+def _near_kink(logits, labels):
+    """A margin within ``KINK_GAP`` of 0 or 1, or a sample's top two rival scores within it."""
     u = multiclass_margin(logits, labels)
     rivals = logits.copy()
     rivals[np.arange(labels.size), labels] = -np.inf
     top = np.sort(rivals, axis=1)[:, -2:]
-    return bool(np.any(np.abs(u) < gap) or np.any(np.abs(u - 1.0) < gap)
-                or np.any(top[:, 1] - top[:, 0] < gap))
+    return bool(np.any(np.abs(u) < KINK_GAP) or np.any(np.abs(u - 1.0) < KINK_GAP)
+                or np.any(top[:, 1] - top[:, 0] < KINK_GAP))
 
 
 def check_gradients(rng, count):

@@ -15,7 +15,6 @@ from npcl.cli import run
 from npcl.corruption import CorruptionSpec, corrupt_dataset
 from npcl.data import synth_blobs
 from npcl.losses import BaseLoss
-from npcl.net import AdamConfig
 from npcl.objectives import MarginBatch, curriculum_objective
 from npcl.selection import ThresholdMode
 from npcl.training import TrainConfig, train
@@ -155,7 +154,7 @@ def _desk_run(seed, selection, prior=0.4, corrupt=True):
         burn_in_epochs=5,
         threshold=ThresholdMode.npcl_adaptive(prior),
         base_loss=BaseLoss.hinge(),
-        optimizer=AdamConfig(lr=1e-3),
+        lr=1e-3,
         seed=seed,
         selection=selection,
     )

@@ -84,6 +84,12 @@ class TestExitCodes:
         assert err.startswith(f"i/o error: {images}: truncated while reading pixels: ")
         assert "Traceback" not in err
 
+    def test_zero_count_idx_is_io_error_naming_the_file(self, tmp_path, capsys):
+        images, labels = write_idx(tmp_path, "empty", [])
+        code = run(["train", "--dataset", images, labels, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"i/o error: {images}: image count is 0")
+
 
 class TestDefaults:
     def default_train_args(self):

@@ -1,7 +1,10 @@
 """IDX parsing, synthetic blobs, stratified splits, binary round-trips."""
 
+import contextlib
+import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -81,10 +84,16 @@ class TestIdx:
         with pytest.raises(CountMismatchError):
             load_idx(*paths)
 
-    @pytest.mark.parametrize("shape, field", [((3, 0, 2), "row count"), ((3, 2, 0), "column count")])
+    @pytest.mark.parametrize("shape, field", [((3, 0, 2), "row count"), ((3, 2, 0), "column count"),
+                                              ((0, 2, 2), "image count")])
     def test_zero_image_dimension_names_file_and_field(self, tmp_path, shape, field):
         paths = write_idx_pair(tmp_path, np.zeros(shape, np.uint8), np.array([0, 1, 0], np.uint8))
         with pytest.raises(IdxFormatError, match=re.escape(f"{paths[0]}: {field} is 0")):
+            load_idx(*paths)
+
+    def test_zero_label_count_names_file_and_field(self, tmp_path):
+        paths = write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8), np.array([], np.uint8), label_count=0)
+        with pytest.raises(IdxFormatError, match=re.escape(f"{paths[1]}: label count is 0")):
             load_idx(*paths)
 
     @pytest.mark.parametrize("target", ["images", "labels"])
@@ -94,6 +103,53 @@ class TestIdx:
         paths[target].write_bytes(paths[target].read_bytes() + b"\x00" * 5)
         with pytest.raises(TrailingBytesError, match=re.escape(f"{paths[target]}: 5 bytes left after the last field")):
             load_idx(paths["images"], paths["labels"])
+
+
+@contextlib.contextmanager
+def piped(path, data):
+    """``path`` made a FIFO that a writer thread fills with ``data`` once it is opened for reading."""
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    yield path
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestIdxPipes:
+    """The readers' non-regular-file branches, as for ``--dataset <(zcat images.gz) ...``."""
+
+    def fixture(self, tmp_path):
+        pixels = np.arange(12, dtype=np.uint8).reshape(3, 2, 2)
+        return write_idx_pair(tmp_path, pixels, np.array([0, 1, 2], np.uint8))
+
+    def test_piped_pair_loads_like_files(self, tmp_path):
+        images, labels = self.fixture(tmp_path)
+        expected = load_idx(images, labels)
+        with piped(tmp_path / "images.pipe", images.read_bytes()) as images_pipe, \
+                piped(tmp_path / "labels.pipe", labels.read_bytes()) as labels_pipe:
+            loaded = load_idx(images_pipe, labels_pipe)
+        assert np.array_equal(loaded.features, expected.features)
+        assert np.array_equal(loaded.labels, expected.labels)
+        assert loaded.num_classes == expected.num_classes
+
+    def test_short_pipe_names_file_and_field(self, tmp_path):
+        images, labels = self.fixture(tmp_path)
+        with piped(tmp_path / "images.pipe", images.read_bytes()[:-7]) as pipe:
+            with pytest.raises(TruncatedFileError, match=re.escape(f"{pipe}: truncated while reading pixels")):
+                load_idx(pipe, labels)
+
+    def test_extra_piped_bytes_are_trailing(self, tmp_path):
+        images, labels = self.fixture(tmp_path)
+        with piped(tmp_path / "labels.pipe", labels.read_bytes() + b"\x00" * 5) as pipe:
+            with pytest.raises(TrailingBytesError, match=re.escape(f"{pipe}: 5 bytes left after the last field")):
+                load_idx(images, pipe)
 
 
 class TestBlobs:
@@ -215,6 +271,12 @@ class TestSerialization:
 
 
 class TestNpdsHeader:
+    def test_zero_sample_count_names_file_and_field(self, tmp_path):
+        path = tmp_path / "empty.npds"
+        path.write_bytes(b"NPDS" + struct.pack("<IQIII", 1, 0, 2, 2, 0))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sample count is 0")):
+            load_dataset(path)
+
     def test_zero_feature_count_names_file_and_field(self, tmp_path):
         path = tmp_path / "flat.npds"
         path.write_bytes(b"NPDS" + struct.pack("<IQIII", 1, 3, 0, 2, 0) + struct.pack("<3q", 0, 1, 0))
@@ -279,7 +341,7 @@ def expect_value_error_naming(load, path, *args):
 @pytest.mark.parametrize("save, load, value, plausible", [
     (save_dataset, load_dataset,
      corrupt_dataset(synth_blobs(4, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2)),
-     lambda dataset: dataset.num_classes <= MAX_CLASSES and dataset.dim > 0),
+     lambda dataset: dataset.num_classes <= MAX_CLASSES and dataset.dim > 0 and len(dataset) > 0),
     (save_params, load_params, MlpParams.init([2, 2, 2], seed=0), lambda params: 0.0 <= params.alpha <= 1.0),
     (lambda path, flags: write_sidecar(path, CorruptionSpec("pair", 0.35, 5, 3), flags), read_sidecar,
      np.array([True, False, True, True, False, False, True]), lambda loaded: True),
@@ -303,7 +365,7 @@ def test_idx_bit_flips_fail_cleanly(tmp_path, target):
     for data in bit_flips(path.read_bytes(), seed=11):
         path.write_bytes(data)
         loaded = expect_value_error_naming(load_idx, paths["images"], paths["labels"])
-        assert loaded is None or loaded.dim > 0
+        assert loaded is None or (loaded.dim > 0 and len(loaded) > 0)
         assert run(argv) in (0, 1, 2)
 
 

@@ -10,7 +10,6 @@ import pytest
 from npcl.data import synth_blobs
 from npcl.losses import BaseLoss, _loss_pass
 from npcl.net import (
-    AdamConfig,
     AdamState,
     MlpParams,
     Workspace,
@@ -139,14 +138,15 @@ class TestFlatLayout:
 
         params = MlpParams.init([2, 4, 2], seed=[14, 0])
         grad = masked_gradient(params, data.features, data.labels, BaseLoss.soft(), np.ones(6, bool))
-        _adam_update(params.flat, grad, AdamState.init(params))
+        _adam_update(params.flat, grad, AdamState.init(params, 1e-3))
         np.testing.assert_array_equal(trained.flat, params.flat)
 
 
-def allocating_step(params, x, delta, m, v, step, cfg=AdamConfig()):
+def allocating_step(params, x, delta, m, v, step):
     """Forward, backprop and Adam as plain allocating expressions; returns logits and gradient.
 
     The workspace cores must reproduce it bit for bit.  Updates ``params.flat``, ``m`` and ``v``.
+    Adam's settings are spelled out, independent of ``npcl.net``'s constants.
     """
     pre, acts = [], [x]
     last = len(params.weights) - 1
@@ -160,12 +160,12 @@ def allocating_step(params, x, delta, m, v, step, cfg=AdamConfig()):
         if i > 0:
             delta = (delta @ params.weights[i].T) * np.where(pre[i - 1] > 0, 1.0, params.alpha)
     grad = np.concatenate([g.ravel() for g in grads])
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * (grad * grad)
-    bc1, bc2 = 1.0 - cfg.beta1**step, 1.0 - cfg.beta2**step
-    params.flat -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    m *= 0.9
+    m += (1.0 - 0.9) * grad
+    v *= 0.999
+    v += (1.0 - 0.999) * (grad * grad)
+    bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+    params.flat -= 1e-3 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
     return acts[-1], grad
 
 
@@ -177,7 +177,7 @@ class TestWorkspace:
         params = MlpParams.init([5, 6, 6, 3], seed=16, alpha=alpha)
         reference = MlpParams(params.weights, params.biases, alpha)
         m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-        ws, state = Workspace(params, rows), AdamState.init(params)
+        ws, state = Workspace(params, rows), AdamState.init(params, 1e-3)
         grad = np.empty_like(params.flat)
         for step in range(1, 4):
             x = rng.normal(size=(rows, 5))
@@ -195,7 +195,7 @@ class TestWorkspace:
         params = MlpParams.init([64, 64, 64, 4], seed=17)
         rng = np.random.default_rng(18)
         x, delta = rng.normal(size=(128, 64)), rng.normal(size=(128, 4))
-        ws, state = Workspace(params, 128), AdamState.init(params)
+        ws, state = Workspace(params, 128), AdamState.init(params, 1e-3)
         grad = np.empty_like(params.flat)
         g_w, g_b = params.views(grad)
 
@@ -227,14 +227,14 @@ class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = tiny_net(seed=9)
         before = params.flat.copy()
-        state = AdamState.init(params)
+        state = AdamState.init(params, 1e-3)
         _adam_update(params.flat, np.zeros_like(params.flat), state)
         np.testing.assert_array_equal(params.flat, before)
         assert state.step == 1
 
     def test_scalar_first_step_magnitude(self):
         params = MlpParams([np.array([[0.0, 0.0]])], [np.zeros(2)])
-        state = AdamState.init(params, AdamConfig(lr=1e-3))
+        state = AdamState.init(params, 1e-3)
         _adam_update(params.flat, np.array([1.0, 0.0, 0.0, 0.0]), state)
         # bias-corrected first step moves by ~lr against the gradient
         assert params.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
@@ -250,8 +250,8 @@ class TestAdam:
             np.ones(2, dtype=bool),
         )
         a, b = params.flat.copy(), params.flat.copy()
-        _adam_update(a, grad, AdamState.init(params))
-        _adam_update(b, grad, AdamState.init(params))
+        _adam_update(a, grad, AdamState.init(params, 1e-3))
+        _adam_update(b, grad, AdamState.init(params, 1e-3))
         np.testing.assert_array_equal(a, b)
         assert np.any(a != params.flat)
 

@@ -277,6 +277,8 @@ class TestPublicErrors:
         ([0.1, 0.2], -0.5, re.escape("threshold C=-0.5 outside [0, 4]")),
         ([0.1, 0.2], 4.5, re.escape("threshold C=4.5 outside [0, 4]")),
         ([0.1, 0.2], np.nan, re.escape("threshold C=nan outside [0, 4]")),
+        ([0.1, -np.inf], 1.0, "losses contain non-finite values"),
+        ([-0.1, np.nan], 1.0, "losses contain non-finite values"),
     ])
     def test_partial_optimize(self, losses, c, message):
         with pytest.raises(ValueError, match=message):

@@ -10,7 +10,7 @@ import pytest
 from npcl.corruption import CorruptionSpec, corrupt_dataset
 from npcl.data import Dataset, synth_blobs
 from npcl.losses import BaseLoss
-from npcl.net import AdamConfig, MlpParams, forward
+from npcl.net import MlpParams, forward
 from npcl.selection import ThresholdMode
 from npcl.training import (
     METRICS_HEADER,
@@ -29,7 +29,7 @@ def small_config(**overrides):
         burn_in_epochs=2,
         threshold=ThresholdMode.npcl_adaptive(0.0),
         base_loss=BaseLoss.hinge(),
-        optimizer=AdamConfig(lr=1e-2),
+        lr=1e-2,
         seed=3,
         hidden=(16,),
     )
@@ -216,7 +216,7 @@ class TestTrainLoop:
 
     def test_diverging_run_raises_on_non_finite_logits(self):
         train_set, test_set = separable_sets()
-        cfg = small_config(optimizer=AdamConfig(lr=1e300))
+        cfg = small_config(lr=1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
                 train(cfg, train_set, test_set)
