@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .corruption import CorruptionSpec, corrupt_dataset, write_sidecar
-from .data import Dataset, IdxFormatError, load_idx, save_dataset, split, synth_blobs
+from .data import Dataset, IdxFormatError, _check_spread, load_idx, save_dataset, split, synth_blobs
 from .losses import BaseLoss
 from .net import save_params
 from .selection import ThresholdMode
@@ -56,6 +56,18 @@ def _prior(text):
     return value
 
 
+def _checked(check):
+    """A float flag type whose range is the one ``check`` enforces; its ValueError names the flag."""
+    def parse(text):
+        value = float(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
 def _hidden(text):
     try:
         sizes = tuple(int(part) for part in text.split(",") if part)
@@ -77,8 +89,8 @@ def _add_data_flags(sub):
     sub.add_argument("--train-size", type=int, default=5000)
     sub.add_argument("--test-size", type=int, default=1000)
     sub.add_argument("--classes", type=int, default=4)
-    sub.add_argument("--separation", type=float, default=4.0)
-    sub.add_argument("--noise-std", type=float, default=1.0)
+    sub.add_argument("--separation", type=_checked(lambda v: _check_spread(v, 0.0)), default=4.0)
+    sub.add_argument("--noise-std", type=_checked(lambda v: _check_spread(1.0, v)), default=1.0)
     sub.add_argument("--blob-dim", type=int, default=2,
                      help="feature dimensions; class signal lives in the first two")
     sub.add_argument("--noise", choices=["symmetric", "pair"], help="label corruption kind")
@@ -94,7 +106,7 @@ def _add_train_flags(sub):
     sub.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
     sub.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
     sub.add_argument("--burn-in", type=int, default=_DEFAULTS.burn_in_epochs)
-    sub.add_argument("--lr", type=float, default=_DEFAULTS.lr)
+    sub.add_argument("--lr", type=_checked(lambda v: TrainConfig(lr=v)), default=_DEFAULTS.lr)
     sub.add_argument("--hidden", type=_hidden, default=_DEFAULTS.hidden)
     sub.add_argument("--no-selection", action="store_true",
                      help="train on every sample (baseline path)")
@@ -223,14 +235,15 @@ def _load_datasets(args):
 
 
 def _train_config(args, prior=None):
-    mode_kind = args.threshold
     epsilon = args.epsilon_prior if prior is None else prior
-    mode = ThresholdMode(mode_kind, epsilon if mode_kind.startswith("npcl") else 0.0)
+    if epsilon and not args.threshold.startswith("npcl"):
+        raise CliError(f"--threshold {args.threshold} ignores --epsilon-prior, got {epsilon}; "
+                       "leave it at 0 or choose an npcl threshold")
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         burn_in_epochs=args.burn_in,
-        threshold=mode,
+        threshold=ThresholdMode(args.threshold, epsilon),
         base_loss=BaseLoss.parse(args.loss),
         lr=args.lr,
         seed=args.seed,
@@ -241,10 +254,10 @@ def _train_config(args, prior=None):
 
 
 def _cmd_train(args):
+    config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_set, test_set = _load_datasets(args)
-    config = _train_config(args)
     _echo_config(args, out / "config.txt")
     metrics, params = train(config, train_set, test_set)
     write_metrics_csv(out / "metrics.csv", metrics)
@@ -274,6 +287,9 @@ def _cmd_corrupt(args):
 
 
 def _cmd_sweep(args):
+    if not args.threshold.startswith("npcl"):
+        raise CliError(f"sweep varies the prior, which --threshold {args.threshold} ignores; "
+                       "choose an npcl threshold")
     if args.noise_rate == 0.0:
         raise CliError("sweep needs a true --noise-rate to scale priors from")
     out = Path(args.out)

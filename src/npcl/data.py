@@ -182,6 +182,14 @@ def load_idx(images_path, labels_path):
     return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64), num_classes)
 
 
+def _check_spread(separation, noise_std):
+    """The cluster radius and noise scale ``synth_blobs`` accepts."""
+    if not (np.isfinite(separation) and separation > 0):
+        raise ValueError(f"separation must be finite and > 0, got {separation}")
+    if not (np.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
+
+
 def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
     """Balanced isotropic Gaussian clusters on a circle of given radius.
 
@@ -196,8 +204,7 @@ def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
         raise ValueError("need at least 2 classes")
     if n < num_classes:
         raise ValueError("need at least one sample per class")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    _check_spread(separation, noise_std)
     if dim < 2:
         raise ValueError("need at least 2 feature dimensions")
     rng = np.random.default_rng(seed)

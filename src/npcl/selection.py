@@ -11,6 +11,13 @@ Because ``L_i`` is non-decreasing while ``C + 1 - i`` strictly decreases,
 the selected set is a prefix of the sorted order.  The optimum value is
 ``max(L_T, C - T)`` with ``T`` the number selected.
 
+Only the loss values are sorted, never their indices.  The selected
+samples are then the ones below the cut value ``v``, the T-th smallest
+loss, plus, among the samples equal to ``v``, the lowest-indexed ones
+until ``T`` are taken: exactly the mask a stable sort of the indices would
+give.  Signed zeros are canonicalised to ``+0.0`` before the prefix sums,
+so no result depends on where the sort puts ``-0.0`` among the zeros.
+
 The rule lives only in ``_select_rows``, which solves G equal-size problems
 at once and checks nothing; inputs are validated at the public entries
 (``partial_optimize``, ``MarginBatch``, ``train``).
@@ -76,24 +83,43 @@ def _select_rows(losses, c):
 
     ``losses`` is a ``(G, m)`` float64 matrix of finite, nonnegative losses
     and ``c`` a ``(G,)`` float64 vector of thresholds in ``[0, 2m]``; neither
-    is checked.  Each row is sorted stably, and ``order + row * m`` indexes
-    the flattened matrix, so one gather, one row-wise ``cumsum`` and one
-    comparison serve every row.  The results' masks and prefix sums are
-    row views of two ``(G, m)`` arrays.
+    is checked.  One row-wise value sort, one row-wise running sum and one
+    comparison give every row's count ``T``; the masks are rebuilt from each
+    row's cut value ``v``, the T-th smallest loss: every loss below ``v`` and
+    the lowest-indexed losses equal to ``v`` until ``T`` are taken.  The
+    results' masks and prefix sums are row views of two ``(G, m)`` arrays.
     """
     g, m = losses.shape
-    starts = np.arange(0, g * m, m)
-    flat = losses.argsort(axis=1, kind="stable")
-    flat += starts[:, None]
-    prefix = losses.take(flat).cumsum(axis=1)
-    keep = prefix <= (c + 1.0)[:, None] - np.arange(1.0, m + 1.0)
+    ordered = np.sort(losses, axis=1)
+    ordered += 0.0  # -0.0 becomes +0.0, wherever the sort placed it
+    # np.add.accumulate is cumsum without the method's dispatch, which costs about 0.5 us at m = 128
+    prefix = np.add.accumulate(ordered, axis=1)
+    c1 = c + 1.0
+    keep = prefix <= c1[:, None] - np.arange(1.0, m + 1.0)
     counts = keep.sum(axis=1)
-    mask = np.zeros((g, m), dtype=bool)
-    mask.ravel()[flat[keep]] = True
-    # L_T per row; a row with T = 0 reads another row's entry, which goes unused
-    ends = prefix.take(starts + counts - 1).tolist()
+    # flat index of each row's T-th sorted entry; a row with T = 0 reads another row's
+    ends = np.arange(-1, g * m - 1, m) + counts
+    # (c + 1) - 1 is each row's first bound, bit for bit.  The T-th smallest loss is at most
+    # L_T <= bound_T <= bound_1, so the clamp changes no cut with T > 0, and it puts the cut
+    # of a row with T = 0 below that row's smallest loss L_1 > bound_1
+    cut = np.minimum(ordered.take(ends), c1 - 1.0)[:, None]
+    # the sorted copy is done with; dropping it before the tie pass keeps that pass's
+    # temporaries within the memory the sort already took
+    del ordered
+    # allocated before the comparison writes it: letting `losses <= cut` allocate its own output left
+    # freed heap resident on objective_scan under some module and path layouts (+60-80 MB peak RSS)
+    mask = np.empty((g, m), dtype=bool)
+    np.less_equal(losses, cut, out=mask)
+    # mask holds each row's T selected samples plus any others equal to its cut value;
+    # where it holds more, the highest-indexed of those ties are dropped, as a stable sort would leave them
+    if np.count_nonzero(mask) != np.count_nonzero(keep):
+        tied = losses == cut
+        # int32 halves the int64 default and its cast copy; a row of 2^31 losses would need 16 GiB
+        rank = np.add.accumulate(tied, axis=1, dtype=np.int32)
+        surplus = mask.sum(axis=1) - counts
+        mask[tied & (rank > (rank[:, -1] - surplus)[:, None])] = False
     results = []
-    for ci, t, end, row_mask, row_prefix in zip(c.tolist(), counts.tolist(), ends, mask, prefix):
+    for ci, t, end, row_mask, row_prefix in zip(c.tolist(), counts.tolist(), prefix.take(ends).tolist(), mask, prefix):
         s = end if t else 0.0
         results.append(SelectionResult(mask=row_mask, selected_count=t, objective=max(s, ci - t), threshold=ci,
                                        prefix_sums=row_prefix, selected_loss_sum=s))
@@ -104,9 +130,10 @@ def partial_optimize(losses, C):
     """Exact minimizer of ``max(sum v*l, C - sum v)`` over binary masks.
 
     Losses must be nonnegative and finite, ``0 <= C <= 2n``; both are checked
-    here, and the problem is then ``_select_rows``'s one-row case.  The sort
-    is stable, so ties are broken by original index and identical inputs
-    yield identical masks.
+    here, and the problem is then ``_select_rows``'s one-row case.  Ties at
+    the cut value go to the lowest indices, as under a stable sort, so
+    identical inputs yield identical masks; ``-0.0`` counts as ``+0.0``, and
+    the prefix sums hold no ``-0.0``.
     """
     l = _check_losses(losses)
     c = _check_c(C, l.size)

@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValueError("burn-in must be shorter than the run")
         if any(size < 1 for size in self.hidden):
             raise ValueError(f"hidden layer sizes must be >= 1, got {tuple(self.hidden)}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
 
 
 @dataclass

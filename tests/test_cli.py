@@ -91,6 +91,35 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"i/o error: {images}: image count is 0")
 
 
+class TestRejectedFlags:
+    """Each bad or ignored setting exits 1 with a message naming its flags, before any output."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["--lr", "0"], ["--lr"]),
+        (["--lr", "-1"], ["--lr"]),
+        (["--lr", "nan"], ["--lr"]),
+        (["--separation", "nan"], ["--separation"]),
+        (["--noise-std", "-1"], ["--noise-std"]),
+        (["--threshold", "full-q"], ["--threshold", "--epsilon-prior"]),
+        (["--threshold", "full-e", "--epsilon-prior", "0.9"], ["--threshold", "--epsilon-prior"]),
+    ], ids=lambda v: " ".join(v))
+    def test_train(self, tmp_path, capsys, argv, flags):
+        assert run(smoke_args(tmp_path / "run", extra=argv)) == 1  # smoke_args sets --epsilon-prior 0.4
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("threshold", ["full-q", "full-e"])
+    def test_sweep_with_a_full_mode(self, tmp_path, capsys, threshold):
+        argv = smoke_args(tmp_path / "run", extra=["--threshold", threshold, "--epsilon-prior", "0"])
+        assert run(["sweep", *argv[1:]]) == 1
+        assert "--threshold" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_full_mode_with_zero_prior_runs(self, tmp_path):
+        assert run(smoke_args(tmp_path / "run", epochs=2, extra=["--threshold", "full-q", "--epsilon-prior", "0"])) == 0
+
+
 class TestDefaults:
     def default_train_args(self):
         parser, _ = build_parser()

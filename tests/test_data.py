@@ -182,6 +182,9 @@ class TestBlobs:
             synth_blobs(3, 4, 1.0, 0.1, 0)
         with pytest.raises(ValueError):
             synth_blobs(10, 4, 0.0, 0.1, 0)
+        for separation, noise_std in ((np.nan, 0.1), (np.inf, 0.1), (1.0, -0.1), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="separation|noise std"):
+                synth_blobs(10, 4, separation, noise_std, 0)
 
 
 class TestSplit:

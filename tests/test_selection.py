@@ -44,6 +44,31 @@ def rough_losses(rng, n):
     return l
 
 
+def coarse_losses(rng, shape):
+    # quarter steps in [0, 2]: long runs of equal values, so cuts often fall inside one
+    return rng.integers(0, 9, size=shape) / 4.0
+
+
+def assert_rows_match_reference(rows, c):
+    """Each row's result equals ``reference_select``'s, prefix sums byte for byte; returns the results."""
+    results = _select_rows(rows, c)
+    for row, ci, r in zip(rows, c, results, strict=True):
+        mask, t, objective, prefix, loss_sum = reference_select(row, float(ci))
+        assert (r.selected_count, r.objective, r.threshold, r.selected_loss_sum) == (
+            t, objective, float(ci), loss_sum)
+        assert np.array_equal(r.mask, mask) and r.prefix_sums.tobytes() == prefix.tobytes()
+    return results
+
+
+def cut_inside_ties(rows, results):
+    """Rows whose cut value also belongs to samples left unselected."""
+    count = 0
+    for row, r in zip(rows, results):
+        t, ordered = r.selected_count, np.sort(row)
+        count += 0 < t < row.size and ordered[t - 1] == ordered[t]
+    return count
+
+
 class TestRowKernel:
     def test_rows_match_reference_bit_for_bit(self):
         rng = np.random.default_rng(17)
@@ -52,11 +77,33 @@ class TestRowKernel:
             rows = np.stack([rough_losses(rng, m) for _ in range(g)])
             c = rng.uniform(0, 2 * m, size=g)
             c[rng.random(g) < 0.3] = np.floor(c[0])
-            for row, ci, r in zip(rows, c, _select_rows(rows, c), strict=True):
-                mask, t, objective, prefix, loss_sum = reference_select(row, float(ci))
-                assert (r.selected_count, r.objective, r.threshold, r.selected_loss_sum) == (
-                    t, objective, float(ci), loss_sum)
-                assert np.array_equal(r.mask, mask) and np.array_equal(r.prefix_sums, prefix)
+            assert_rows_match_reference(rows, c)
+
+        # coarse grids, all-zero rows, and rows with T = 0 beside rows with T > 0
+        tied = empty = 0
+        for _ in range(300):
+            g, m = int(rng.integers(2, 9)), int(rng.integers(1, 50))
+            rows = coarse_losses(rng, (g, m))
+            rows[rng.random(g) < 0.25] = 0.0
+            c = rng.integers(0, 2 * m + 1, size=g) * rng.choice([1.0, 0.5, 0.37], size=g)
+            starved = rng.random(g) < 0.25
+            rows[starved] += 0.25
+            c[starved] = 0.0
+            results = assert_rows_match_reference(rows, c)
+            tied += cut_inside_ties(rows, results)
+            counts = [r.selected_count for r in results]
+            empty += 0 in counts and max(counts) > 0
+        assert tied > 100 and empty > 100
+
+        # one block the size of a 1e6-sample batch in groups of 128
+        rows = coarse_losses(rng, (7813, 128))
+        rows[::7] = 0.0
+        rows[1::7] += 0.25
+        c = rng.uniform(0, 256, size=7813)
+        c[1::7] = 0.0
+        results = assert_rows_match_reference(rows, c)
+        assert cut_inside_ties(rows, results) > 1000
+        assert sum(r.selected_count == 0 for r in results) >= 1116
 
     def test_partial_optimize_is_the_one_row_case(self):
         rng = np.random.default_rng(18)
@@ -76,6 +123,37 @@ class TestRowKernel:
         k = np.random.default_rng(19).integers(0, n + 1)
         vector = _thresholds(mode, n, k)
         assert vector.tolist() == [compute_threshold(mode, a, b) for a, b in zip(n.tolist(), k.tolist())]
+
+
+class TestSignedZero:
+    def test_single_negative_zero(self):
+        r = partial_optimize([-0.0], 0.0)
+        assert r.mask.tolist() == [True] and r.selected_count == 1
+        assert r.prefix_sums.tobytes() == np.zeros(1).tobytes()
+        assert not np.signbit(r.selected_loss_sum)
+
+    def test_ties_among_signed_zeros_go_to_the_lowest_indices(self):
+        r = partial_optimize([-0.0, 0.0, -0.0, 1.0], 1.0)
+        assert r.mask.tolist() == [True, True, False, False]
+        assert not np.signbit(r.prefix_sums).any()
+
+    def test_mixed_zeros_match_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            g, m = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            rows = coarse_losses(rng, (g, m))
+            rows[rng.random((g, m)) < 0.4] = 0.0
+            rows[(rows == 0.0) & (rng.random((g, m)) < 0.5)] = -0.0
+            c = rng.integers(0, 2 * m + 1, size=g) * rng.choice([1.0, 0.5], size=g)
+            for row, ci, r in zip(rows, c, _select_rows(rows, c), strict=True):
+                single = partial_optimize(row, ci)
+                mask, t, objective, prefix, loss_sum = reference_select(row, float(ci))
+                for got in (r, single):
+                    assert (got.selected_count, got.objective, got.selected_loss_sum) == (t, objective, loss_sum)
+                    assert np.array_equal(got.mask, mask)
+                    # equal as numbers; the reference's leading -0.0 entries read +0.0 here
+                    assert np.array_equal(got.prefix_sums, prefix)
+                    assert not np.signbit(got.prefix_sums).any() and not np.signbit(got.selected_loss_sum)
 
 
 class TestPartialOptimize:

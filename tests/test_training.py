@@ -57,6 +57,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="hidden"):
             small_config(hidden=hidden)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_learning_rates(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            small_config(lr=lr)
+
 
 class TestLabelPrecision:
     def test_basic_values(self):
