@@ -2,18 +2,18 @@
 
 The core pieces:
 
-* :mod:`npcl.losses` — margins, 0-1 loss, hinge-family upper bounds and
-  their logit subgradients (``BaseLoss.values``, ``BaseLoss.gradients``)
+* :mod:`npcl.losses` — margins, hinge-family upper bounds of the 0-1 loss
+  and their logit subgradients (``BaseLoss.values``, ``BaseLoss.gradients``)
 * :mod:`npcl.selection` — the sort/prefix-sum selection kernel and its
   brute-force oracle
 * :mod:`npcl.objectives` — whole-set and per-batch curriculum objectives
-* :mod:`npcl.corruption` — seeded symmetric / pair label flipping
+* :mod:`npcl.corruption` — seeded symmetric / pair label flipping of a dataset
 * :mod:`npcl.net` — a small numpy MLP on one flat parameter vector, with
   cached backprop and an in-place Adam update
 * :mod:`npcl.training` — the epoch loop with burn-in and per-batch pruning
 * :mod:`npcl.adversarial` — worst-case reweighted risk under a chi-square
   divergence budget
-* :mod:`npcl.data` — IDX ingestion, synthetic blobs, splits, serialization
+* :mod:`npcl.data` — IDX and NPDS ingestion, synthetic blobs, splits, serialization
 * :mod:`npcl.cli` — the ``npcl`` command (train / corrupt / verify / sweep)
 """
 
@@ -23,13 +23,13 @@ from .adversarial import (
     check_monotonicity,
     empirical_adversarial_risk,
 )
-from .corruption import CorruptionSpec, corrupt_dataset, corrupt_labels, flip_pair, flip_symmetric
+from .corruption import CorruptionSpec, corrupt_dataset
 from .data import Dataset, load_dataset, load_idx, save_dataset, split, synth_blobs
-from .losses import BaseLoss, hinge_from_margins, multiclass_margin, zero_one
+from .losses import BaseLoss, multiclass_margin
 from .net import AdamState, MlpParams, forward, grad_check
 from .objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from .selection import SelectionResult, ThresholdMode, brute_force_optimize, compute_threshold, partial_optimize
-from .training import EpochMetrics, TrainConfig, evaluate, label_precision, train
+from .training import EpochMetrics, TrainConfig, evaluate, train
 
 __version__ = "0.1.0"
 
@@ -52,16 +52,11 @@ __all__ = [
     "check_monotonicity",
     "compute_threshold",
     "corrupt_dataset",
-    "corrupt_labels",
     "curriculum_objective",
     "empirical_adversarial_risk",
     "evaluate",
-    "flip_pair",
-    "flip_symmetric",
     "forward",
     "grad_check",
-    "hinge_from_margins",
-    "label_precision",
     "load_dataset",
     "load_idx",
     "multiclass_margin",
@@ -70,5 +65,4 @@ __all__ = [
     "split",
     "synth_blobs",
     "train",
-    "zero_one",
 ]

@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .corruption import CorruptionSpec, corrupt_dataset, write_sidecar
-from .data import Dataset, IdxFormatError, _check_spread, load_idx, save_dataset, split, synth_blobs
+from .data import (Dataset, IdxFormatError, _check_classes, _check_fraction, _check_spread, load_dataset,
+                   load_idx, save_dataset, split, synth_blobs)
 from .losses import BaseLoss
 from .net import save_params
 from .selection import ThresholdMode
@@ -42,29 +43,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _rate(text):
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"rate {value} outside [0, 1]")
-    return value
-
-
-def _prior(text):
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"prior {value} outside [0, 1)")
-    return value
-
-
-def _checked(check):
-    """A float flag type whose range is the one ``check`` enforces; its ValueError names the flag."""
+def _checked(check, kind=float):
+    """A ``kind`` flag type whose range is the one ``check`` enforces; its ValueError names the flag."""
     def parse(text):
-        value = float(text)
+        value = kind(text)
         try:
             check(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" names the kind
     return parse
 
 
@@ -79,22 +67,22 @@ def _hidden(text):
 
 
 def _add_data_flags(sub):
-    sub.add_argument("--dataset", nargs=2, metavar=("IMAGES", "LABELS"),
-                     help="IDX image/label file pair")
-    sub.add_argument("--test-dataset", nargs=2, metavar=("IMAGES", "LABELS"),
-                     help="IDX pair for evaluation; default splits --dataset")
-    sub.add_argument("--test-fraction", type=_rate, default=0.2,
+    sub.add_argument("--dataset", nargs="+", metavar="PATH",
+                     help="IDX image/label file pair, or one .npds file")
+    sub.add_argument("--test-dataset", nargs="+", metavar="PATH",
+                     help="IDX pair or .npds file for evaluation; default splits --dataset")
+    sub.add_argument("--test-fraction", type=_checked(_check_fraction), default=0.2,
                      help="held-out fraction when no --test-dataset is given")
     sub.add_argument("--synthetic", choices=["blobs"], help="generate data instead of loading")
     sub.add_argument("--train-size", type=int, default=5000)
     sub.add_argument("--test-size", type=int, default=1000)
-    sub.add_argument("--classes", type=int, default=4)
+    sub.add_argument("--classes", type=_checked(_check_classes, int), default=4)
     sub.add_argument("--separation", type=_checked(lambda v: _check_spread(v, 0.0)), default=4.0)
     sub.add_argument("--noise-std", type=_checked(lambda v: _check_spread(1.0, v)), default=1.0)
     sub.add_argument("--blob-dim", type=int, default=2,
                      help="feature dimensions; class signal lives in the first two")
     sub.add_argument("--noise", choices=["symmetric", "pair"], help="label corruption kind")
-    sub.add_argument("--noise-rate", type=_rate, default=0.0)
+    sub.add_argument("--noise-rate", type=_checked(lambda v: CorruptionSpec("pair", v, 0, 2)), default=0.0)
 
 
 def _add_train_flags(sub):
@@ -102,7 +90,8 @@ def _add_train_flags(sub):
                      help="hinge | soft-hinge | weighted:<beta>")
     sub.add_argument("--threshold", default=_DEFAULTS.threshold.kind,
                      choices=list(ThresholdMode.KINDS))
-    sub.add_argument("--epsilon-prior", type=_prior, default=_DEFAULTS.threshold.epsilon)
+    sub.add_argument("--epsilon-prior", type=_checked(ThresholdMode.npcl_fixed),
+                     default=_DEFAULTS.threshold.epsilon)
     sub.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
     sub.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
     sub.add_argument("--burn-in", type=int, default=_DEFAULTS.burn_in_epochs)
@@ -164,7 +153,7 @@ def _config_argv(sub, path):
         if action.nargs == 0:
             tokens += [flag] if raw.lower() in ("1", "true", "yes") else []
         else:
-            tokens += [flag, *(raw.split() if action.nargs == 2 else [raw])]
+            tokens += [flag, *(raw.split() if action.nargs == "+" else [raw])]
     try:
         sub.parse_args(tokens)
     except CliError as exc:
@@ -181,7 +170,7 @@ def _echo_config(args, path):
         value = getattr(args, key)
         if value is None:
             continue
-        if isinstance(value, list):  # nargs=2 path pairs
+        if isinstance(value, list):  # --dataset and --test-dataset paths
             value = " ".join(value)
         elif isinstance(value, tuple):  # --hidden sizes
             value = ",".join(str(v) for v in value)
@@ -201,6 +190,21 @@ def _blobs(args, size, stream):
                        seed=[args.seed, stream], dim=args.blob_dim)
 
 
+def _read(paths, flag):
+    """The dataset at an IDX image/label pair or at one NPDS file."""
+    if len(paths) == 1:
+        return load_dataset(paths[0])
+    if len(paths) == 2:
+        return load_idx(*paths)
+    raise CliError(f"{flag} takes an IDX image/label pair or one .npds file, got {len(paths)} paths")
+
+
+def _source(args):
+    """The training data before any split or corruption."""
+    _check_source(args)
+    return _blobs(args, args.train_size, 100) if args.synthetic else _read(args.dataset, "--dataset")
+
+
 def _match_classes(train_set, test_set, args):
     """The test set under the train set's class count K, which its labels must fit.
 
@@ -216,21 +220,28 @@ def _match_classes(train_set, test_set, args):
     return Dataset(test_set.features, test_set.labels, k)
 
 
+def _noise_spec(args, dataset):
+    """The ``--noise`` corruption of ``dataset``, which must not hold clean labels already."""
+    if dataset.clean_labels is not None:
+        raise CliError(f"--noise would replace the clean labels stored in {' '.join(args.dataset)}; "
+                       "drop --noise to train on its labels")
+    return CorruptionSpec(args.noise, args.noise_rate, args.seed, dataset.num_classes)
+
+
 def _load_datasets(args):
-    _check_source(args)
+    train_set = _source(args)
     if args.synthetic:
-        train_set = _blobs(args, args.train_size, 100)
         test_set = _blobs(args, args.test_size, 200)
+    elif args.test_dataset:
+        test_set = _match_classes(train_set, _read(args.test_dataset, "--test-dataset"), args)
     else:
-        train_set = load_idx(*args.dataset)
-        if args.test_dataset:
-            test_set = _match_classes(train_set, load_idx(*args.test_dataset), args)
-        else:
+        try:
             train_set, test_set = split(train_set, args.test_fraction, seed=[args.seed, 300])
+        except ValueError as exc:
+            raise CliError(f"argument --test-fraction: {exc}") from None
 
     if args.noise:
-        spec = CorruptionSpec(args.noise, args.noise_rate, args.seed, train_set.num_classes)
-        train_set = corrupt_dataset(train_set, spec)
+        train_set = corrupt_dataset(train_set, _noise_spec(args, train_set))
     return train_set, test_set
 
 
@@ -255,9 +266,9 @@ def _train_config(args, prior=None):
 
 def _cmd_train(args):
     config = _train_config(args)
+    train_set, test_set = _load_datasets(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_set, test_set = _load_datasets(args)
     _echo_config(args, out / "config.txt")
     metrics, params = train(config, train_set, test_set)
     write_metrics_csv(out / "metrics.csv", metrics)
@@ -272,13 +283,12 @@ def _cmd_train(args):
 def _cmd_corrupt(args):
     if not args.noise:
         raise CliError("corrupt needs --noise")
-    _check_source(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset = _blobs(args, args.train_size, 100) if args.synthetic else load_idx(*args.dataset)
-    spec = CorruptionSpec(args.noise, args.noise_rate, args.seed, dataset.num_classes)
+    dataset = _source(args)
+    spec = _noise_spec(args, dataset)
     corrupted = corrupt_dataset(dataset, spec)
     flags = corrupted.flip_flags  # every flip changes the label
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _echo_config(args, out / "config.txt")
     save_dataset(out / "corrupted.npds", corrupted)
     write_sidecar(out / "corrupted.json", spec, flags)

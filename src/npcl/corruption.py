@@ -1,7 +1,7 @@
-"""Seeded label-corruption generators.
+"""Seeded label corruption of a dataset.
 
-Two flip models, each applied as an independent per-sample coin with
-probability ``rate``:
+``corrupt_dataset`` applies one of two flip models, each an independent
+per-sample coin with probability ``rate``:
 
 * symmetric: the label is replaced by a uniform draw over the K-1 other
   classes
@@ -9,7 +9,11 @@ probability ``rate``:
 
 Randomness comes from ``numpy.random.default_rng(seed)`` (PCG64), with the
 coin vector drawn before the replacement draws, so a (kind, rate, seed, K)
-tuple pins down the corrupted labels bit for bit on any platform.
+tuple pins down the corrupted labels bit for bit on any platform.  The
+corrupted dataset keeps the originals as its clean labels; its
+``flip_flags`` are the coins that came up, since every flip changes the
+label.  ``write_sidecar`` records the spec and those flags next to a saved
+copy.
 """
 
 from __future__ import annotations
@@ -19,13 +23,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_classes
 
 __all__ = [
     "CorruptionSpec",
-    "flip_symmetric",
-    "flip_pair",
-    "corrupt_labels",
     "corrupt_dataset",
     "write_sidecar",
     "read_sidecar",
@@ -44,58 +45,26 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must lie in [0, 1], got {self.rate}")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-
-
-def _check_labels(labels, num_classes):
-    y = np.asarray(labels)
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError("labels must be integers")
-    if np.any(y < 0) or np.any(y >= num_classes):
-        raise ValueError(f"labels out of range [0, {num_classes})")
-    return y.astype(np.int64)
-
-
-def flip_symmetric(labels, spec: CorruptionSpec):
-    """Flip each label with prob ``rate`` to a uniform wrong class.
-
-    Returns ``(corrupted, flags)``; flags mark the flipped entries.
-    """
-    y = _check_labels(labels, spec.num_classes)
-    rng = np.random.default_rng(spec.seed)
-    flags = rng.random(y.size) < spec.rate
-    # offset in 1..K-1 lands uniformly on the classes other than y
-    offsets = rng.integers(1, spec.num_classes, size=y.size)
-    corrupted = np.where(flags, (y + offsets) % spec.num_classes, y)
-    return corrupted, flags
-
-
-def flip_pair(labels, spec: CorruptionSpec):
-    """Flip each label with prob ``rate`` to its cyclic successor class."""
-    y = _check_labels(labels, spec.num_classes)
-    rng = np.random.default_rng(spec.seed)
-    flags = rng.random(y.size) < spec.rate
-    corrupted = np.where(flags, (y + 1) % spec.num_classes, y)
-    return corrupted, flags
-
-
-def corrupt_labels(labels, spec: CorruptionSpec):
-    if spec.kind == "symmetric":
-        return flip_symmetric(labels, spec)
-    return flip_pair(labels, spec)
+        _check_classes(self.num_classes)
 
 
 def corrupt_dataset(dataset, spec: CorruptionSpec):
-    """Corrupted copy of a dataset; originals kept as ``clean_labels``."""
+    """Corrupted copy of a dataset; originals kept as ``clean_labels``.
+
+    The labels are a ``Dataset``'s, so already integers in ``[0, K)``.
+    """
     if spec.num_classes != dataset.num_classes:
         raise ValueError("corruption spec and dataset disagree on class count")
-    corrupted, _ = corrupt_labels(dataset.labels, spec)
+    y, k = dataset.labels, dataset.num_classes
+    rng = np.random.default_rng(spec.seed)
+    flips = rng.random(y.size) < spec.rate
+    # symmetric: an offset in 1..K-1 lands uniformly on the classes other than y
+    offsets = rng.integers(1, k, size=y.size) if spec.kind == "symmetric" else 1
     return Dataset(
         features=dataset.features,
-        labels=corrupted,
-        num_classes=dataset.num_classes,
-        clean_labels=dataset.labels.copy(),
+        labels=np.where(flips, (y + offsets) % k, y),
+        num_classes=k,
+        clean_labels=y.copy(),
     )
 
 

@@ -91,8 +91,7 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
             raise ValueError("features must be (n, d) with one label per row")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
+        _check_classes(self.num_classes)
         if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
             raise ValueError("labels out of range")
         if self.clean_labels is not None:
@@ -113,6 +112,12 @@ class Dataset:
         if self.clean_labels is None:
             return np.zeros(len(self), dtype=bool)
         return self.labels != self.clean_labels
+
+
+def _check_classes(num_classes):
+    """The class count a ``Dataset`` accepts."""
+    if num_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {num_classes}")
 
 
 def _read_exact(fh, size, path, what):
@@ -200,8 +205,7 @@ def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
     give every sample an individual signature a large model can latch on
     to, which is what makes label noise memorizable at desk scale.
     """
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
+    _check_classes(num_classes)
     if n < num_classes:
         raise ValueError("need at least one sample per class")
     _check_spread(separation, noise_std)
@@ -219,10 +223,19 @@ def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
     return Dataset(features, labels, num_classes)
 
 
-def split(dataset: Dataset, test_fraction, seed):
-    """Seeded stratified split; per-class counts stay within 1 of exact."""
+def _check_fraction(test_fraction):
+    """The held-out fraction ``split`` accepts."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction}")
+
+
+def split(dataset: Dataset, test_fraction, seed):
+    """Seeded stratified split; per-class counts stay within 1 of exact.
+
+    A fraction that rounds every class's share to none of it, or to all of
+    it, would leave a side empty and is rejected, naming the side.
+    """
+    _check_fraction(test_fraction)
     rng = np.random.default_rng(seed)
     test_idx = []
     for k in range(dataset.num_classes):
@@ -231,6 +244,10 @@ def split(dataset: Dataset, test_fraction, seed):
         take = int(np.floor(test_fraction * members.size + 0.5))
         test_idx.append(members[:take])
     test_idx = np.sort(np.concatenate(test_idx))
+    for side, size in (("test", test_idx.size), ("train", len(dataset) - test_idx.size)):
+        if size == 0:
+            raise ValueError(f"a test fraction of {test_fraction} leaves the {side} side of "
+                             f"{len(dataset)} samples empty")
     is_test = np.zeros(len(dataset), dtype=bool)
     is_test[test_idx] = True
 

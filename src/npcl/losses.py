@@ -1,9 +1,11 @@
-"""Classification margins, the 0-1 loss, and hinge-style upper bounds.
+"""Classification margins and hinge-style upper bounds of the 0-1 loss.
 
 The multi-class margin of a score vector ``t`` with true class ``y`` is
 ``u = t[y] - max_{i != y} t[i]``; a sample is correctly classified exactly
-when ``u >= 0``.  Every loss here is a per-sample upper bound of the 0-1
-indicator ``1(u < 0)``:
+when ``u >= 0``, so a zero margin counts as correct.  The 0-1 indicator
+``1(u < 0)`` itself is counted where it is used (``MarginBatch.zero_one_total``
+and the training loop's threshold); every loss here is a per-sample upper
+bound of it:
 
 * hard hinge      ``max(1 - u, 0)``
 * soft hinge      hard hinge when ``u >= 0``, else
@@ -12,7 +14,9 @@ indicator ``1(u < 0)``:
 
 A ``BaseLoss`` names one of them; its ``values`` and ``gradients`` give the
 loss values and logit subgradients.  Every loss computation, the training
-loop's included, is one pass (``_loss_pass``) over shared rival scores.
+loop's included, is one pass (``_loss_pass``) over shared rival scores; the
+hard hinge on given margins (``_hinge_from_margins``) is shared by that pass
+and ``MarginBatch.from_margins``.
 
 Binary classification is the K=2 special case; there is no separate code
 path.  The public functions accept a single sample (``logits`` of shape
@@ -28,8 +32,6 @@ import numpy as np
 __all__ = [
     "BaseLoss",
     "multiclass_margin",
-    "zero_one",
-    "hinge_from_margins",
     "margins_and_values",
 ]
 
@@ -91,6 +93,13 @@ def _logsumexp(t):
     return m[:, 0] + np.log(np.sum(np.exp(t - m), axis=1))
 
 
+def _hinge_from_margins(u):
+    """Hard hinge ``max(1 - u, 0)`` of float64 margins, in one new array."""
+    hard = 1.0 - u
+    np.maximum(hard, 0.0, out=hard)
+    return hard
+
+
 def _loss_pass(t, y, kind, gradients):
     """Margins, loss values and, if ``gradients``, logit subgradients in one pass.
 
@@ -101,8 +110,7 @@ def _loss_pass(t, y, kind, gradients):
     ``grads`` None when not asked for.
     """
     u, true, rival_idx = _margins(t, y)
-    hard = 1.0 - u
-    np.maximum(hard, 0.0, out=hard)
+    hard = _hinge_from_margins(u)
     if kind.kind == "hinge":
         values = hard
     else:
@@ -144,23 +152,6 @@ def margins_and_values(logits, labels, kind):
     t, y, single = _as_batch(logits, labels)
     u, values, _ = _loss_pass(t, y, kind, gradients=False)
     return _unwrap(u, single), _unwrap(values, single)
-
-
-def zero_one(margins):
-    """0-1 loss ``1(u < 0)``. Zero margin counts as correct."""
-    u = np.asarray(margins, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("margins contain non-finite values")
-    out = (u < 0).astype(np.int64)
-    return int(out) if np.isscalar(margins) or out.ndim == 0 else out
-
-
-def hinge_from_margins(margins):
-    """Hard hinge ``max(1 - u, 0)`` evaluated directly on margins."""
-    u = np.asarray(margins, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("margins contain non-finite values")
-    return np.maximum(1.0 - u, 0.0)
 
 
 @dataclass(frozen=True)

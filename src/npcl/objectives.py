@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import BaseLoss, hinge_from_margins, margins_and_values
+from .losses import BaseLoss, _hinge_from_margins, margins_and_values
 from .selection import ThresholdMode, _select_rows, _thresholds, compute_threshold
 
 __all__ = [
@@ -40,11 +40,13 @@ class MarginBatch:
 
     ``base_losses[i]`` must upper-bound the indicator ``1(margins[i] < 0)``;
     this is what makes the curriculum values bound the 0-1 objective.
+    ``zero_one_total`` is that objective ``J``, the number of negative
+    margins; a zero margin counts as correct.
     """
 
     margins: np.ndarray
     base_losses: np.ndarray
-    misclassified_count: int = field(init=False)
+    zero_one_total: int = field(init=False)
 
     def __post_init__(self):
         u = np.asarray(self.margins, dtype=np.float64)
@@ -58,12 +60,13 @@ class MarginBatch:
             raise ValueError("base losses must upper-bound the 0-1 indicators")
         self.margins = u
         self.base_losses = l
-        self.misclassified_count = int(np.count_nonzero(u < 0))
+        self.zero_one_total = int(np.count_nonzero(u < 0))
 
     @classmethod
     def from_margins(cls, margins):
-        """Hinge base losses computed straight from margins."""
-        return cls(margins, hinge_from_margins(margins))
+        """Hinge base losses computed straight from margins; a scalar is one sample."""
+        u = np.atleast_1d(np.asarray(margins, dtype=np.float64))
+        return cls(u, _hinge_from_margins(u))
 
     @classmethod
     def from_logits(cls, logits, labels, base_loss: BaseLoss):
@@ -73,11 +76,6 @@ class MarginBatch:
 
     def __len__(self):
         return self.margins.size
-
-    @property
-    def zero_one_total(self):
-        """The 0-1 objective J."""
-        return self.misclassified_count
 
     @property
     def loss_total(self):
@@ -116,7 +114,7 @@ class BatchPartition:
 
 def curriculum_objective(batch: MarginBatch, mode: ThresholdMode):
     """Objective value and selection for the whole batch under one threshold."""
-    c = compute_threshold(mode, len(batch), batch.misclassified_count)
+    c = compute_threshold(mode, len(batch), batch.zero_one_total)
     result = _select_rows(batch.base_losses[None], np.array([c]))[0]
     return result.objective, result
 

@@ -11,9 +11,12 @@ order, are the ``metrics.csv`` columns:
 
 ``train_loss`` is the mean base loss over the samples actually trained on,
 ``label_precision`` the clean fraction among them (absent, reported as NaN,
-if nothing was selected all epoch).  A run in which no batch after burn-in
-selected anything trained only during burn-in; ``train`` then emits a
-``RuntimeWarning`` and still returns its metrics.
+if nothing was selected all epoch), counted over the epoch in integers.  A
+sample is clean when its label equals the training set's stored clean label
+(``Dataset.flip_flags``); a set without clean labels counts as all clean.
+A run in which no batch after burn-in selected anything trained only during
+burn-in; ``train`` then emits a ``RuntimeWarning`` and still returns its
+metrics.
 
 Inputs are validated once, on entry to ``train``.  Each step is then one
 fused pass over the batch:
@@ -68,7 +71,6 @@ __all__ = [
     "TrainConfig",
     "EpochMetrics",
     "train",
-    "label_precision",
     "evaluate",
     "write_metrics_csv",
     "METRICS_HEADER",
@@ -115,18 +117,6 @@ class EpochMetrics:
 
 
 METRICS_HEADER = ",".join(f.name for f in fields(EpochMetrics))
-
-
-def label_precision(mask, flip_flags):
-    """Clean fraction of the selected samples; errors on empty selection."""
-    mask = np.asarray(mask, dtype=bool)
-    flags = np.asarray(flip_flags, dtype=bool)
-    if mask.shape != flags.shape:
-        raise ValueError("mask and flags must have equal length")
-    selected = int(mask.sum())
-    if selected == 0:
-        raise ValueError("label precision undefined for an empty selection")
-    return float((mask & ~flags).sum() / selected)
 
 
 def evaluate(params: MlpParams, dataset: Dataset, workspace: Workspace | None = None):

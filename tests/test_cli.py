@@ -16,11 +16,11 @@ import pytest
 import npcl.cli
 from npcl.adversarial import empirical_adversarial_risk
 from npcl.cli import _echo_config, _train_config, build_parser, run
-from npcl.corruption import CorruptionSpec, corrupt_labels, read_sidecar
-from npcl.data import load_dataset, synth_blobs
+from npcl.corruption import CorruptionSpec, corrupt_dataset, read_sidecar
+from npcl.data import load_dataset, split, synth_blobs
 from npcl.net import _backprop
 from npcl.selection import partial_optimize
-from npcl.training import METRICS_HEADER, TrainConfig
+from npcl.training import METRICS_HEADER, TrainConfig, train
 from npcl.verification import SUITES, optimum_identities_hold, run_suites
 
 
@@ -102,12 +102,35 @@ class TestRejectedFlags:
         (["--noise-std", "-1"], ["--noise-std"]),
         (["--threshold", "full-q"], ["--threshold", "--epsilon-prior"]),
         (["--threshold", "full-e", "--epsilon-prior", "0.9"], ["--threshold", "--epsilon-prior"]),
+        (["--noise-rate", "1.5"], ["--noise-rate"]),
+        (["--epsilon-prior", "1"], ["--epsilon-prior"]),
+        (["--test-fraction", "0"], ["--test-fraction"]),
+        (["--test-fraction", "1"], ["--test-fraction"]),
+        (["--classes", "1"], ["--classes"]),
     ], ids=lambda v: " ".join(v))
     def test_train(self, tmp_path, capsys, argv, flags):
         assert run(smoke_args(tmp_path / "run", extra=argv)) == 1  # smoke_args sets --epsilon-prior 0.4
         err = capsys.readouterr().err
         assert all(flag in err for flag in flags), err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["--test-fraction", "0.01"], ["--test-fraction", "test side"]),
+        (["--test-fraction", "0.99"], ["--test-fraction", "train side"]),
+    ], ids=lambda v: " ".join(v))
+    def test_train_on_idx_pair(self, tmp_path, capsys, argv, flags):
+        files = write_idx(tmp_path, "data", [0, 1] * 25)
+        assert run(["train", "--dataset", *files, *argv, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "corrupt"])
+    @pytest.mark.parametrize("argv", [["--train-size", "2"], ["--blob-dim", "1"]], ids=" ".join)
+    def test_failed_data_build_leaves_no_output(self, tmp_path, command, argv):
+        out = tmp_path / "run"
+        assert run([command, "--synthetic", "blobs", "--noise", "pair", *argv, "--out", str(out)]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["full-q", "full-e"])
     def test_sweep_with_a_full_mode(self, tmp_path, capsys, threshold):
@@ -309,13 +332,13 @@ class TestCorrupt:
         ]) == 0
         clean = synth_blobs(300, 3, 4.0, 1.0, seed=[5, 100], dim=2)
         spec = CorruptionSpec(kind, 0.35, 5, 3)
-        labels, flags = corrupt_labels(clean.labels, spec)
+        noisy = corrupt_dataset(clean, spec)
         ds = load_dataset(out / "corrupted.npds")
         assert np.array_equal(ds.features, clean.features)
-        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(ds.labels, noisy.labels)
         assert np.array_equal(ds.clean_labels, clean.labels)
         sidecar = json.loads((out / "corrupted.json").read_text())
-        assert sidecar["flipped_indices"] == np.flatnonzero(flags).tolist()
+        assert sidecar["flipped_indices"] == np.flatnonzero(noisy.flip_flags).tolist()
         assert sidecar["num_samples"] == 300
         assert read_sidecar(out / "corrupted.json")[0] == spec
 
@@ -328,6 +351,55 @@ class TestCorrupt:
                     "--noise", "symmetric", "--noise-rate", "0.2", "--out", str(out)]) == 1
         assert "choose either --dataset or --synthetic, not both" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNpdsInput:
+    """``npcl corrupt``'s ``corrupted.npds`` read back by ``--dataset`` and ``--test-dataset``."""
+
+    def corrupted(self, tmp_path, seed=5):
+        out = tmp_path / f"corrupt-{seed}"
+        assert run(["corrupt", "--synthetic", "blobs", "--train-size", "300", "--classes", "3",
+                    "--noise", "symmetric", "--noise-rate", "0.4", "--seed", str(seed), "--out", str(out)]) == 0
+        return str(out / "corrupted.npds")
+
+    def test_train_on_corrupted_dataset(self, tmp_path):
+        path = self.corrupted(tmp_path)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["train", "--dataset", path, "--epochs", "3", "--burn-in", "2", "--batch-size", "32",
+                    "--hidden", "8", "--seed", "7", "--out", str(first)]) == 0
+        rows = (first / "metrics.csv").read_text().splitlines()[1:]
+        train_side, test_side = split(load_dataset(path), 0.2, seed=[7, 300])
+        # burn-in trains every sample, so its label precision is the train side's clean fraction
+        clean = np.count_nonzero(~train_side.flip_flags) / len(train_side)
+        assert 0.5 < clean < 0.7
+        for row in rows[:2]:
+            assert float(row.split(",")[3]) == clean
+        metrics, _ = train(TrainConfig(epochs=3, burn_in_epochs=2, batch_size=32, hidden=(8,), seed=7),
+                           train_side, test_side)
+        assert rows == [m.as_row() for m in metrics]
+        assert f"dataset = {path}\n" in (first / "config.txt").read_text()
+        assert run(["train", "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+        assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
+    def test_test_dataset_file(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", self.corrupted(tmp_path, 5), "--test-dataset", self.corrupted(tmp_path, 6),
+                    "--epochs", "2", "--burn-in", "1", "--hidden", "4", "--out", str(out)]) == 0
+        assert len((out / "metrics.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("command", ["train", "corrupt"])
+    def test_noise_on_stored_clean_labels_is_rejected(self, tmp_path, capsys, command):
+        path = self.corrupted(tmp_path)
+        out = tmp_path / "run"
+        assert run([command, "--dataset", path, "--noise", "pair", "--noise-rate", "0.2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--noise" in err and path in err
+        assert not out.exists()
+
+    def test_three_paths_rejected(self, tmp_path, capsys):
+        assert run(["train", "--dataset", "a", "b", "c", "--out", str(tmp_path / "run")]) == 1
+        assert "--dataset takes an IDX image/label pair or one .npds file, got 3 paths" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestVerify:

@@ -1,21 +1,21 @@
 """Label flipping: rates, determinism, and sidecar round-trips."""
 
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from npcl.corruption import (
-    CorruptionSpec,
-    corrupt_dataset,
-    corrupt_labels,
-    flip_pair,
-    flip_symmetric,
-    read_sidecar,
-    write_sidecar,
-)
-from npcl.data import synth_blobs
+from npcl.corruption import CorruptionSpec, corrupt_dataset, read_sidecar, write_sidecar
+from npcl.data import Dataset, synth_blobs
+
+
+def corrupt(labels, spec):
+    """Corrupted labels and flip flags of a featureless dataset with these labels."""
+    y = np.asarray(labels)
+    noisy = corrupt_dataset(Dataset(np.zeros((y.size, 1)), y, spec.num_classes), spec)
+    return noisy.labels, noisy.flip_flags
 
 
 def test_spec_validation():
@@ -30,14 +30,14 @@ def test_spec_validation():
 def test_zero_rate_is_identity():
     y = np.arange(10) % 4
     for kind in ("symmetric", "pair"):
-        out, flags = corrupt_labels(y, CorruptionSpec(kind, 0.0, 3, 4))
+        out, flags = corrupt(y, CorruptionSpec(kind, 0.0, 3, 4))
         assert np.array_equal(out, y)
         assert not flags.any()
 
 
 def test_symmetric_never_keeps_original():
     y = np.full(5000, 3)
-    out, flags = flip_symmetric(y, CorruptionSpec("symmetric", 1.0, 1, 10))
+    out, flags = corrupt(y, CorruptionSpec("symmetric", 1.0, 1, 10))
     assert flags.all()
     assert np.all(out != 3)
     assert np.all((out >= 0) & (out < 10))
@@ -45,7 +45,7 @@ def test_symmetric_never_keeps_original():
 
 def test_symmetric_rate_concentration():
     y = np.arange(10000) % 10
-    out, flags = flip_symmetric(y, CorruptionSpec("symmetric", 0.2, 11, 10))
+    out, flags = corrupt(y, CorruptionSpec("symmetric", 0.2, 11, 10))
     rate = flags.mean()
     assert abs(rate - 0.2) < 0.012  # 3 sigma for n=10000
     assert np.all(out[flags] != y[flags])
@@ -54,7 +54,7 @@ def test_symmetric_rate_concentration():
 
 def test_symmetric_targets_roughly_uniform():
     y = np.zeros(20000, dtype=np.int64)
-    out, flags = flip_symmetric(y, CorruptionSpec("symmetric", 1.0, 5, 5))
+    out, flags = corrupt(y, CorruptionSpec("symmetric", 1.0, 5, 5))
     counts = np.bincount(out, minlength=5)
     assert counts[0] == 0
     # each wrong class gets ~5000; 5 sigma band
@@ -63,36 +63,44 @@ def test_symmetric_targets_roughly_uniform():
 
 def test_pair_full_rate_is_cyclic_successor():
     y = np.arange(10000) % 10
-    out, flags = flip_pair(y, CorruptionSpec("pair", 1.0, 2, 10))
+    out, flags = corrupt(y, CorruptionSpec("pair", 1.0, 2, 10))
     assert flags.all()
     assert np.array_equal(out, (y + 1) % 10)
 
 
 def test_pair_rate_concentration():
     y = np.arange(10000) % 10
-    _, flags = flip_pair(y, CorruptionSpec("pair", 0.35, 12, 10))
+    _, flags = corrupt(y, CorruptionSpec("pair", 0.35, 12, 10))
     assert abs(flags.mean() - 0.35) < 0.015
 
 
 def test_same_seed_bit_identical():
     y = np.arange(1000) % 7
     spec = CorruptionSpec("symmetric", 0.3, 99, 7)
-    a_out, a_flags = flip_symmetric(y, spec)
-    b_out, b_flags = flip_symmetric(y, spec)
+    a_out, a_flags = corrupt(y, spec)
+    b_out, b_flags = corrupt(y, spec)
     assert np.array_equal(a_out, b_out)
     assert np.array_equal(a_flags, b_flags)
 
 
 def test_different_seeds_differ():
     y = np.arange(1000) % 7
-    a, _ = flip_symmetric(y, CorruptionSpec("symmetric", 0.3, 1, 7))
-    b, _ = flip_symmetric(y, CorruptionSpec("symmetric", 0.3, 2, 7))
+    a, _ = corrupt(y, CorruptionSpec("symmetric", 0.3, 1, 7))
+    b, _ = corrupt(y, CorruptionSpec("symmetric", 0.3, 2, 7))
     assert not np.array_equal(a, b)
 
 
-def test_label_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        flip_symmetric(np.array([0, 9]), CorruptionSpec("symmetric", 0.2, 0, 5))
+@pytest.mark.parametrize("kind, digest", [
+    ("symmetric", "bc29f20a04827cccfb960ce2cc733779619c27a28daa87712284d6f4f029810d"),
+    ("pair", "6da05389e01616ddf9612801f98ec2f871ddef4702f37d694e9e02dac9e0bdea"),
+])
+def test_corrupted_label_digest(kind, digest):
+    # recorded when each kind had its own flip function, before they became one draw
+    y = np.arange(1000) % 7
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        h.update(corrupt(y, CorruptionSpec(kind, 0.3, seed, 7))[0].astype("<i8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_corrupt_dataset_keeps_clean_labels_and_features():
@@ -108,7 +116,7 @@ def test_corrupt_dataset_keeps_clean_labels_and_features():
 def test_sidecar_round_trip(tmp_path):
     spec = CorruptionSpec("pair", 0.35, 42, 10)
     y = np.arange(500) % 10
-    _, flags = flip_pair(y, spec)
+    _, flags = corrupt(y, spec)
     path = tmp_path / "noise.json"
     write_sidecar(path, spec, flags)
     spec2, flags2 = read_sidecar(path)

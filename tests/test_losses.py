@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from npcl.losses import BaseLoss, _loss_pass, hinge_from_margins, margins_and_values, multiclass_margin, zero_one
+from npcl.losses import BaseLoss, _loss_pass, margins_and_values, multiclass_margin
+from npcl.objectives import MarginBatch
 
 SOFT_HINGE_01 = 2.3132616875182228  # 1 + log(1 + e), t=[0,1], y=0
 HARD, SOFT = BaseLoss.hinge(), BaseLoss.soft()
@@ -59,14 +60,16 @@ class TestMargin:
 
 
 class TestZeroOne:
+    """The 0-1 objective J as ``MarginBatch`` counts it."""
+
     def test_definition(self):
-        assert zero_one(-0.1) == 1
-        assert zero_one(0.0) == 0  # boundary counts as correct
-        assert zero_one(3.0) == 0
+        assert MarginBatch.from_margins(-0.1).zero_one_total == 1  # a scalar is one sample
+        assert MarginBatch.from_margins(3.0).zero_one_total == 0
+        # the boundary counts as correct, whatever the sign of the zero
+        assert MarginBatch.from_margins([0.0, -0.0, -1.0]).zero_one_total == 1
 
     def test_vectorized(self):
-        out = zero_one(np.array([-1.0, 0.0, 2.0]))
-        assert np.array_equal(out, [1, 0, 0])
+        assert MarginBatch.from_margins(np.array([-1.0, 0.0, 2.0, -3.0])).zero_one_total == 2
 
 
 class TestHinges:
@@ -99,15 +102,14 @@ class TestHinges:
 
     def test_hinge_from_margins(self):
         u = np.array([3.0, -1.0, 0.0, 1.0])
-        assert np.array_equal(hinge_from_margins(u), [0.0, 2.0, 1.0, 0.0])
+        assert np.array_equal(MarginBatch.from_margins(u).base_losses, [0.0, 2.0, 1.0, 0.0])
 
     def test_ordering_chain(self):
         # soft >= hard >= 0-1 >= 0 and weighted >= 0-1, for any beta
         rng = np.random.default_rng(11)
         t = rng.normal(0.0, 3.0, size=(1000, 4))
         y = rng.integers(0, 4, size=1000)
-        u = multiclass_margin(t, y)
-        z = zero_one(u)
+        z = multiclass_margin(t, y) < 0
         h = HARD.values(t, y)
         s = SOFT.values(t, y)
         assert np.all(s >= h)

@@ -13,7 +13,7 @@ from npcl.selection import ThresholdMode, brute_force_optimize, compute_threshol
 
 
 def brute_value(batch, mode):
-    c = compute_threshold(mode, len(batch), batch.misclassified_count)
+    c = compute_threshold(mode, len(batch), batch.zero_one_total)
     return brute_force_optimize(batch.base_losses, c).objective
 
 
@@ -40,7 +40,6 @@ class TestMarginBatch:
     def test_from_margins_uses_hinge(self):
         b = MarginBatch.from_margins(np.array([2.0, -1.0]))
         assert np.array_equal(b.base_losses, [0.0, 2.0])
-        assert b.misclassified_count == 1
         assert b.zero_one_total == 1
         assert b.loss_total == 2.0
 

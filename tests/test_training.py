@@ -16,7 +16,6 @@ from npcl.training import (
     METRICS_HEADER,
     TrainConfig,
     evaluate,
-    label_precision,
     train,
     write_metrics_csv,
 )
@@ -64,19 +63,22 @@ class TestConfig:
 
 
 class TestLabelPrecision:
+    """``train``'s per-epoch clean fraction of the trained samples."""
+
     def test_basic_values(self):
-        mask = np.array([True] * 10 + [False] * 3)
-        flags = np.zeros(13, dtype=bool)
-        flags[:2] = True  # two flipped among the selected
-        assert label_precision(mask, flags) == pytest.approx(0.8)
+        # burn-in trains every sample, so its rows hold the clean fraction of the whole set
+        train_set, test_set = separable_sets()
+        noisy = corrupt_dataset(train_set, CorruptionSpec("pair", 0.3, 4, 2))
+        clean = int(np.count_nonzero(~noisy.flip_flags))
+        assert 0 < clean < len(noisy)
+        metrics, _ = train(small_config(), noisy, test_set)
+        for m in metrics[:2]:
+            assert m.label_precision == clean / len(noisy)
 
     def test_all_clean(self):
-        mask = np.ones(5, dtype=bool)
-        assert label_precision(mask, np.zeros(5, dtype=bool)) == 1.0
-
-    def test_empty_selection_errors(self):
-        with pytest.raises(ValueError):
-            label_precision(np.zeros(4, dtype=bool), np.zeros(4, dtype=bool))
+        train_set, test_set = separable_sets()
+        metrics, _ = train(small_config(threshold=ThresholdMode.npcl_fixed(0.5)), train_set, test_set)
+        assert all(m.selected_frac > 0 and m.label_precision == 1.0 for m in metrics)
 
 
 class TestEvaluate:
