@@ -22,8 +22,13 @@ Euclidean projection onto the weight set is exact: the KKT point
 ``max(0, s * (w - theta))`` has a closed form for each top-k support of
 the sorted ``w``, and one scan over the prefix sums of ``w`` and ``w^2``
 finds the consistent k, as in the l1-ball projection of Duchi et al.
-(ICML 2008).  The two routes validate each other; the closed form is
-what the fast API returns.
+(ICML 2008).  The ascent stops at its first fixed point: when projecting
+``r + step * l`` returns ``r`` bit for bit, ``step * l`` lies in the normal
+cone of the weight set at ``r``, which is exactly the condition for ``r``
+to maximize the linear objective, so every later step would repeat it.  A
+saturated instance reaches its vertex in two steps and stops on the third.
+The two routes validate each other; the closed form is what the fast API
+returns.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ def _check_losses01(losses01):
 def empirical_adversarial_risk(losses01, spec: AdvRiskSpec):
     """Closed-form worst-case risk; equals the plain risk at delta = 0."""
     l = _check_losses01(losses01)
-    p = float(l.mean())
+    p = float(l.sum()) / l.size
     if p in (0.0, 1.0):
         return p
     return min(1.0, p + np.sqrt(spec.delta * p * (1.0 - p)))
@@ -102,11 +107,14 @@ def project_chi_square_ball(w, delta):
     scatter = np.maximum(np.cumsum(v * v) - k * mean * mean, 0.0)
     # equal weights on k samples already spend n^2 / k - n of the budget
     budget = n * (1.0 + delta) - n * n / k
+    # budget rises with k, so the supports with room left are the k from `first` on
+    first = int(np.searchsorted(budget, 0.0, side="right"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt(np.minimum(1.0, budget / scatter))
-        theta = mean - n / (k * s)
-    inconsistency = np.maximum(theta - v, np.append(v[1:], -np.inf) - theta)
-    j = int(np.argmin(np.where(budget > 0, inconsistency, np.inf)))
+        s = np.sqrt(np.minimum(1.0, budget[first:] / scatter[first:]))
+        theta = mean[first:] - n / (k[first:] * s)
+    inconsistency = theta - v[first:]
+    np.maximum(inconsistency[:-1], v[first + 1 :] - theta[:-1], out=inconsistency[:-1])
+    j = int(np.argmin(inconsistency))
     return np.maximum(0.0, s[j] * (u - theta[j]))
 
 
@@ -115,21 +123,31 @@ def adversarial_risk_numeric(losses01, spec: AdvRiskSpec):
 
     The objective ``mean(r * l)`` is linear, so projected steps along ``l``
     with geometrically growing length walk to the boundary maximizer; the
-    step is capped at ``MAX_STEP`` so the projection arithmetic keeps its precision,
-    and ``POLISH_STEPS`` fixed-length steps at the cap polish the active face.
+    step is capped at ``MAX_STEP`` so the projection arithmetic keeps its
+    precision, and up to ``POLISH_STEPS`` fixed-length steps at the cap
+    polish the active face.  Those two bound the iterations; the ascent stops
+    earlier, at the first ``r`` whose next projection returns it unchanged.
+    That fixed point is the optimality condition itself (``step * l`` is in
+    the normal cone at ``r``), so stopping there loses nothing.  Returns the
+    largest objective over the iterates, each taken as ``sum(r * l) / n``,
+    the same bits as ``np.mean``.
     """
     l = _check_losses01(losses01)
     n = l.size
-    if spec.delta == 0.0 or l.sum() in (0.0, n):
-        return float(l.mean())
+    total = float(l.sum())
+    if spec.delta == 0.0 or total in (0.0, n):
+        return total / n
 
     r = np.ones(n)
-    best = float(np.mean(r * l))
+    best = total / n
     step = 1.0
     grow = int(np.ceil(np.log2(MAX_STEP) / 2.0))
     for k in range(grow + POLISH_STEPS):
-        r = project_chi_square_ball(r + step * l, spec.delta)
-        best = max(best, float(np.mean(r * l)))
+        ascended = project_chi_square_ball(r + step * l, spec.delta)
+        if np.array_equal(ascended, r):
+            break  # step * l lies in the normal cone at r, so r is a maximizer
+        r = ascended
+        best = max(best, float((r * l).sum()) / n)
         if k < grow:
             step = min(step * 4.0, MAX_STEP)
     return best
@@ -157,17 +175,17 @@ def check_monotonicity(loss_vectors, spec: AdvRiskSpec):
     is not above ``b``'s, then ``b`` must saturate too.  (Only this forward
     implication is generally valid: saturation covers the whole upper
     interval of plain risks, so two saturated models can differ in plain
-    risk.)
+    risk.)  Each vector is validated once, by ``empirical_adversarial_risk``.
     """
-    vectors = [_check_losses01(v) for v in loss_vectors]
+    vectors = [np.asarray(v, dtype=np.float64) for v in loss_vectors]
+    adv = [empirical_adversarial_risk(v, spec) for v in vectors]  # validates each vector
     if len(vectors) < 2:
         raise ValueError("need at least two loss vectors")
     lengths = {v.size for v in vectors}
     if len(lengths) != 1:
         raise ValueError("loss vectors must have equal length")
 
-    plain = [float(v.mean()) for v in vectors]
-    adv = [empirical_adversarial_risk(v, spec) for v in vectors]
+    plain = [float(v.sum()) / v.size for v in vectors]
     report = MonotonicityReport(delta=spec.delta, pairs_checked=0)
     for i in range(len(vectors)):
         for j in range(len(vectors)):

@@ -13,12 +13,12 @@ import sys
 from pathlib import Path
 
 from .corruption import CorruptionSpec, corrupt_dataset, write_sidecar
-from .data import (Dataset, IdxFormatError, _check_classes, _check_fraction, _check_spread, load_dataset,
-                   load_idx, save_dataset, split, synth_blobs)
+from .data import (Dataset, IdxFormatError, _check_blob_size, _check_classes, _check_dim, _check_fraction,
+                   _check_spread, load_dataset, load_idx, save_dataset, split, synth_blobs)
 from .losses import BaseLoss
 from .net import save_params
 from .selection import ThresholdMode
-from .training import TrainConfig, train, write_metrics_csv
+from .training import TrainConfig, _check_batch_size, _check_epochs, train, write_metrics_csv
 from .verification import SUITES, run_suites
 
 SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
@@ -44,7 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _checked(check, kind=float):
-    """A ``kind`` flag type whose range is the one ``check`` enforces; its ValueError names the flag."""
+    """A ``kind`` flag type whose range is the one ``check`` enforces; its ValueError names the flag.
+
+    A range that spans two flags is checked once both are parsed, by
+    ``_paired``.
+    """
     def parse(text):
         value = kind(text)
         try:
@@ -54,6 +58,14 @@ def _checked(check, kind=float):
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid float value" names the kind
     return parse
+
+
+def _paired(check, flags, *values):
+    """Run a range ``check`` over two flags' values; its ValueError becomes a CliError naming both."""
+    try:
+        check(*values)
+    except ValueError as exc:
+        raise CliError(f"arguments {' and '.join(flags)}: {exc}") from None
 
 
 def _hidden(text):
@@ -79,7 +91,7 @@ def _add_data_flags(sub):
     sub.add_argument("--classes", type=_checked(_check_classes, int), default=4)
     sub.add_argument("--separation", type=_checked(lambda v: _check_spread(v, 0.0)), default=4.0)
     sub.add_argument("--noise-std", type=_checked(lambda v: _check_spread(1.0, v)), default=1.0)
-    sub.add_argument("--blob-dim", type=int, default=2,
+    sub.add_argument("--blob-dim", type=_checked(_check_dim, int), default=2,
                      help="feature dimensions; class signal lives in the first two")
     sub.add_argument("--noise", choices=["symmetric", "pair"], help="label corruption kind")
     sub.add_argument("--noise-rate", type=_checked(lambda v: CorruptionSpec("pair", v, 0, 2)), default=0.0)
@@ -92,8 +104,8 @@ def _add_train_flags(sub):
                      choices=list(ThresholdMode.KINDS))
     sub.add_argument("--epsilon-prior", type=_checked(ThresholdMode.npcl_fixed),
                      default=_DEFAULTS.threshold.epsilon)
-    sub.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
-    sub.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
+    sub.add_argument("--epochs", type=_checked(_check_epochs, int), default=_DEFAULTS.epochs)
+    sub.add_argument("--batch-size", type=_checked(_check_batch_size, int), default=_DEFAULTS.batch_size)
     sub.add_argument("--burn-in", type=int, default=_DEFAULTS.burn_in_epochs)
     sub.add_argument("--lr", type=_checked(lambda v: TrainConfig(lr=v)), default=_DEFAULTS.lr)
     sub.add_argument("--hidden", type=_hidden, default=_DEFAULTS.hidden)
@@ -185,7 +197,8 @@ def _check_source(args):
         raise CliError("need --dataset or --synthetic")
 
 
-def _blobs(args, size, stream):
+def _blobs(args, size, size_flag, stream):
+    _paired(_check_blob_size, [size_flag, "--classes"], size, args.classes)
     return synth_blobs(size, args.classes, args.separation, args.noise_std,
                        seed=[args.seed, stream], dim=args.blob_dim)
 
@@ -202,7 +215,9 @@ def _read(paths, flag):
 def _source(args):
     """The training data before any split or corruption."""
     _check_source(args)
-    return _blobs(args, args.train_size, 100) if args.synthetic else _read(args.dataset, "--dataset")
+    if args.synthetic:
+        return _blobs(args, args.train_size, "--train-size", 100)
+    return _read(args.dataset, "--dataset")
 
 
 def _match_classes(train_set, test_set, args):
@@ -210,14 +225,17 @@ def _match_classes(train_set, test_set, args):
 
     IDX files carry no class count, so K is one past the largest label, and
     a held-out split that lacks the top label would come out with a smaller K.
+    The feature counts must match too.
     """
+    test_files, train_files = " ".join(args.test_dataset), " ".join(args.dataset)
+    if test_set.dim != train_set.dim:
+        raise CliError(f"test set {test_files} has {test_set.dim} features per sample, "
+                       f"but train set {train_files} has {train_set.dim}")
     k = train_set.num_classes
     if test_set.num_classes > k:
-        raise CliError(
-            f"test set {' '.join(args.test_dataset)} has labels up to {test_set.num_classes - 1}, "
-            f"but train set {' '.join(args.dataset)} has {k} classes"
-        )
-    return Dataset(test_set.features, test_set.labels, k)
+        raise CliError(f"test set {test_files} has labels up to {test_set.num_classes - 1}, "
+                       f"but train set {train_files} has {k} classes")
+    return Dataset(test_set.features, test_set.labels, k, test_set.clean_labels)
 
 
 def _noise_spec(args, dataset):
@@ -231,7 +249,7 @@ def _noise_spec(args, dataset):
 def _load_datasets(args):
     train_set = _source(args)
     if args.synthetic:
-        test_set = _blobs(args, args.test_size, 200)
+        test_set = _blobs(args, args.test_size, "--test-size", 200)
     elif args.test_dataset:
         test_set = _match_classes(train_set, _read(args.test_dataset, "--test-dataset"), args)
     else:
@@ -247,6 +265,7 @@ def _load_datasets(args):
 
 def _train_config(args, prior=None):
     epsilon = args.epsilon_prior if prior is None else prior
+    _paired(_check_epochs, ["--epochs", "--burn-in"], args.epochs, args.burn_in)
     if epsilon and not args.threshold.startswith("npcl"):
         raise CliError(f"--threshold {args.threshold} ignores --epsilon-prior, got {epsilon}; "
                        "leave it at 0 or choose an npcl threshold")
@@ -311,9 +330,9 @@ def _cmd_sweep(args):
             print(f"skipping factor {factor}: prior {prior:.3f} outside [0, 1)", file=sys.stderr)
             failures += 1
             continue
+        config = _train_config(args, prior=prior)
         cell = out / f"prior_{prior:.4g}"
         cell.mkdir(parents=True, exist_ok=True)
-        config = _train_config(args, prior=prior)
         _echo_config(args, cell / "config.txt")
         metrics, _ = train(config, train_set, test_set)
         write_metrics_csv(cell / "metrics.csv", metrics)

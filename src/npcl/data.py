@@ -195,6 +195,18 @@ def _check_spread(separation, noise_std):
         raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
 
 
+def _check_blob_size(n, num_classes):
+    """The sample count ``synth_blobs`` accepts for ``num_classes`` classes."""
+    if n < num_classes:
+        raise ValueError(f"need at least one sample per class, got {n} samples for {num_classes} classes")
+
+
+def _check_dim(dim):
+    """The feature count ``synth_blobs`` accepts."""
+    if dim < 2:
+        raise ValueError(f"need at least 2 feature dimensions, got {dim}")
+
+
 def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
     """Balanced isotropic Gaussian clusters on a circle of given radius.
 
@@ -206,11 +218,9 @@ def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
     to, which is what makes label noise memorizable at desk scale.
     """
     _check_classes(num_classes)
-    if n < num_classes:
-        raise ValueError("need at least one sample per class")
+    _check_blob_size(n, num_classes)
     _check_spread(separation, noise_std)
-    if dim < 2:
-        raise ValueError("need at least 2 feature dimensions")
+    _check_dim(dim)
     rng = np.random.default_rng(seed)
     counts = np.full(num_classes, n // num_classes)
     counts[: n % num_classes] += 1

@@ -35,6 +35,10 @@ __all__ = [
     "margins_and_values",
 ]
 
+# rows per block of the rival-score pass; a training batch is one block, and a
+# million-row input needs a masked copy of one block at a time, not of all rows
+RIVAL_ROWS = 1 << 16
+
 
 def _as_batch(logits, labels):
     """Normalize inputs to ``(n, K)`` logits and ``(n,)`` labels.
@@ -67,8 +71,14 @@ def _rival_scores(t, y):
     """Highest score among the non-true classes, with its index.
 
     Ties are broken toward the smallest index (np.argmax convention), which
-    pins down the subgradient of the hinge losses.
+    pins down the subgradient of the hinge losses.  ``t`` must be finite, so
+    the rival is never the masked true class and can be read back from ``t``.
     """
+    n = t.shape[0]
+    if n > RIVAL_ROWS:
+        idx = np.concatenate([_rival_scores(t[s : s + RIVAL_ROWS], y[s : s + RIVAL_ROWS])[1]
+                              for s in range(0, n, RIVAL_ROWS)])
+        return t[np.arange(n), idx], idx
     masked = t.copy()
     masked[np.arange(t.shape[0]), y] = -np.inf
     rival_idx = np.argmax(masked, axis=1)

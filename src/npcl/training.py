@@ -14,9 +14,10 @@ order, are the ``metrics.csv`` columns:
 if nothing was selected all epoch), counted over the epoch in integers.  A
 sample is clean when its label equals the training set's stored clean label
 (``Dataset.flip_flags``); a set without clean labels counts as all clean.
-A run in which no batch after burn-in selected anything trained only during
-burn-in; ``train`` then emits a ``RuntimeWarning`` and still returns its
-metrics.
+``test_acc`` likewise scores the test set against its clean labels when it
+carries them.  A run in which no batch after burn-in selected anything
+trained only during burn-in; ``train`` then emits a ``RuntimeWarning`` and
+still returns its metrics.
 
 Inputs are validated once, on entry to ``train``.  Each step is then one
 fused pass over the batch:
@@ -77,6 +78,20 @@ __all__ = [
 ]
 
 
+def _check_epochs(epochs, burn_in_epochs=0):
+    """The run length and burn-in ``TrainConfig`` accepts."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not 0 <= burn_in_epochs < epochs:
+        raise ValueError(f"burn-in must lie in [0, epochs), got {burn_in_epochs} of {epochs} epochs")
+
+
+def _check_batch_size(batch_size):
+    """The batch size ``TrainConfig`` accepts."""
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
@@ -91,12 +106,8 @@ class TrainConfig:
     selection: bool = True  # False trains on every sample (baseline path)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if not 0 <= self.burn_in_epochs < self.epochs:
-            raise ValueError("burn-in must be shorter than the run")
+        _check_epochs(self.epochs, self.burn_in_epochs)
+        _check_batch_size(self.batch_size)
         if any(size < 1 for size in self.hidden):
             raise ValueError(f"hidden layer sizes must be >= 1, got {tuple(self.hidden)}")
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -122,12 +133,15 @@ METRICS_HEADER = ",".join(f.name for f in fields(EpochMetrics))
 def evaluate(params: MlpParams, dataset: Dataset, workspace: Workspace | None = None):
     """Fraction of samples whose argmax logit hits the label (ties: smallest index).
 
-    ``workspace``, built for ``len(dataset)`` rows, lets repeated calls reuse
-    one set of forward buffers.
+    The label is the clean one where the set carries clean labels, so a
+    held-out side of a corrupted set measures accuracy, not agreement with
+    the injected noise.  ``workspace``, built for ``len(dataset)`` rows,
+    lets repeated calls reuse one set of forward buffers.
     """
     logits = forward(params, dataset.features, workspace)
     predictions = np.argmax(logits, axis=1)
-    return float(np.mean(predictions == dataset.labels))
+    truth = dataset.labels if dataset.clean_labels is None else dataset.clean_labels
+    return float(np.mean(predictions == truth))
 
 
 def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=None):

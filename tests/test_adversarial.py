@@ -1,9 +1,14 @@
 """Worst-case reweighted risk: closed form, solver agreement, monotonicity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from npcl import adversarial
 from npcl.adversarial import (
+    MAX_STEP,
+    POLISH_STEPS,
     AdvRiskSpec,
     adversarial_risk_numeric,
     check_monotonicity,
@@ -202,6 +207,70 @@ class TestSolverAgreement:
             spec = AdvRiskSpec(float(rng.uniform(n / l.sum() - 1.0, 2.0)))
             assert empirical_adversarial_risk(l, spec) == 1.0
             assert adversarial_risk_numeric(l, spec) == pytest.approx(1.0, abs=1e-12)
+
+
+SOLVER_STEPS = [min(4.0**i, MAX_STEP) for i in range(14)] + [MAX_STEP] * POLISH_STEPS
+
+
+class TestProjectionBits:
+    """Outputs pinned before the slice rewrite of the consistency scan."""
+
+    def test_seeded_inputs(self):
+        rng = np.random.default_rng(31)
+        h = hashlib.sha256()
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            w = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 10), size=n)
+            h.update(project_chi_square_ball(w, float(rng.uniform(0.001, 3.0))).tobytes())
+        assert h.hexdigest() == "971229b52639d83cf5cd567f8310492d2be94fd5bc032367b20368cb77bb6be7"
+
+    def test_solver_iterates(self):
+        # every step of the full ascent schedule, fixed points included
+        rng = np.random.default_rng(32)
+        h = hashlib.sha256()
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            l = random_loss_vector(rng, n, int(rng.integers(1, n)))
+            delta = float(rng.uniform(0.01, 2.0))
+            r = np.ones(n)
+            for step in SOLVER_STEPS:
+                r = project_chi_square_ball(r + step * l, delta)
+                h.update(r.tobytes())
+        assert h.hexdigest() == "68609d8ff813f52b7772f39419800deb7214fce2d45dcf3c396f4d7b4d925827"
+
+
+def criterion7_instances():
+    """Criterion 7's 500 solver instances, drawn as ``check_solver_agreement`` draws them at seed 11."""
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        l = random_loss_vector(rng, int(rng.integers(2, 60)))
+        yield l, AdvRiskSpec(float(rng.uniform(0.0, 2.0)))
+
+
+class TestFixedPointStop:
+    def test_matches_closed_form_to_rounding(self):
+        for l, spec in criterion7_instances():
+            assert adversarial_risk_numeric(l, spec) == pytest.approx(
+                empirical_adversarial_risk(l, spec), abs=1e-12
+            )
+
+    def test_projection_calls(self, monkeypatch):
+        calls = []
+
+        def counting(w, delta):
+            calls.append(None)
+            return project_chi_square_ball(w, delta)
+
+        monkeypatch.setattr(adversarial, "project_chi_square_ball", counting)
+        saturated = 0
+        for l, spec in criterion7_instances():
+            calls.clear()
+            adversarial_risk_numeric(l, spec)
+            assert len(calls) <= len(SOLVER_STEPS)
+            if l.sum() not in (0.0, l.size) and empirical_adversarial_risk(l, spec) == 1.0:
+                saturated += 1
+                assert len(calls) <= 3  # two steps reach the vertex, the third repeats it
+        assert saturated > 100
 
 
 class TestMonotonicity:

@@ -18,7 +18,7 @@ from npcl.adversarial import empirical_adversarial_risk
 from npcl.cli import _echo_config, _train_config, build_parser, run
 from npcl.corruption import CorruptionSpec, corrupt_dataset, read_sidecar
 from npcl.data import load_dataset, split, synth_blobs
-from npcl.net import _backprop
+from npcl.net import _backprop, forward, load_params
 from npcl.selection import partial_optimize
 from npcl.training import METRICS_HEADER, TrainConfig, train
 from npcl.verification import SUITES, optimum_identities_hold, run_suites
@@ -107,6 +107,13 @@ class TestRejectedFlags:
         (["--test-fraction", "0"], ["--test-fraction"]),
         (["--test-fraction", "1"], ["--test-fraction"]),
         (["--classes", "1"], ["--classes"]),
+        (["--train-size", "2"], ["--train-size", "--classes"]),
+        (["--test-size", "3"], ["--test-size", "--classes"]),
+        (["--blob-dim", "1"], ["--blob-dim"]),
+        (["--epochs", "0"], ["--epochs"]),
+        (["--batch-size", "0"], ["--batch-size"]),
+        (["--burn-in", "3"], ["--burn-in", "--epochs"]),  # smoke_args runs 3 epochs
+        (["--burn-in", "-1"], ["--burn-in", "--epochs"]),
     ], ids=lambda v: " ".join(v))
     def test_train(self, tmp_path, capsys, argv, flags):
         assert run(smoke_args(tmp_path / "run", extra=argv)) == 1  # smoke_args sets --epsilon-prior 0.4
@@ -137,6 +144,13 @@ class TestRejectedFlags:
         argv = smoke_args(tmp_path / "run", extra=["--threshold", threshold, "--epsilon-prior", "0"])
         assert run(["sweep", *argv[1:]]) == 1
         assert "--threshold" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_sweep_with_a_burn_in_as_long_as_the_run(self, tmp_path, capsys):
+        argv = smoke_args(tmp_path / "run", extra=["--burn-in", "3"])
+        assert run(["sweep", *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "--burn-in" in err and "--epochs" in err
         assert not (tmp_path / "run").exists()
 
     def test_full_mode_with_zero_prior_runs(self, tmp_path):
@@ -356,9 +370,9 @@ class TestCorrupt:
 class TestNpdsInput:
     """``npcl corrupt``'s ``corrupted.npds`` read back by ``--dataset`` and ``--test-dataset``."""
 
-    def corrupted(self, tmp_path, seed=5):
-        out = tmp_path / f"corrupt-{seed}"
-        assert run(["corrupt", "--synthetic", "blobs", "--train-size", "300", "--classes", "3",
+    def corrupted(self, tmp_path, seed=5, dim=2):
+        out = tmp_path / f"corrupt-{seed}-{dim}"
+        assert run(["corrupt", "--synthetic", "blobs", "--train-size", "300", "--classes", "3", "--blob-dim", str(dim),
                     "--noise", "symmetric", "--noise-rate", "0.4", "--seed", str(seed), "--out", str(out)]) == 0
         return str(out / "corrupted.npds")
 
@@ -380,6 +394,31 @@ class TestNpdsInput:
         assert f"dataset = {path}\n" in (first / "config.txt").read_text()
         assert run(["train", "--config", str(first / "config.txt"), "--out", str(second)]) == 0
         assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
+    def test_held_out_side_scored_on_clean_labels(self, tmp_path):
+        path = self.corrupted(tmp_path)
+        out, checkpoint = tmp_path / "run", tmp_path / "params.bin"
+        assert run(["train", "--dataset", path, "--epochs", "4", "--burn-in", "1", "--batch-size", "32",
+                    "--hidden", "8", "--seed", "7", "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
+        _, test_side = split(load_dataset(path), 0.2, seed=[7, 300])
+        predictions = np.argmax(forward(load_params(checkpoint), test_side.features), axis=1)
+        clean_acc = float(np.mean(predictions == test_side.clean_labels))
+        assert np.count_nonzero(test_side.flip_flags) > 10
+        assert clean_acc != float(np.mean(predictions == test_side.labels))
+        last = (out / "metrics.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[2]) == clean_acc
+
+    @pytest.mark.parametrize("kind", ["npds", "idx"])
+    def test_feature_count_mismatch_named_before_output(self, tmp_path, capsys, kind):
+        # the train set has 2 features; the test set 3 (blobs) or 4 (2x2 IDX images)
+        test_files = [self.corrupted(tmp_path, 6, dim=3)] if kind == "npds" else write_idx(tmp_path, "t", [0, 1, 2])
+        train_file, out = self.corrupted(tmp_path), tmp_path / "run"
+        assert run(["train", "--dataset", train_file, "--test-dataset", *test_files, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        dims = {"npds": 3, "idx": 4}[kind]
+        assert f"test set {' '.join(test_files)} has {dims} features" in err
+        assert f"train set {train_file} has 2" in err
+        assert not out.exists()
 
     def test_test_dataset_file(self, tmp_path):
         out = tmp_path / "run"

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from npcl import losses
 from npcl.losses import BaseLoss, _loss_pass, margins_and_values, multiclass_margin
 from npcl.objectives import MarginBatch
 
@@ -233,6 +234,16 @@ class TestFusedLossPass:
             h.update(np.asarray(kind.values(t, y)).tobytes())
             h.update(np.asarray(kind.gradients(t, y)).tobytes())
         assert h.hexdigest() == "8afce8801e7689c2d5b5a611670625eb7a321deb6ece7332ad82acbb9c0c8414"
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_row_blocks_change_no_bit(self, monkeypatch, rows):
+        # inputs above RIVAL_ROWS rows take the rival pass block by block
+        t, y = tied_batch(22)
+        expected = [_loss_pass(t, y, kind, gradients=True) for kind in KINDS]
+        monkeypatch.setattr(losses, "RIVAL_ROWS", rows)
+        for kind, outputs in zip(KINDS, expected):
+            for got, want in zip(_loss_pass(t, y, kind, gradients=True), outputs):
+                assert np.array_equal(got, want)
 
     def test_rejects_non_finite_logits(self):
         t, y = tied_batch(21, n=4)
