@@ -109,6 +109,8 @@ def project_chi_square_ball(w, delta):
     budget = n * (1.0 + delta) - n * n / k
     # budget rises with k, so the supports with room left are the k from `first` on
     first = int(np.searchsorted(budget, 0.0, side="right"))
+    if first == n:
+        return np.ones(n)  # delta so small that 1 + delta rounds to 1: no room left
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sqrt(np.minimum(1.0, budget[first:] / scatter[first:]))
         theta = mean[first:] - n / (k[first:] * s)

@@ -75,15 +75,12 @@ def _rival_scores(t, y):
     the rival is never the masked true class and can be read back from ``t``.
     """
     n = t.shape[0]
-    if n > RIVAL_ROWS:
-        idx = np.concatenate([_rival_scores(t[s : s + RIVAL_ROWS], y[s : s + RIVAL_ROWS])[1]
-                              for s in range(0, n, RIVAL_ROWS)])
-        return t[np.arange(n), idx], idx
-    masked = t.copy()
-    masked[np.arange(t.shape[0]), y] = -np.inf
-    rival_idx = np.argmax(masked, axis=1)
-    rival = masked[np.arange(t.shape[0]), rival_idx]
-    return rival, rival_idx
+    idx = np.empty(n, dtype=np.intp)
+    for s in range(0, n, RIVAL_ROWS):
+        masked = t[s : s + RIVAL_ROWS].copy()
+        masked[np.arange(masked.shape[0]), y[s : s + RIVAL_ROWS]] = -np.inf
+        np.argmax(masked, axis=1, out=idx[s : s + RIVAL_ROWS])
+    return t[np.arange(n), idx], idx
 
 
 def _margins(t, y):

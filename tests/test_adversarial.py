@@ -88,6 +88,10 @@ class TestProjection:
     def test_zero_budget_returns_uniform(self):
         np.testing.assert_array_equal(project_chi_square_ball(np.array([3.0, -1.0]), 0.0), [1.0, 1.0])
 
+    def test_budget_below_rounding_returns_uniform(self):
+        # 1 + 1e-17 rounds to 1, so no support has budget left
+        np.testing.assert_array_equal(project_chi_square_ball(np.array([3.0, -1.0, 0.5]), 1e-17), np.ones(3))
+
 
 def bisection_projection(w, delta):
     """Slow reference: bisect the quadratic constraint's multiplier ``lam``.
@@ -207,6 +211,12 @@ class TestSolverAgreement:
             spec = AdvRiskSpec(float(rng.uniform(n / l.sum() - 1.0, 2.0)))
             assert empirical_adversarial_risk(l, spec) == 1.0
             assert adversarial_risk_numeric(l, spec) == pytest.approx(1.0, abs=1e-12)
+
+    def test_budget_below_rounding(self):
+        l = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+        spec = AdvRiskSpec(1e-17)
+        assert adversarial_risk_numeric(l, spec) == 0.4
+        assert adversarial_risk_numeric(l, spec) == pytest.approx(empirical_adversarial_risk(l, spec), abs=1e-6)
 
 
 SOLVER_STEPS = [min(4.0**i, MAX_STEP) for i in range(14)] + [MAX_STEP] * POLISH_STEPS

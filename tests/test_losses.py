@@ -237,7 +237,8 @@ class TestFusedLossPass:
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_row_blocks_change_no_bit(self, monkeypatch, rows):
-        # inputs above RIVAL_ROWS rows take the rival pass block by block
+        # the rival pass takes its input RIVAL_ROWS rows at a time; the block
+        # size moves no bit
         t, y = tied_batch(22)
         expected = [_loss_pass(t, y, kind, gradients=True) for kind in KINDS]
         monkeypatch.setattr(losses, "RIVAL_ROWS", rows)
