@@ -195,6 +195,9 @@ def _check_source(args):
         raise CliError("choose either --dataset or --synthetic, not both")
     if not (args.synthetic or args.dataset):
         raise CliError("need --dataset or --synthetic")
+    if args.synthetic and args.test_dataset:
+        raise CliError("--synthetic builds its own test set and would ignore --test-dataset; "
+                       "drop one of them")
 
 
 def _blobs(args, size, size_flag, stream):

@@ -14,11 +14,18 @@ corrupted dataset keeps the originals as its clean labels; its
 ``flip_flags`` are the coins that came up, since every flip changes the
 label.  ``write_sidecar`` records the spec and those flags next to a saved
 copy.
+
+At symmetric rates ``>= (K-1)/K`` and pair rates ``>= 0.5`` the true label
+is no longer more frequent within its class than every wrong label, the
+limit up to which symmetric losses stay noise-tolerant (Ghosh, Kumar &
+Sastry, AAAI 2017); ``corrupt_dataset`` still corrupts at such rates but
+warns.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -56,6 +63,11 @@ def corrupt_dataset(dataset, spec: CorruptionSpec):
     if spec.num_classes != dataset.num_classes:
         raise ValueError("corruption spec and dataset disagree on class count")
     y, k = dataset.labels, dataset.num_classes
+    plurality_bound = (k - 1) / k if spec.kind == "symmetric" else 0.5
+    if spec.rate >= plurality_bound:
+        warnings.warn(f"{spec.kind} noise at rate {spec.rate} on K = {k} classes leaves no clean "
+                      f"plurality label (needs a rate below {plurality_bound:.4g})",
+                      RuntimeWarning, stacklevel=2)
     rng = np.random.default_rng(spec.seed)
     flips = rng.random(y.size) < spec.rate
     # symmetric: an offset in 1..K-1 lands uniformly on the classes other than y

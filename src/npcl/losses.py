@@ -18,6 +18,16 @@ loop's included, is one pass (``_loss_pass``) over shared rival scores; the
 hard hinge on given margins (``_hinge_from_margins``) is shared by that pass
 and ``MarginBatch.from_margins``.
 
+The margins come from one blocked pass over the rows (``_margins``).  A
+block holds ``MARGIN_BLOCK`` elements, so it stays in cache at any class
+count, and a training batch is one block.  Per block: a finiteness check by
+its min and max, the true scores by one flat gather, and the rival score as
+a running ``np.maximum`` over the columns with the true class masked to
+``-inf``.  Rival ties resolve to the lowest class index (``np.argmax``'s
+rule), which fixes both the subgradient and the sign of a zero rival score;
+``np.maximum`` may keep either zero of a ``+-0`` tie, so rows whose rival
+score is zero are re-read by ``np.argmax``.
+
 Binary classification is the K=2 special case; there is no separate code
 path.  The public functions accept a single sample (``logits`` of shape
 ``(K,)``, integer label) or a batch (``(n, K)`` logits, ``(n,)`` labels).
@@ -25,6 +35,7 @@ path.  The public functions accept a single sample (``logits`` of shape
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +46,9 @@ __all__ = [
     "margins_and_values",
 ]
 
-# rows per block of the rival-score pass; a training batch is one block, and a
-# million-row input needs a masked copy of one block at a time, not of all rows
-RIVAL_ROWS = 1 << 16
+# elements per block of the margin pass: a cache-sized masked copy at any
+# class count, and a million-row input never needs a copy of all its rows
+MARGIN_BLOCK = 1 << 15
 
 
 def _as_batch(logits, labels):
@@ -67,31 +78,51 @@ def _unwrap(values, single):
     return float(values[0]) if single else values
 
 
-def _rival_scores(t, y):
-    """Highest score among the non-true classes, with its index.
+def _margins(t, y, rival_index=False):
+    """Margins of validated ``(n, K)`` logits: ``(u, true_scores, rival_idx)``.
 
-    Ties are broken toward the smallest index (np.argmax convention), which
-    pins down the subgradient of the hinge losses.  ``t`` must be finite, so
-    the rival is never the masked true class and can be read back from ``t``.
+    One pass over blocks of ``MARGIN_BLOCK`` elements (at least one row).
+    Each block is checked for non-finite values (NaN propagates through
+    ``min``), copied, and its true scores are gathered and then masked to
+    ``-inf`` by flat row-major positions.  The rival score, the highest
+    non-true score, is a running ``np.maximum`` over the K columns, written
+    straight into the margin buffer.  Ties resolve to the smallest class
+    index, as in ``np.argmax``: equal nonzero scores have equal bits, but
+    ``np.maximum`` may keep either zero of a ``+-0`` tie, so rows whose
+    rival score is zero are re-read through ``np.argmax``.  Only when
+    ``rival_index`` is set does the pass find the rival's index, by
+    ``np.argmax`` over the masked block.  The margins ``true - rival`` then
+    overwrite the rival scores in place; no ``(n,)`` index array is made
+    for values alone.
     """
-    n = t.shape[0]
-    idx = np.empty(n, dtype=np.intp)
-    for s in range(0, n, RIVAL_ROWS):
-        masked = t[s : s + RIVAL_ROWS].copy()
-        masked[np.arange(masked.shape[0]), y[s : s + RIVAL_ROWS]] = -np.inf
-        np.argmax(masked, axis=1, out=idx[s : s + RIVAL_ROWS])
-    return t[np.arange(n), idx], idx
-
-
-def _margins(t, y):
-    """Margins of validated ``(n, K)`` logits: ``(u, true_scores, rival_idx)``."""
-    if not np.all(np.isfinite(t)):
-        raise ValueError("logits contain non-finite values")
-    rival, rival_idx = _rival_scores(t, y)
-    true = t[np.arange(t.shape[0]), y]
-    # margins overwrite the rival buffer: on million-row batches every
-    # avoided (n,) temporary lowers peak memory
-    return np.subtract(true, rival, out=rival), true, rival_idx
+    n, k = t.shape
+    rows = max(1, MARGIN_BLOCK // k)
+    u, true = np.empty(n), np.empty(n)
+    rival_idx = np.empty(n, dtype=np.intp) if rival_index else None
+    masked = np.empty((min(rows, n), k))
+    row_starts = np.arange(0, masked.size, k)
+    for s in range(0, n, rows):
+        block = t[s : s + rows]
+        m = block.shape[0]
+        if not (math.isfinite(block.min()) and math.isfinite(block.max())):
+            raise ValueError("logits contain non-finite values")
+        work = masked[:m]
+        np.copyto(work, block)
+        flat = work.reshape(-1)
+        pos = row_starts[:m] + y[s : s + m]
+        true[s : s + m] = flat[pos]
+        flat[pos] = -np.inf
+        rival = u[s : s + m]
+        np.maximum(work[:, 0], work[:, 1], out=rival)
+        for j in range(2, k):
+            np.maximum(rival, work[:, j], out=rival)
+        if np.count_nonzero(rival) < m:
+            zero = np.flatnonzero(rival == 0.0)
+            rival[zero] = work[zero, np.argmax(work[zero], axis=1)]
+        if rival_index:
+            np.argmax(work, axis=1, out=rival_idx[s : s + m])
+        np.subtract(true[s : s + m], rival, out=rival)
+    return u, true, rival_idx
 
 
 def _logsumexp(t):
@@ -113,10 +144,11 @@ def _loss_pass(t, y, kind, gradients):
     ``t`` is ``(n, K)`` float64 and ``y`` ``(n,)`` int64 labels in range;
     only finiteness is checked here, so a loop whose data was validated once
     can call this on every batch.  The rival scores are computed once and
-    shared by all three results.  Returns ``(margins, values, grads)`` with
-    ``grads`` None when not asked for.
+    shared by all three results, the rival indices only for ``gradients``.
+    Returns ``(margins, values, grads)`` with ``grads`` None when not asked
+    for.
     """
-    u, true, rival_idx = _margins(t, y)
+    u, true, rival_idx = _margins(t, y, rival_index=gradients)
     hard = _hinge_from_margins(u)
     if kind.kind == "hinge":
         values = hard

@@ -114,6 +114,7 @@ class TestRejectedFlags:
         (["--batch-size", "0"], ["--batch-size"]),
         (["--burn-in", "3"], ["--burn-in", "--epochs"]),  # smoke_args runs 3 epochs
         (["--burn-in", "-1"], ["--burn-in", "--epochs"]),
+        (["--test-dataset", "/nonexistent/file.npds"], ["--synthetic", "--test-dataset"]),
     ], ids=lambda v: " ".join(v))
     def test_train(self, tmp_path, capsys, argv, flags):
         assert run(smoke_args(tmp_path / "run", extra=argv)) == 1  # smoke_args sets --epsilon-prior 0.4
@@ -153,6 +154,13 @@ class TestRejectedFlags:
         assert "--burn-in" in err and "--epochs" in err
         assert not (tmp_path / "run").exists()
 
+    def test_sweep_with_synthetic_data_and_a_test_dataset(self, tmp_path, capsys):
+        argv = smoke_args(tmp_path / "run", extra=["--test-dataset", "/nonexistent/file.npds"])
+        assert run(["sweep", *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "--synthetic" in err and "--test-dataset" in err
+        assert not (tmp_path / "run").exists()
+
     def test_full_mode_with_zero_prior_runs(self, tmp_path):
         assert run(smoke_args(tmp_path / "run", epochs=2, extra=["--threshold", "full-q", "--epsilon-prior", "0"])) == 0
 
@@ -173,6 +181,11 @@ class TestDefaults:
 
 
 class TestTrain:
+    def test_noise_without_a_clean_plurality_warns(self, tmp_path):
+        # four classes: symmetric noise at 0.75 leaves the true label no plurality
+        with pytest.warns(RuntimeWarning, match="symmetric noise at rate 0.75 on K = 4"):
+            assert run(smoke_args(tmp_path / "run", epochs=2, extra=["--noise-rate", "0.75"])) == 0
+
     def test_smoke_run_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(smoke_args(out, epochs=5)) == 0

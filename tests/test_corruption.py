@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ def test_zero_rate_is_identity():
 
 def test_symmetric_never_keeps_original():
     y = np.full(5000, 3)
-    out, flags = corrupt(y, CorruptionSpec("symmetric", 1.0, 1, 10))
+    with pytest.warns(RuntimeWarning, match="plurality"):
+        out, flags = corrupt(y, CorruptionSpec("symmetric", 1.0, 1, 10))
     assert flags.all()
     assert np.all(out != 3)
     assert np.all((out >= 0) & (out < 10))
@@ -54,7 +56,8 @@ def test_symmetric_rate_concentration():
 
 def test_symmetric_targets_roughly_uniform():
     y = np.zeros(20000, dtype=np.int64)
-    out, flags = corrupt(y, CorruptionSpec("symmetric", 1.0, 5, 5))
+    with pytest.warns(RuntimeWarning, match="plurality"):
+        out, flags = corrupt(y, CorruptionSpec("symmetric", 1.0, 5, 5))
     counts = np.bincount(out, minlength=5)
     assert counts[0] == 0
     # each wrong class gets ~5000; 5 sigma band
@@ -63,7 +66,8 @@ def test_symmetric_targets_roughly_uniform():
 
 def test_pair_full_rate_is_cyclic_successor():
     y = np.arange(10000) % 10
-    out, flags = corrupt(y, CorruptionSpec("pair", 1.0, 2, 10))
+    with pytest.warns(RuntimeWarning, match="plurality"):
+        out, flags = corrupt(y, CorruptionSpec("pair", 1.0, 2, 10))
     assert flags.all()
     assert np.array_equal(out, (y + 1) % 10)
 
@@ -101,6 +105,36 @@ def test_corrupted_label_digest(kind, digest):
     for seed in (0, 1, 2):
         h.update(corrupt(y, CorruptionSpec(kind, 0.3, seed, 7))[0].astype("<i8").tobytes())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind, rate, k, warns", [
+    ("symmetric", 0.9, 10, True),
+    ("symmetric", 0.89, 10, False),
+    ("symmetric", 0.5, 2, True),
+    ("symmetric", 0.74, 4, False),
+    ("pair", 0.5, 10, True),
+    ("pair", 0.49, 10, False),
+    ("pair", 1.0, 3, True),
+])
+def test_warns_when_no_clean_plurality_is_left(kind, rate, k, warns):
+    # symmetric noise at rate >= (K-1)/K and pair noise at rate >= 0.5; the
+    # warning leaves the draw alone
+    y = np.arange(700) % k
+    spec = CorruptionSpec(kind, rate, 4, k)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out, flags = corrupt(y, spec)
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    if warns:
+        assert len(messages) == 1
+        assert all(word in messages[0] for word in (kind, f"rate {rate}", f"K = {k}"))
+    else:
+        assert messages == []
+    rng = np.random.default_rng(4)
+    want_flags = rng.random(y.size) < rate
+    offsets = rng.integers(1, k, size=y.size) if kind == "symmetric" else 1
+    assert np.array_equal(flags, want_flags)
+    assert np.array_equal(out, np.where(want_flags, (y + offsets) % k, y))
 
 
 def test_corrupt_dataset_keeps_clean_labels_and_features():

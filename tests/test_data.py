@@ -298,9 +298,19 @@ class TestNpdsHeader:
             load(path)
 
 
+def noisy_blobs(n):
+    """A two-class dataset that stores clean labels, for the serialization checks.
+
+    Symmetric noise at rate 0.5 leaves two classes no clean plurality, which
+    ``corrupt_dataset`` warns about; the bytes here only need both label sets.
+    """
+    with pytest.warns(RuntimeWarning, match="plurality"):
+        return corrupt_dataset(synth_blobs(n, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2))
+
+
 @pytest.mark.parametrize("save, load, value, fields", [
     (save_dataset, load_dataset,
-     corrupt_dataset(synth_blobs(10, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2)),
+     noisy_blobs(10),
      ["magic", "version", "sample count", "feature count", "class count", "flags",
       "features", "labels", "clean labels"]),
     (save_params, load_params, MlpParams.init([3, 5, 2], seed=0),
@@ -343,7 +353,7 @@ def expect_value_error_naming(load, path, *args):
 
 @pytest.mark.parametrize("save, load, value, plausible", [
     (save_dataset, load_dataset,
-     corrupt_dataset(synth_blobs(4, 2, 3.0, 0.5, seed=1), CorruptionSpec("symmetric", 0.5, 1, 2)),
+     noisy_blobs(4),
      lambda dataset: dataset.num_classes <= MAX_CLASSES and dataset.dim > 0 and len(dataset) > 0),
     (save_params, load_params, MlpParams.init([2, 2, 2], seed=0), lambda params: 0.0 <= params.alpha <= 1.0),
     (lambda path, flags: write_sidecar(path, CorruptionSpec("pair", 0.35, 5, 3), flags), read_sidecar,

@@ -1,6 +1,7 @@
 """Margins, hinge losses, and their subgradients."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,11 +238,11 @@ class TestFusedLossPass:
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_row_blocks_change_no_bit(self, monkeypatch, rows):
-        # the rival pass takes its input RIVAL_ROWS rows at a time; the block
-        # size moves no bit
+        # the margin pass takes its input MARGIN_BLOCK elements at a time; the
+        # block size moves no bit
         t, y = tied_batch(22)
         expected = [_loss_pass(t, y, kind, gradients=True) for kind in KINDS]
-        monkeypatch.setattr(losses, "RIVAL_ROWS", rows)
+        monkeypatch.setattr(losses, "MARGIN_BLOCK", rows * t.shape[1])
         for kind, outputs in zip(KINDS, expected):
             for got, want in zip(_loss_pass(t, y, kind, gradients=True), outputs):
                 assert np.array_equal(got, want)
@@ -251,3 +252,71 @@ class TestFusedLossPass:
         t[2, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             _loss_pass(t, y, BaseLoss.hinge(), gradients=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_the_last_block_only(self, bad):
+        k = 10
+        rng = np.random.default_rng(5)
+        n = 3 * (losses.MARGIN_BLOCK // k) + 5  # three full blocks and a short one
+        t = rng.integers(-8, 9, size=(n, k)) / 4.0
+        y = rng.integers(0, k, size=n)
+        t[-1, 3] = bad
+        for gradients in (False, True):
+            with pytest.raises(ValueError, match="non-finite"):
+                _loss_pass(t, y, BaseLoss.hinge(), gradients=gradients)
+
+
+def signed_zero_batch():
+    # only +-0 and +-1: nearly every row has a rival tie, many between zeros
+    # of either sign, so the sign of each zero margin pins the tie rule
+    rng = np.random.default_rng(31)
+    t = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0]), size=(20_000, 5))
+    return t, rng.integers(0, 5, size=20_000)
+
+
+def two_class_batch():
+    rng = np.random.default_rng(32)
+    t = rng.choice(np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), size=(5_000, 2))
+    return t, rng.integers(0, 2, size=5_000)
+
+
+def dyadic_batch():
+    # 300,000 x 10 spans many margin blocks
+    rng = np.random.default_rng(33)
+    t = rng.integers(-4096, 4097, size=(300_000, 10)) / 1024.0
+    return t, rng.integers(0, 10, size=300_000)
+
+
+class TestMarginPassDigest:
+    """sha256 of every ``_loss_pass`` output, recorded before the margins were
+    taken by column maxima in cache-sized blocks."""
+
+    @pytest.mark.parametrize("batch, digest", [
+        (signed_zero_batch, "51fa67a22b384384774ced3e8af43c6c024add333ab08ec9fe944a24ab8c88b3"),
+        (two_class_batch, "ec35d65bb81da56d4c60f378a99d5327ee7f3a48dcf6204994246ab71f125270"),
+        (dyadic_batch, "f5c7df535baa08e245063efde37a00582b2ae4682c6af66c42955bd84904a233"),
+    ], ids=["signed-zeros", "two-classes", "dyadic-300k"])
+    def test_outputs_match_recorded_digest(self, batch, digest):
+        t, y = batch()
+        h = hashlib.sha256()
+        for kind in KINDS:
+            for gradients in (False, True):
+                for out in _loss_pass(t, y, kind, gradients=gradients):
+                    if out is not None:
+                        h.update(out.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_values_path_memory(self):
+        # four (n,) float64 vectors: the int64 labels, the true scores, the
+        # margins and the hinge values; no (n,) index array and no copy of
+        # the logits (the parent pass peaked at 38.2 MiB here)
+        rng = np.random.default_rng(34)
+        t = rng.integers(-4096, 4097, size=(1_000_000, 10)) / 1024.0
+        y = rng.integers(0, 10, size=1_000_000)
+        tracemalloc.start()
+        try:
+            margins_and_values(t, y, HARD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
