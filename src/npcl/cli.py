@@ -9,7 +9,9 @@ to its outputs, in the same line-oriented ``key = value`` format the
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import warnings
 from pathlib import Path
 
 from .corruption import CorruptionSpec, corrupt_dataset, write_sidecar
@@ -102,8 +104,6 @@ def _add_train_flags(sub):
                      help="hinge | soft-hinge | weighted:<beta>")
     sub.add_argument("--threshold", default=_DEFAULTS.threshold.kind,
                      choices=list(ThresholdMode.KINDS))
-    sub.add_argument("--epsilon-prior", type=_checked(ThresholdMode.npcl_fixed),
-                     default=_DEFAULTS.threshold.epsilon)
     sub.add_argument("--epochs", type=_checked(_check_epochs, int), default=_DEFAULTS.epochs)
     sub.add_argument("--batch-size", type=_checked(_check_batch_size, int), default=_DEFAULTS.batch_size)
     sub.add_argument("--burn-in", type=int, default=_DEFAULTS.burn_in_epochs)
@@ -112,7 +112,6 @@ def _add_train_flags(sub):
     sub.add_argument("--no-selection", action="store_true",
                      help="train on every sample (baseline path)")
     sub.add_argument("--no-shuffle", action="store_true")
-    sub.add_argument("--checkpoint", help="write final parameters to this file")
 
 
 def build_parser():
@@ -132,6 +131,10 @@ def build_parser():
         _add_data_flags(sub)
         if name != "corrupt":
             _add_train_flags(sub)
+        if name == "train":  # sweep sets each cell's prior and writes no parameters
+            sub.add_argument("--epsilon-prior", type=_checked(ThresholdMode.npcl_fixed),
+                             default=_DEFAULTS.threshold.epsilon)
+            sub.add_argument("--checkpoint", help="write final parameters to this file")
         subparsers[name] = sub
 
     verify = subs.add_parser("verify", help="run the property suites")
@@ -266,17 +269,16 @@ def _load_datasets(args):
     return train_set, test_set
 
 
-def _train_config(args, prior=None):
-    epsilon = args.epsilon_prior if prior is None else prior
+def _train_config(args):
     _paired(_check_epochs, ["--epochs", "--burn-in"], args.epochs, args.burn_in)
-    if epsilon and not args.threshold.startswith("npcl"):
-        raise CliError(f"--threshold {args.threshold} ignores --epsilon-prior, got {epsilon}; "
+    if args.epsilon_prior and not args.threshold.startswith("npcl"):
+        raise CliError(f"--threshold {args.threshold} ignores --epsilon-prior, got {args.epsilon_prior}; "
                        "leave it at 0 or choose an npcl threshold")
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         burn_in_epochs=args.burn_in,
-        threshold=ThresholdMode(args.threshold, epsilon),
+        threshold=ThresholdMode(args.threshold, args.epsilon_prior),
         base_loss=BaseLoss.parse(args.loss),
         lr=args.lr,
         seed=args.seed,
@@ -318,29 +320,68 @@ def _cmd_corrupt(args):
     return 0
 
 
+def _sweep_cells(args):
+    """The ``train`` flags of each in-range prior cell, with the number of factors skipped."""
+    cells, skipped = [], 0
+    for factor in SWEEP_FACTORS:
+        prior = factor * args.noise_rate
+        if not 0.0 <= prior < 1.0:
+            print(f"skipping factor {factor}: prior {prior:.3f} outside [0, 1)", file=sys.stderr)
+            skipped += 1
+            continue
+        out = str(Path(args.out) / f"prior_{prior:.4g}")
+        cells.append(argparse.Namespace(**{**vars(args), "epsilon_prior": prior, "out": out}))
+    return cells, skipped
+
+
+_cell_data = None  # a sweep worker's (train set, test set), inherited from the parent on fork
+
+
+def _hold_cell_data(*datasets):
+    global _cell_data
+    _cell_data = datasets
+
+
+def _train_cell(config):
+    """One sweep cell in a pool worker: its metrics and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        metrics, _ = train(config, *_cell_data)
+    return metrics, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
 def _cmd_sweep(args):
     if not args.threshold.startswith("npcl"):
         raise CliError(f"sweep varies the prior, which --threshold {args.threshold} ignores; "
                        "choose an npcl threshold")
     if args.noise_rate == 0.0:
         raise CliError("sweep needs a true --noise-rate to scale priors from")
-    out = Path(args.out)
     train_set, test_set = _load_datasets(args)
-    failures = 0
-    for factor in SWEEP_FACTORS:
-        prior = factor * args.noise_rate
-        if not 0.0 <= prior < 1.0:
-            print(f"skipping factor {factor}: prior {prior:.3f} outside [0, 1)", file=sys.stderr)
-            failures += 1
-            continue
-        config = _train_config(args, prior=prior)
-        cell = out / f"prior_{prior:.4g}"
-        cell.mkdir(parents=True, exist_ok=True)
-        _echo_config(args, cell / "config.txt")
-        metrics, _ = train(config, train_set, test_set)
-        write_metrics_csv(cell / "metrics.csv", metrics)
-        print(f"prior {prior:.4g}: final test accuracy {metrics[-1].test_acc:.4f}")
-    return 1 if failures else 0
+    cells, skipped = _sweep_cells(args)
+    configs = [_train_config(cell) for cell in cells]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(cells), len(os.sched_getaffinity(0)))
+    sys.stdout.flush()  # a forked worker flushes what it inherits when it exits
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_hold_cell_data, initargs=(train_set, test_set))
+    try:
+        futures = [pool.submit(_train_cell, config) for config in configs]
+        seen = {}  # repeats of one warning show once per sweep, as from one process
+        for cell, future in zip(cells, futures):
+            out = Path(cell.out)
+            out.mkdir(parents=True, exist_ok=True)
+            _echo_config(cell, out / "config.txt")
+            metrics, caught = future.result()
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno, registry=seen)
+            write_metrics_csv(out / "metrics.csv", metrics)
+            print(f"prior {cell.epsilon_prior:.4g}: final test accuracy {metrics[-1].test_acc:.4f}")
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return 1 if skipped else 0
 
 
 def _cmd_verify(args):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -41,6 +42,13 @@ def smoke_args(out, epochs=3, extra=()):
         "--out", str(out),
         *extra,
     ]
+
+
+def sweep_args(out, epochs=3, extra=()):
+    """``smoke_args`` as a sweep, which sets each cell's prior itself."""
+    argv = smoke_args(out, epochs, extra)
+    prior = argv.index("--epsilon-prior")
+    return ["sweep", *argv[1:prior], *argv[prior + 2:]]
 
 
 class TestExitCodes:
@@ -140,23 +148,31 @@ class TestRejectedFlags:
         assert run([command, "--synthetic", "blobs", "--noise", "pair", *argv, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["--epsilon-prior", "0.3"], ["--epsilon-prior"]),
+        (["--checkpoint", "ck.bin"], ["--checkpoint"]),
+    ], ids=lambda v: " ".join(v))
+    def test_sweep(self, tmp_path, capsys, monkeypatch, argv, flags):
+        monkeypatch.chdir(tmp_path)
+        assert run(sweep_args(tmp_path / "run", extra=argv)) == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "ck.bin").exists()
+
     @pytest.mark.parametrize("threshold", ["full-q", "full-e"])
     def test_sweep_with_a_full_mode(self, tmp_path, capsys, threshold):
-        argv = smoke_args(tmp_path / "run", extra=["--threshold", threshold, "--epsilon-prior", "0"])
-        assert run(["sweep", *argv[1:]]) == 1
+        assert run(sweep_args(tmp_path / "run", extra=["--threshold", threshold])) == 1
         assert "--threshold" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_sweep_with_a_burn_in_as_long_as_the_run(self, tmp_path, capsys):
-        argv = smoke_args(tmp_path / "run", extra=["--burn-in", "3"])
-        assert run(["sweep", *argv[1:]]) == 1
+        assert run(sweep_args(tmp_path / "run", extra=["--burn-in", "3"])) == 1
         err = capsys.readouterr().err
         assert "--burn-in" in err and "--epochs" in err
         assert not (tmp_path / "run").exists()
 
     def test_sweep_with_synthetic_data_and_a_test_dataset(self, tmp_path, capsys):
-        argv = smoke_args(tmp_path / "run", extra=["--test-dataset", "/nonexistent/file.npds"])
-        assert run(["sweep", *argv[1:]]) == 1
+        assert run(sweep_args(tmp_path / "run", extra=["--test-dataset", "/nonexistent/file.npds"])) == 1
         err = capsys.readouterr().err
         assert "--synthetic" in err and "--test-dataset" in err
         assert not (tmp_path / "run").exists()
@@ -548,3 +564,81 @@ class TestSweep:
 
     def test_requires_noise_rate(self, tmp_path):
         assert run(["sweep", "--synthetic", "blobs", "--out", str(tmp_path)]) == 1
+
+
+class TestParallelSweep:
+    """The cells train in forked pool workers; files, stdout, warnings and exit codes are the serial loop's."""
+
+    ARGV = ["sweep", "--synthetic", "blobs", "--train-size", "160", "--test-size", "64",
+            "--noise", "symmetric", "--noise-rate", "0.4", "--epochs", "3", "--batch-size", "32",
+            "--burn-in", "1", "--seed", "5"]
+    PRIORS = ["0.2", "0.3", "0.4", "0.5", "0.6"]
+    # sha256 of each cell's metrics.csv, recorded with the serial cell loop before the pool
+    DIGESTS = {
+        "0.2": "9a91a89a200305894d8e0c976ac7481600dd4e0c75385fca769e5c581bec32ae",
+        "0.3": "4815c0ba1a89c88621cd159f00a8c901b61308b8a8c0aa9926b2124df5105f01",
+        "0.4": "54c6b7a0f504f5a68fe53c0bcbce8d088858f538094f7e974140720b5ba1ea32",
+        "0.5": "31ee9998c5847481da7cc886436f002a422bb3d6f13bba8130cbb37eab6c2827",
+        "0.6": "6021cba2e2dd1d76ab58f5bf652bd95e4d876ddeb6d5155949f8e8d02371569f",
+    }
+
+    @staticmethod
+    def train_calling(act, prior):
+        """``train`` that first calls ``act`` in the cell of ``prior``; forked workers inherit the patch."""
+        def patched(config, *datasets):
+            if f"{config.threshold.epsilon:.4g}" == prior:
+                act()
+            return train(config, *datasets)
+        return patched
+
+    @pytest.mark.parametrize("cpus", [None, 1], ids=["all-cpus", "one-cpu"])
+    def test_cell_digests(self, tmp_path, monkeypatch, cpus):
+        if cpus:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert run([*self.ARGV, "--out", str(tmp_path)]) == 0
+        digests = {cell.parent.name.removeprefix("prior_"): hashlib.sha256(cell.read_bytes()).hexdigest()
+                   for cell in tmp_path.glob("*/metrics.csv")}
+        assert digests == self.DIGESTS
+
+    def test_cell_config_reruns_the_cell(self, tmp_path):
+        assert run([*self.ARGV, "--out", str(tmp_path)]) == 0
+        for prior in self.PRIORS:
+            cell = tmp_path / f"prior_{prior}"
+            config, metrics = (cell / "config.txt").read_text(), (cell / "metrics.csv").read_bytes()
+            echo = dict(line.split(" = ", 1) for line in config.splitlines())
+            assert echo["out"] == str(cell) and f"{float(echo['epsilon-prior']):.4g}" == prior
+            (cell / "metrics.csv").unlink()
+            assert run(["train", "--config", str(cell / "config.txt")]) == 0
+            assert (cell / "metrics.csv").read_bytes() == metrics
+            assert (cell / "config.txt").read_text() == config
+
+    def test_failing_cell_exits_with_its_message(self, tmp_path, capsys, monkeypatch):
+        def fail():
+            raise ValueError("cell 0.4 diverged")
+        monkeypatch.setattr(npcl.cli, "train", self.train_calling(fail, "0.4"))
+        assert run([*self.ARGV, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: cell 0.4 diverged\n"
+        assert [(tmp_path / f"prior_{p}" / "metrics.csv").is_file() for p in self.PRIORS[:3]] == [True, True, False]
+        assert multiprocessing.active_children() == []
+
+    def test_cell_warning_reaches_the_parent(self, tmp_path, monkeypatch):
+        def warn():
+            warnings.warn("cell 0.3 looks odd", RuntimeWarning)
+        monkeypatch.setattr(npcl.cli, "train", self.train_calling(warn, "0.3"))
+        with pytest.warns(RuntimeWarning, match="cell 0.3 looks odd"):
+            assert run([*self.ARGV, "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("*/metrics.csv"))) == 5
+        assert multiprocessing.active_children() == []
+
+    def test_each_line_once_on_a_pipe(self, tmp_path):
+        # the line printed before the sweep sits in the block-buffered pipe when the workers fork
+        code = "import sys; from npcl.cli import main; print('sweep'); main()"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run([sys.executable, "-c", code, *self.ARGV, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "sweep"
+        assert [line.split(":")[0] for line in lines[1:]] == [f"prior {p}" for p in self.PRIORS]
