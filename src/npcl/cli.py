@@ -14,7 +14,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .corruption import CorruptionSpec, corrupt_dataset, write_sidecar
+from .corruption import CorruptionSpec, corrupt_dataset
 from .data import (Dataset, IdxFormatError, _check_blob_size, _check_classes, _check_dim, _check_fraction,
                    _check_spread, load_dataset, load_idx, save_dataset, split, synth_blobs)
 from .losses import BaseLoss
@@ -71,13 +71,11 @@ def _paired(check, flags, *values):
 
 
 def _hidden(text):
+    """Comma-separated layer sizes as ints; their range is ``TrainConfig``'s."""
     try:
-        sizes = tuple(int(part) for part in text.split(",") if part)
+        return tuple(int(part) for part in text.split(",") if part)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad hidden sizes {text!r}") from exc
-    if any(size < 1 for size in sizes):
-        raise argparse.ArgumentTypeError(f"hidden sizes must be >= 1, got {text!r}")
-    return sizes
 
 
 def _add_data_flags(sub):
@@ -108,7 +106,8 @@ def _add_train_flags(sub):
     sub.add_argument("--batch-size", type=_checked(_check_batch_size, int), default=_DEFAULTS.batch_size)
     sub.add_argument("--burn-in", type=int, default=_DEFAULTS.burn_in_epochs)
     sub.add_argument("--lr", type=_checked(lambda v: TrainConfig(lr=v)), default=_DEFAULTS.lr)
-    sub.add_argument("--hidden", type=_hidden, default=_DEFAULTS.hidden)
+    sub.add_argument("--hidden", type=_checked(lambda v: TrainConfig(hidden=v), _hidden),
+                     default=_DEFAULTS.hidden)
     sub.add_argument("--no-selection", action="store_true",
                      help="train on every sample (baseline path)")
     sub.add_argument("--no-shuffle", action="store_true")
@@ -121,7 +120,7 @@ def build_parser():
 
     for name, help_text in (
         ("train", "run the selection training loop and write metrics"),
-        ("corrupt", "write a corrupted dataset plus sidecar"),
+        ("corrupt", "write a corrupted dataset"),
         ("sweep", "train across a grid of noise-rate priors"),
     ):
         sub = subs.add_parser(name, help=help_text)
@@ -247,8 +246,9 @@ def _match_classes(train_set, test_set, args):
 def _noise_spec(args, dataset):
     """The ``--noise`` corruption of ``dataset``, which must not hold clean labels already."""
     if dataset.clean_labels is not None:
-        raise CliError(f"--noise would replace the clean labels stored in {' '.join(args.dataset)}; "
-                       "drop --noise to train on its labels")
+        advice = ("it is already corrupted and can be trained on as it is" if args.command == "corrupt"
+                  else "drop --noise to train on its labels")
+        raise CliError(f"--noise would replace the clean labels stored in {' '.join(args.dataset)}; {advice}")
     return CorruptionSpec(args.noise, args.noise_rate, args.seed, dataset.num_classes)
 
 
@@ -308,15 +308,13 @@ def _cmd_corrupt(args):
     if not args.noise:
         raise CliError("corrupt needs --noise")
     dataset = _source(args)
-    spec = _noise_spec(args, dataset)
-    corrupted = corrupt_dataset(dataset, spec)
-    flags = corrupted.flip_flags  # every flip changes the label
+    corrupted = corrupt_dataset(dataset, _noise_spec(args, dataset))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(args, out / "config.txt")
     save_dataset(out / "corrupted.npds", corrupted)
-    write_sidecar(out / "corrupted.json", spec, flags)
-    print(f"wrote {out / 'corrupted.npds'} ({int(flags.sum())} of {len(dataset)} labels flipped)")
+    flipped = int(corrupted.flip_flags.sum())  # every flip changes the label
+    print(f"wrote {out / 'corrupted.npds'} ({flipped} of {len(dataset)} labels flipped)")
     return 0
 
 

@@ -12,8 +12,7 @@ coin vector drawn before the replacement draws, so a (kind, rate, seed, K)
 tuple pins down the corrupted labels bit for bit on any platform.  The
 corrupted dataset keeps the originals as its clean labels; its
 ``flip_flags`` are the coins that came up, since every flip changes the
-label.  ``write_sidecar`` records the spec and those flags next to a saved
-copy.
+label.
 
 At symmetric rates ``>= (K-1)/K`` and pair rates ``>= 0.5`` the true label
 is no longer more frequent within its class than every wrong label, the
@@ -24,20 +23,14 @@ warns.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, _check_classes
 
-__all__ = [
-    "CorruptionSpec",
-    "corrupt_dataset",
-    "write_sidecar",
-    "read_sidecar",
-]
+__all__ = ["CorruptionSpec", "corrupt_dataset"]
 
 
 @dataclass(frozen=True)
@@ -79,45 +72,3 @@ def corrupt_dataset(dataset, spec: CorruptionSpec):
         clean_labels=y.copy(),
     )
 
-
-def write_sidecar(path, spec: CorruptionSpec, flags):
-    """Record the corruption next to a serialized dataset.
-
-    The sidecar stores the spec, the sample count, and the indices of the
-    flipped entries, which together reproduce the flag vector exactly.
-    """
-    flags = np.asarray(flags, dtype=bool)
-    payload = {
-        "spec": asdict(spec),
-        "num_samples": int(flags.size),
-        "flipped_indices": np.flatnonzero(flags).tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def read_sidecar(path):
-    """The spec and flag vector recorded by ``write_sidecar``.
-
-    Malformed content raises ValueError naming the file and the key.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # UTF-8 and JSON decode errors
-        raise ValueError(f"{path}: not a sidecar JSON file: {exc}") from exc
-    entries = payload if isinstance(payload, dict) else {}
-    for key, kind in (("spec", dict), ("num_samples", int), ("flipped_indices", list)):
-        if type(entries.get(key)) is not kind:
-            raise ValueError(f"{path}: key {key!r} missing or not a JSON {kind.__name__}")
-    try:
-        spec = CorruptionSpec(**entries["spec"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: key 'spec': {exc}") from exc
-    n, indices = entries["num_samples"], entries["flipped_indices"]
-    if n < 0 or not all(type(i) is int and 0 <= i < n for i in indices):
-        raise ValueError(f"{path}: key 'flipped_indices' needs integers in [0, num_samples = {n})")
-    flags = np.zeros(n, dtype=bool)
-    flags[indices] = True
-    return spec, flags

@@ -23,7 +23,8 @@ Round-tripping through this format is bit-exact.  Readers reject an IDX
 file with no images or no labels, an IDX image with no rows or no columns,
 a dataset file with no samples, no features or a class count above
 ``MAX_CLASSES``, and any file with bytes left after its last field, naming
-the file and the field or the leftover byte count.
+the file and the field or the leftover byte count.  Every rejection is an
+``IdxFormatError``, which the command line reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ MAX_CLASSES = 65536
 
 
 class IdxFormatError(ValueError):
-    """Base for IDX parse failures."""
+    """Base for IDX and NPDS parse failures."""
 
 
 class BadMagicError(IdxFormatError):
@@ -287,19 +288,19 @@ def load_dataset(path):
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
         if magic != DATASET_MAGIC:
-            raise ValueError(f"{path}: not a dataset file (magic {magic!r})")
+            raise BadMagicError(f"{path}: not a dataset file (magic {magic!r})")
         version = _read_scalar(fh, "<I", path, "version")
         if version != 1:
-            raise ValueError(f"{path}: unsupported dataset version {version}")
+            raise IdxFormatError(f"{path}: unsupported dataset version {version}")
         n = _read_scalar(fh, "<Q", path, "sample count")
         if n == 0:
-            raise ValueError(f"{path}: sample count is 0; a dataset needs at least one sample")
+            raise IdxFormatError(f"{path}: sample count is 0; a dataset needs at least one sample")
         d = _read_scalar(fh, "<I", path, "feature count")
         if d == 0:
-            raise ValueError(f"{path}: feature count is 0; a sample needs at least one feature")
+            raise IdxFormatError(f"{path}: feature count is 0; a sample needs at least one feature")
         k = _read_scalar(fh, "<I", path, "class count")
         if k > MAX_CLASSES:
-            raise ValueError(f"{path}: class count {k} exceeds MAX_CLASSES = {MAX_CLASSES}")
+            raise IdxFormatError(f"{path}: class count {k} exceeds MAX_CLASSES = {MAX_CLASSES}")
         flags = _read_scalar(fh, "<I", path, "flags")
         features = _read_array(fh, n * d, "<f8", path, "features").reshape(n, d)
         labels = _read_array(fh, n, "<i8", path, "labels")
@@ -308,4 +309,4 @@ def load_dataset(path):
     try:
         return Dataset(features, labels, k, clean)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise IdxFormatError(f"{path}: {exc}") from exc

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import json
 import multiprocessing
 import os
 import struct
@@ -17,8 +16,8 @@ import pytest
 import npcl.cli
 from npcl.adversarial import empirical_adversarial_risk
 from npcl.cli import _echo_config, _train_config, build_parser, run
-from npcl.corruption import CorruptionSpec, corrupt_dataset, read_sidecar
-from npcl.data import load_dataset, split, synth_blobs
+from npcl.corruption import CorruptionSpec, corrupt_dataset
+from npcl.data import MAX_CLASSES, load_dataset, save_dataset, split, synth_blobs
 from npcl.net import _backprop, forward, load_params
 from npcl.selection import partial_optimize
 from npcl.training import METRICS_HEADER, TrainConfig, train
@@ -97,6 +96,26 @@ class TestExitCodes:
         code = run(["train", "--dataset", images, labels, "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"i/o error: {images}: image count is 0")
+
+    @pytest.mark.parametrize("fault", [
+        lambda data: b"XXXX" + data[4:],
+        lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
+        lambda data: data[:8] + struct.pack("<Q", 0) + data[16:],
+        lambda data: data[:16] + struct.pack("<I", 0) + data[20:],
+        lambda data: data[:20] + struct.pack("<I", MAX_CLASSES + 1) + data[24:],
+        lambda data: data[:20] + struct.pack("<I", 2) + data[24:],  # labels 0..2 under K = 2
+        lambda data: data[:-1],
+        lambda data: data + b"x",
+    ], ids=["magic", "version", "sample-count", "feature-count", "class-count", "labels",
+            "truncated", "trailing"])
+    def test_malformed_npds_is_io_error_naming_the_file(self, tmp_path, capsys, fault):
+        path = tmp_path / "bad.npds"
+        save_dataset(path, synth_blobs(6, 3, 3.0, 0.5, seed=1))
+        path.write_bytes(fault(path.read_bytes()))
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"i/o error: {path}: ")
+        assert not out.exists()
 
 
 class TestRejectedFlags:
@@ -347,24 +366,28 @@ class TestEmptyRunWarning:
             assert run(smoke_args(tmp_path / "run")) == 0
 
 
+CORRUPT_ARGS = ["corrupt", "--synthetic", "blobs", "--train-size", "300", "--noise", "pair",
+                "--noise-rate", "0.35", "--seed", "5"]
+
+
 class TestCorrupt:
-    def test_writes_dataset_and_sidecar(self, tmp_path, capsys):
+    def test_writes_dataset_and_config(self, tmp_path, capsys):
         out = tmp_path / "c"
-        code = run([
-            "corrupt",
-            "--synthetic", "blobs",
-            "--train-size", "300",
-            "--noise", "pair",
-            "--noise-rate", "0.35",
-            "--seed", "5",
-            "--out", str(out),
-        ])
-        assert code == 0
+        assert run([*CORRUPT_ARGS, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "corrupted.npds"]
+        echo = (out / "config.txt").read_text().splitlines()
+        assert {"noise = pair", "noise-rate = 0.35", "seed = 5"} <= set(echo)
         ds = load_dataset(out / "corrupted.npds")
-        spec, flags = read_sidecar(out / "corrupted.json")
-        assert spec.kind == "pair" and spec.rate == 0.35 and spec.seed == 5
-        assert np.array_equal(ds.flip_flags, flags)
         assert len(ds) == 300
+        flipped = int(ds.flip_flags.sum())
+        assert 0 < flipped < 300
+        assert f"({flipped} of 300 labels flipped)" in capsys.readouterr().out
+
+    def test_config_rerun_reproduces_dataset(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run([*CORRUPT_ARGS, "--out", str(first)]) == 0
+        assert run(["corrupt", "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+        assert (second / "corrupted.npds").read_bytes() == (first / "corrupted.npds").read_bytes()
 
     @pytest.mark.parametrize("kind", ["symmetric", "pair"])
     def test_outputs_match_corrupt_labels(self, tmp_path, kind):
@@ -380,10 +403,10 @@ class TestCorrupt:
         assert np.array_equal(ds.features, clean.features)
         assert np.array_equal(ds.labels, noisy.labels)
         assert np.array_equal(ds.clean_labels, clean.labels)
-        sidecar = json.loads((out / "corrupted.json").read_text())
-        assert sidecar["flipped_indices"] == np.flatnonzero(noisy.flip_flags).tolist()
-        assert sidecar["num_samples"] == 300
-        assert read_sidecar(out / "corrupted.json")[0] == spec
+        assert np.array_equal(np.flatnonzero(ds.flip_flags), np.flatnonzero(noisy.flip_flags))
+        assert len(ds) == 300
+        echo = (out / "config.txt").read_text().splitlines()
+        assert {f"noise = {kind}", "noise-rate = 0.35", "seed = 5", "classes = 3"} <= set(echo)
 
     def test_needs_noise_flag(self, tmp_path):
         assert run(["corrupt", "--synthetic", "blobs", "--out", str(tmp_path)]) == 1
@@ -462,6 +485,9 @@ class TestNpdsInput:
         assert run([command, "--dataset", path, "--noise", "pair", "--noise-rate", "0.2", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "--noise" in err and path in err
+        advice = {"train": "drop --noise to train on its labels",
+                  "corrupt": "it is already corrupted and can be trained on as it is"}[command]
+        assert advice in err
         assert not out.exists()
 
     def test_three_paths_rejected(self, tmp_path, capsys):

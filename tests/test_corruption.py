@@ -1,14 +1,12 @@
-"""Label flipping: rates, determinism, and sidecar round-trips."""
+"""Label flipping: rates, determinism, and plurality warnings."""
 
 import hashlib
-import json
-import re
 import warnings
 
 import numpy as np
 import pytest
 
-from npcl.corruption import CorruptionSpec, corrupt_dataset, read_sidecar, write_sidecar
+from npcl.corruption import CorruptionSpec, corrupt_dataset
 from npcl.data import Dataset, synth_blobs
 
 
@@ -145,32 +143,3 @@ def test_corrupt_dataset_keeps_clean_labels_and_features():
     assert np.array_equal(noisy.clean_labels, ds.labels)
     assert noisy.flip_flags.any()
     assert np.array_equal(noisy.labels[~noisy.flip_flags], ds.labels[~noisy.flip_flags])
-
-
-def test_sidecar_round_trip(tmp_path):
-    spec = CorruptionSpec("pair", 0.35, 42, 10)
-    y = np.arange(500) % 10
-    _, flags = corrupt(y, spec)
-    path = tmp_path / "noise.json"
-    write_sidecar(path, spec, flags)
-    spec2, flags2 = read_sidecar(path)
-    assert spec2 == spec
-    assert np.array_equal(flags2, flags)
-
-
-SPEC = {"kind": "pair", "rate": 0.35, "seed": 42, "num_classes": 10}
-
-
-@pytest.mark.parametrize("payload, key", [
-    ({"num_samples": 4, "flipped_indices": [1]}, "spec"),
-    ({"spec": {**SPEC, "noise": 1}, "num_samples": 4, "flipped_indices": [1]}, "spec"),
-    ({"spec": {**SPEC, "kind": "typo"}, "num_samples": 4, "flipped_indices": [1]}, "spec"),
-    ({"spec": SPEC, "num_samples": "4", "flipped_indices": [1]}, "num_samples"),
-    ({"spec": SPEC, "num_samples": 4, "flipped_indices": [4]}, "flipped_indices"),
-    ({"spec": SPEC, "num_samples": 4, "flipped_indices": [-1]}, "flipped_indices"),
-], ids=["missing", "unknown-field", "bad-kind", "count-type", "index-range", "negative-index"])
-def test_malformed_sidecar_names_file_and_key(tmp_path, payload, key):
-    path = tmp_path / "noise.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: key '{key}'")):
-        read_sidecar(path)

@@ -10,6 +10,7 @@ import pytest
 from npcl.losses import BaseLoss, multiclass_margin
 from npcl.objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from npcl.selection import ThresholdMode, brute_force_optimize, compute_threshold, partial_optimize
+from npcl.verification import check_bound_chains, check_zero_prior_reductions
 
 
 def brute_value(batch, mode):
@@ -19,7 +20,7 @@ def brute_value(batch, mode):
 
 def dyadic_margins(rng, n):
     # grid margins keep hinge losses and all their partial sums exact, so
-    # the bound-chain comparisons below are exact rather than approximate
+    # the objective comparisons below are exact rather than approximate
     return rng.integers(-3 * 1024, 3 * 1024 + 1, size=n) / 1024.0
 
 
@@ -121,24 +122,8 @@ class TestBatchedObjective:
 
 class TestBoundChains:
     def test_chains_on_random_batches(self):
-        rng = np.random.default_rng(77)
-        for _ in range(300):
-            n = 64
-            batch = MarginBatch.from_margins(dyadic_margins(rng, n))
-            m = int(rng.choice([4, 8, 16]))
-            perm = rng.permutation(n)
-            part = BatchPartition([perm[i : i + m] for i in range(0, n, m)])
-
-            j = batch.zero_one_total
-            j_hat = batch.loss_total
-            q, _ = curriculum_objective(batch, ThresholdMode.full_q())
-            q_hat, _ = batched_objective(batch, part, ThresholdMode.full_q())
-            e, _ = curriculum_objective(batch, ThresholdMode.full_e())
-            e_hat, _ = batched_objective(batch, part, ThresholdMode.full_e())
-
-            assert j <= q <= q_hat <= j_hat
-            assert j <= 2 * e <= 2 * e_hat <= 2 * j_hat
-            assert e <= q
+        [result] = check_bound_chains(np.random.default_rng(77), 300)
+        assert result.ok, result.detail
 
     def test_small_case_against_brute_force(self):
         rng = np.random.default_rng(13)
@@ -151,15 +136,8 @@ class TestBoundChains:
 
 class TestNoisePrunedReductions:
     def test_zero_prior_reduces_to_full_modes(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            batch = MarginBatch.from_margins(dyadic_margins(rng, int(rng.integers(1, 60))))
-            ve, _ = curriculum_objective(batch, ThresholdMode.full_e())
-            vf, _ = curriculum_objective(batch, ThresholdMode.npcl_fixed(0.0))
-            assert vf == ve
-            vq, _ = curriculum_objective(batch, ThresholdMode.full_q())
-            va, _ = curriculum_objective(batch, ThresholdMode.npcl_adaptive(0.0))
-            assert va == vq
+        [result] = check_zero_prior_reductions(np.random.default_rng(21), 100)
+        assert result.ok, result.detail
 
     def test_pruning_count_in_late_training_regime(self):
         # the pruned-count rule presumes the sorted prefix stays cheap, as it
