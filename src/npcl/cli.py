@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corruption import CorruptionSpec, corrupt_dataset
 from .data import (Dataset, IdxFormatError, _check_blob_size, _check_classes, _check_dim, _check_fraction,
-                   _check_spread, load_dataset, load_idx, save_dataset, split, synth_blobs)
+                   _check_seed, _check_spread, load_dataset, load_idx, save_dataset, split, synth_blobs)
 from .losses import BaseLoss
 from .net import save_params
 from .selection import ThresholdMode
@@ -98,7 +98,7 @@ def _add_data_flags(sub):
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--loss", default=str(_DEFAULTS.base_loss),
+    sub.add_argument("--loss", type=_checked(BaseLoss.parse, str), default=str(_DEFAULTS.base_loss),
                      help="hinge | soft-hinge | weighted:<beta>")
     sub.add_argument("--threshold", default=_DEFAULTS.threshold.kind,
                      choices=list(ThresholdMode.KINDS))
@@ -125,7 +125,7 @@ def build_parser():
     ):
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", help="key = value file; flags override it")
-        sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+        sub.add_argument("--seed", type=_checked(_check_seed, int), default=_DEFAULTS.seed)
         sub.add_argument("--out", default="out", help="output directory")
         _add_data_flags(sub)
         if name != "corrupt":
@@ -138,7 +138,7 @@ def build_parser():
 
     verify = subs.add_parser("verify", help="run the property suites")
     verify.add_argument("suite", nargs="?", choices=["all", *SUITES], default="all")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_checked(_check_seed, int), default=0)
     subparsers["verify"] = verify
     return parser, subparsers
 
@@ -175,31 +175,21 @@ def _config_argv(sub, path):
     return tokens
 
 
-def _echo_config(args, path):
-    skip = {"command", "config"}
+def _out_dir(args):
+    """Make ``--out`` and echo ``args`` into its ``config.txt``; called once the run's data is built."""
     lines = []
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        value = getattr(args, key)
-        if value is None:
+    for key, value in sorted(vars(args).items()):
+        if key in ("command", "config") or value is None:
             continue
         if isinstance(value, list):  # --dataset and --test-dataset paths
             value = " ".join(value)
         elif isinstance(value, tuple):  # --hidden sizes
             value = ",".join(str(v) for v in value)
         lines.append(f"{key.replace('_', '-')} = {value}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _check_source(args):
-    if args.synthetic and args.dataset:
-        raise CliError("choose either --dataset or --synthetic, not both")
-    if not (args.synthetic or args.dataset):
-        raise CliError("need --dataset or --synthetic")
-    if args.synthetic and args.test_dataset:
-        raise CliError("--synthetic builds its own test set and would ignore --test-dataset; "
-                       "drop one of them")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
 
 
 def _blobs(args, size, size_flag, stream):
@@ -219,7 +209,13 @@ def _read(paths, flag):
 
 def _source(args):
     """The training data before any split or corruption."""
-    _check_source(args)
+    if args.synthetic and args.dataset:
+        raise CliError("choose either --dataset or --synthetic, not both")
+    if not (args.synthetic or args.dataset):
+        raise CliError("need --dataset or --synthetic")
+    if args.synthetic and args.test_dataset:
+        raise CliError("--synthetic builds its own test set and would ignore --test-dataset; "
+                       "drop one of them")
     if args.synthetic:
         return _blobs(args, args.train_size, "--train-size", 100)
     return _read(args.dataset, "--dataset")
@@ -288,19 +284,21 @@ def _train_config(args):
     )
 
 
-def _cmd_train(args):
-    config = _train_config(args)
-    train_set, test_set = _load_datasets(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(args, out / "config.txt")
+def _train_run(args, config, train_set, test_set):
+    """``npcl train``'s run, and each sweep cell's: ``_out_dir``, training, ``metrics.csv``; (metrics, params)."""
+    out = _out_dir(args)
     metrics, params = train(config, train_set, test_set)
     write_metrics_csv(out / "metrics.csv", metrics)
+    return metrics, params
+
+
+def _cmd_train(args):
+    config = _train_config(args)
+    metrics, params = _train_run(args, config, *_load_datasets(args))
     if args.checkpoint:
         save_params(args.checkpoint, params)
-    last = metrics[-1]
-    print(f"wrote {out / 'metrics.csv'} ({len(metrics)} epochs, "
-          f"final test accuracy {last.test_acc:.4f})")
+    print(f"wrote {Path(args.out) / 'metrics.csv'} ({len(metrics)} epochs, "
+          f"final test accuracy {metrics[-1].test_acc:.4f})")
     return 0
 
 
@@ -309,9 +307,7 @@ def _cmd_corrupt(args):
         raise CliError("corrupt needs --noise")
     dataset = _source(args)
     corrupted = corrupt_dataset(dataset, _noise_spec(args, dataset))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(args, out / "config.txt")
+    out = _out_dir(args)
     save_dataset(out / "corrupted.npds", corrupted)
     flipped = int(corrupted.flip_flags.sum())  # every flip changes the label
     print(f"wrote {out / 'corrupted.npds'} ({flipped} of {len(dataset)} labels flipped)")
@@ -332,52 +328,50 @@ def _sweep_cells(args):
     return cells, skipped
 
 
-_cell_data = None  # a sweep worker's (train set, test set), inherited from the parent on fork
+_sweep = None  # the running sweep's (cells, configs, train set, test set), which its forked workers inherit
 
 
-def _hold_cell_data(*datasets):
-    global _cell_data
-    _cell_data = datasets
-
-
-def _train_cell(config):
-    """One sweep cell in a pool worker: its metrics and the warnings it raised."""
+def _sweep_cell(index):
+    """Sweep cell ``index`` as a ``train`` run in a forked worker; its final test accuracy and warnings."""
+    cells, configs, *datasets = _sweep
     with warnings.catch_warnings(record=True) as caught:
-        metrics, _ = train(config, *_cell_data)
-    return metrics, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        metrics, _ = _train_run(cells[index], configs[index], *datasets)
+    return metrics[-1].test_acc, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _cmd_sweep(args):
+    global _sweep
     if not args.threshold.startswith("npcl"):
         raise CliError(f"sweep varies the prior, which --threshold {args.threshold} ignores; "
                        "choose an npcl threshold")
     if args.noise_rate == 0.0:
         raise CliError("sweep needs a true --noise-rate to scale priors from")
-    train_set, test_set = _load_datasets(args)
+    datasets = _load_datasets(args)
     cells, skipped = _sweep_cells(args)
     configs = [_train_config(cell) for cell in cells]
 
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    workers = min(len(cells), len(os.sched_getaffinity(0)))
     sys.stdout.flush()  # a forked worker flushes what it inherits when it exits
     sys.stderr.flush()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_hold_cell_data, initargs=(train_set, test_set))
+    pool = ProcessPoolExecutor(min(len(cells), len(os.sched_getaffinity(0))),
+                               mp_context=multiprocessing.get_context("fork"))
+    _sweep = cells, configs, *datasets
     try:
-        futures = [pool.submit(_train_cell, config) for config in configs]
+        futures = [pool.submit(_sweep_cell, index) for index in range(len(cells))]
         seen = {}  # repeats of one warning show once per sweep, as from one process
         for cell, future in zip(cells, futures):
-            out = Path(cell.out)
-            out.mkdir(parents=True, exist_ok=True)
-            _echo_config(cell, out / "config.txt")
-            metrics, caught = future.result()
+            test_acc, caught = future.result()
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno, registry=seen)
-            write_metrics_csv(out / "metrics.csv", metrics)
-            print(f"prior {cell.epsilon_prior:.4g}: final test accuracy {metrics[-1].test_acc:.4f}")
+            print(f"prior {cell.epsilon_prior:.4g}: final test accuracy {test_acc:.4f}")
+    except BrokenExecutor:  # a dead worker fails every pending future, so no one cell is to blame
+        pool.shutdown()  # returns once every future is settled
+        lost = [f"{cell.epsilon_prior:.4g}" for cell, future in zip(cells, futures) if future.exception()]
+        raise CliError(f"a sweep worker died; cells left unfinished: prior {', '.join(lost)}") from None
     finally:
+        _sweep = None
         pool.shutdown(cancel_futures=True)
     return 1 if skipped else 0
 

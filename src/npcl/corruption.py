@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_classes
+from .data import Dataset, _check_classes, _check_seed
 
 __all__ = ["CorruptionSpec", "corrupt_dataset"]
 
@@ -45,6 +45,7 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must lie in [0, 1], got {self.rate}")
+        _check_seed(self.seed)
         _check_classes(self.num_classes)
 
 

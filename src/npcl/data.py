@@ -234,6 +234,12 @@ def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
     return Dataset(features, labels, num_classes)
 
 
+def _check_seed(seed):
+    """The run seed ``TrainConfig`` and ``CorruptionSpec`` accept: a non-negative integer, as numpy's."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _check_fraction(test_fraction):
     """The held-out fraction ``split`` accepts."""
     if not 0.0 < test_fraction < 1.0:

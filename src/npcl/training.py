@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_seed
 from .losses import BaseLoss, _loss_pass
 from .net import (
     AdamState,
@@ -108,6 +108,7 @@ class TrainConfig:
     def __post_init__(self):
         _check_epochs(self.epochs, self.burn_in_epochs)
         _check_batch_size(self.batch_size)
+        _check_seed(self.seed)
         if any(size < 1 for size in self.hidden):
             raise ValueError(f"hidden layer sizes must be >= 1, got {tuple(self.hidden)}")
         if not (np.isfinite(self.lr) and self.lr > 0):

@@ -1,13 +1,16 @@
 """Command-line surface: flags, exit codes, artifacts, reproducibility."""
 
 import dataclasses
+import gc
 import hashlib
 import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 
 import npcl.cli
 from npcl.adversarial import empirical_adversarial_risk
-from npcl.cli import _echo_config, _train_config, build_parser, run
+from npcl.cli import _out_dir, _train_config, build_parser, run
 from npcl.corruption import CorruptionSpec, corrupt_dataset
 from npcl.data import MAX_CLASSES, load_dataset, save_dataset, split, synth_blobs
 from npcl.net import _backprop, forward, load_params
@@ -142,6 +145,11 @@ class TestRejectedFlags:
         (["--burn-in", "3"], ["--burn-in", "--epochs"]),  # smoke_args runs 3 epochs
         (["--burn-in", "-1"], ["--burn-in", "--epochs"]),
         (["--test-dataset", "/nonexistent/file.npds"], ["--synthetic", "--test-dataset"]),
+        (["--seed", "-1"], ["--seed"]),
+        (["--loss", "weighted:2"], ["--loss"]),
+        (["--loss", "weighted:nan"], ["--loss"]),
+        (["--loss", "weighted:x"], ["--loss"]),
+        (["--loss", "bogus"], ["--loss"]),
     ], ids=lambda v: " ".join(v))
     def test_train(self, tmp_path, capsys, argv, flags):
         assert run(smoke_args(tmp_path / "run", extra=argv)) == 1  # smoke_args sets --epsilon-prior 0.4
@@ -166,6 +174,20 @@ class TestRejectedFlags:
         out = tmp_path / "run"
         assert run([command, "--synthetic", "blobs", "--noise", "pair", *argv, "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--synthetic", "blobs", "--noise", "symmetric", "--noise-rate", "0.4", "--seed", "-3"],
+        ["corrupt", "--synthetic", "blobs", "--noise", "pair", "--seed", "-2"],
+        ["verify", "selector", "--seed", "-1"],
+        ["train", "--dataset", "data.npds", "--seed", "-1"],  # --seed also seeds the held-out split
+        ["train", "--dataset", "data.npds", "--test-dataset", "data.npds", "--seed", "-1"],
+    ], ids=" ".join)
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        save_dataset(tmp_path / "data.npds", synth_blobs(40, 2, 3.0, 1.0, seed=0))
+        assert run([*argv, *([] if argv[0] == "verify" else ["--out", "run"])]) == 1
+        assert capsys.readouterr().err.startswith("error: argument --seed: seed must be >= 0, got -")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv, flags", [
         (["--epsilon-prior", "0.3"], ["--epsilon-prior"]),
@@ -205,10 +227,10 @@ class TestDefaults:
         parser, _ = build_parser()
         return parser.parse_args(["train", "--synthetic", "blobs"])
 
-    def test_default_config_echo_digest(self, tmp_path):
+    def test_default_config_echo_digest(self, tmp_path, monkeypatch):
         # recorded before the flag defaults were read from TrainConfig
-        _echo_config(self.default_train_args(), tmp_path / "config.txt")
-        digest = hashlib.sha256((tmp_path / "config.txt").read_bytes()).hexdigest()
+        monkeypatch.chdir(tmp_path)  # the echo holds the default --out, "out"
+        digest = hashlib.sha256((_out_dir(self.default_train_args()) / "config.txt").read_bytes()).hexdigest()
         assert digest == "f66559cc14df9e76a4aaca158e43fded666e94affb5824df30e0c9a12cb5e03c"
 
     def test_default_flags_give_default_train_config(self):
@@ -570,11 +592,14 @@ class TestSweep:
 
     def test_builds_datasets_once(self, tmp_path, monkeypatch):
         calls = {"synth": 0, "corrupt": 0}
+        built = []
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args, **kwargs)
+                dataset = fn(*args, **kwargs)
+                built.append(weakref.ref(dataset))
+                return dataset
             return wrapped
 
         monkeypatch.setattr(npcl.cli, "synth_blobs", counting("synth", npcl.cli.synth_blobs))
@@ -587,6 +612,8 @@ class TestSweep:
         assert code == 0
         assert calls == {"synth": 2, "corrupt": 1}
         assert len(list(tmp_path.glob("*/metrics.csv"))) == 5
+        gc.collect()
+        assert [ref() for ref in built] == [None, None, None]
 
     def test_requires_noise_rate(self, tmp_path):
         assert run(["sweep", "--synthetic", "blobs", "--out", str(tmp_path)]) == 1
@@ -626,17 +653,22 @@ class TestParallelSweep:
                    for cell in tmp_path.glob("*/metrics.csv")}
         assert digests == self.DIGESTS
 
-    def test_cell_config_reruns_the_cell(self, tmp_path):
-        assert run([*self.ARGV, "--out", str(tmp_path)]) == 0
-        for prior in self.PRIORS:
-            cell = tmp_path / f"prior_{prior}"
+    def assert_cells_rerun(self, out, priors):
+        """Each cell of ``priors`` under ``out`` holds its digest, and its ``config.txt`` reruns it byte for byte."""
+        for prior in priors:
+            cell = out / f"prior_{prior}"
             config, metrics = (cell / "config.txt").read_text(), (cell / "metrics.csv").read_bytes()
+            assert hashlib.sha256(metrics).hexdigest() == self.DIGESTS[prior]
             echo = dict(line.split(" = ", 1) for line in config.splitlines())
             assert echo["out"] == str(cell) and f"{float(echo['epsilon-prior']):.4g}" == prior
             (cell / "metrics.csv").unlink()
             assert run(["train", "--config", str(cell / "config.txt")]) == 0
             assert (cell / "metrics.csv").read_bytes() == metrics
             assert (cell / "config.txt").read_text() == config
+
+    def test_cell_config_reruns_the_cell(self, tmp_path):
+        assert run([*self.ARGV, "--out", str(tmp_path)]) == 0
+        self.assert_cells_rerun(tmp_path, self.PRIORS)
 
     def test_failing_cell_exits_with_its_message(self, tmp_path, capsys, monkeypatch):
         def fail():
@@ -646,6 +678,24 @@ class TestParallelSweep:
         assert capsys.readouterr().err == "error: cell 0.4 diverged\n"
         assert [(tmp_path / f"prior_{p}" / "metrics.csv").is_file() for p in self.PRIORS[:3]] == [True, True, False]
         assert multiprocessing.active_children() == []
+        finished = [p for p in self.PRIORS if (tmp_path / f"prior_{p}" / "metrics.csv").is_file()]
+        self.assert_cells_rerun(tmp_path, finished)  # cells after 0.4 already running finish too
+
+    def test_dead_worker_names_every_unfinished_cell(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def die():
+            assert os.getpid() != parent, "the cell trained in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(npcl.cli, "train", self.train_calling(die, "0.4"))
+        assert run([*self.ARGV, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker died; cells left unfinished: prior ") and err.count("\n") == 1
+        lost = err.rstrip("\n").rpartition(" prior ")[2].split(", ")
+        assert "0.4" in lost and set(lost) <= set(self.PRIORS)
+        assert not (tmp_path / "prior_0.4" / "metrics.csv").exists()
+        assert multiprocessing.active_children() == []
+        self.assert_cells_rerun(tmp_path, [p for p in self.PRIORS if p not in lost])
 
     def test_cell_warning_reaches_the_parent(self, tmp_path, monkeypatch):
         def warn():
