@@ -250,6 +250,9 @@ def _noise_spec(args, dataset):
 
 def _load_datasets(args):
     train_set = _source(args)
+    if args.noise_rate and not args.noise and train_set.clean_labels is None:
+        raise CliError(f"--noise-rate {args.noise_rate} needs --noise to corrupt the labels at that rate; "
+                       "add --noise, or drop --noise-rate to train on the labels as they are")
     if args.synthetic:
         test_set = _blobs(args, args.test_size, "--test-size", 200)
     elif args.test_dataset:
@@ -270,6 +273,9 @@ def _train_config(args):
     if args.epsilon_prior and not args.threshold.startswith("npcl"):
         raise CliError(f"--threshold {args.threshold} ignores --epsilon-prior, got {args.epsilon_prior}; "
                        "leave it at 0 or choose an npcl threshold")
+    if args.epsilon_prior and args.no_selection:
+        raise CliError(f"--no-selection ignores --epsilon-prior, got {args.epsilon_prior}; "
+                       "leave it at 0 or drop --no-selection")
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -344,6 +350,8 @@ def _cmd_sweep(args):
     if not args.threshold.startswith("npcl"):
         raise CliError(f"sweep varies the prior, which --threshold {args.threshold} ignores; "
                        "choose an npcl threshold")
+    if args.no_selection:
+        raise CliError("sweep varies the prior, which --no-selection ignores; drop --no-selection")
     if args.noise_rate == 0.0:
         raise CliError("sweep needs a true --noise-rate to scale priors from")
     datasets = _load_datasets(args)

@@ -1,4 +1,4 @@
-"""Property checks behind ``npcl verify`` and acceptance criteria 1-4, 6 and 7.
+"""Property checks behind ``npcl verify`` and acceptance criteria 1-7.
 
 Each check draws ``count`` instances from the generator it is given and
 returns ``CheckResult`` rows.  The acceptance tests call the checks at the
@@ -6,9 +6,10 @@ criteria's seeds and counts; ``npcl verify`` calls them at the smaller
 counts in ``SUITES``, with a generator seeded from ``--seed`` per suite.
 The properties: the O(n log n) selection kernel is exactly optimal and its
 optimum satisfies the prefix-sum identities; the objectives interleave as
-0-1 total <= whole-set <= partitioned <= plain sum, and zero-prior
-noise-pruned modes equal the full modes; analytic loss gradients match
-central differences away from kinks; the closed-form worst-case risk
+0-1 total <= whole-set <= partitioned <= plain sum, zero-prior
+noise-pruned modes equal the full modes, and a prior eps prunes eps*n
+samples of a late-training batch; analytic loss gradients match central
+differences away from kinks; the closed-form worst-case risk
 matches the projected-ascent solver and keeps the plain-risk order.
 
 Exact checks draw from a dyadic grid (multiples of 2^-10), which keeps
@@ -33,7 +34,7 @@ from .objectives import BatchPartition, MarginBatch, batched_objective, curricul
 from .selection import ThresholdMode, brute_force_optimize, partial_optimize
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "optimum_identities_hold", "check_selector",
-           "check_bound_chains", "check_zero_prior_reductions", "check_gradients",
+           "check_bound_chains", "check_zero_prior_reductions", "check_pruning_counts", "check_gradients",
            "check_solver_agreement", "check_risk_order"]
 
 KINK_GAP = 1e-3  # distance from a loss kink within which check_gradients redraws a net
@@ -61,12 +62,14 @@ def _losses01(rng, n):
 
 
 def optimum_identities_hold(result, c):
-    """The kernel's cut at threshold ``c``: ``L_T <= C + 1 - T``, and ``L_{T+1} > C - T``
-    unless T = n.  ``L_{T+1} > L_T`` is not implied: a zero next loss adds nothing.
+    """The kernel's cut at threshold ``c``: ``L_T <= C + 1 - T``, ``L_{T+1} > C - T`` unless
+    T = n, and the objective is ``max(L_T, C - T)``.  ``L_{T+1} > L_T`` is not implied: a zero
+    next loss adds nothing.
     """
     t, prefix = result.selected_count, result.prefix_sums
     l_t = prefix[t - 1] if t > 0 else 0.0
-    return bool(l_t <= c + 1.0 - t and (t == prefix.size or prefix[t] > c - t))
+    return bool(l_t <= c + 1.0 - t and (t == prefix.size or prefix[t] > c - t)
+                and result.objective == max(l_t, c - t))
 
 
 def check_selector(rng, count):
@@ -118,6 +121,29 @@ def check_zero_prior_reductions(rng, count):
         failures += vf != e or va != q
     return [CheckResult("bounds", "zero-prior modes reduce to full modes", failures == 0, failures,
                         f"{count - failures}/{count} batches")]
+
+
+def check_pruning_counts(rng, count):
+    """Samples ``npcl_fixed(0.25)`` prunes from ``count`` batches of 64 late-training losses:
+    mostly zero, four small (so the kept prefix stays well under 1), the rest large.  It prunes
+    eps*n, or one fewer when the (1-eps)n + 1 smallest losses sum to zero; both cases must occur.
+    """
+    eps, n = 0.25, 64
+    target = int(eps * n)
+    keep = n - target
+    failures, seen = 0, set()
+    for _ in range(count):
+        zeros = int(rng.integers(keep - 2, keep + 3))
+        losses = np.concatenate([np.zeros(zeros), rng.integers(1, 20, size=4) / 1024.0,
+                                 rng.integers(2048, 5120, size=n - zeros - 4) / 1024.0])
+        rng.shuffle(losses)
+        _, result = curriculum_objective(MarginBatch.from_margins(1.0 - losses), ThresholdMode.npcl_fixed(eps))
+        expected = target if np.sort(losses)[: keep + 1].sum() != 0.0 else target - 1
+        seen.add(expected)
+        failures += n - result.selected_count != expected
+    return [CheckResult("bounds", "pruned count obeys the boundary rule",
+                        failures == 0 and seen == {target, target - 1}, failures,
+                        f"{count - failures}/{count} batches, {len(seen)} of 2 branches seen")]
 
 
 def _near_kink(logits, labels):
@@ -177,7 +203,7 @@ def check_risk_order(rng, count):
 # the checks behind each ``npcl verify`` suite, at counts that finish in seconds
 SUITES = {
     "selector": [(check_selector, 300)],
-    "bounds": [(check_bound_chains, 300), (check_zero_prior_reductions, 100)],
+    "bounds": [(check_bound_chains, 300), (check_zero_prior_reductions, 100), (check_pruning_counts, 100)],
     "gradients": [(check_gradients, 10)],
     "adversarial": [(check_solver_agreement, 60), (check_risk_order, 60)],
 }

@@ -15,6 +15,7 @@ from npcl.adversarial import (
     empirical_adversarial_risk,
     project_chi_square_ball,
 )
+from npcl.verification import check_risk_order, check_solver_agreement
 
 
 def random_loss_vector(rng, n, k=None):
@@ -191,15 +192,8 @@ class TestExactProjection:
 
 class TestSolverAgreement:
     def test_matches_closed_form(self):
-        rng = np.random.default_rng(4)
-        for _ in range(60):
-            n = int(rng.integers(2, 50))
-            l = random_loss_vector(rng, n)
-            delta = float(rng.uniform(0.0, 2.0))
-            spec = AdvRiskSpec(delta)
-            assert adversarial_risk_numeric(l, spec) == pytest.approx(
-                empirical_adversarial_risk(l, spec), abs=1e-6
-            )
+        [agreement] = check_solver_agreement(np.random.default_rng(4), 60)
+        assert agreement.ok, agreement.detail
 
     def test_saturated_solver_stays_at_one(self):
         # a worst-case risk above 1 would need mean(r) > 1; the projection
@@ -327,13 +321,8 @@ class TestMonotonicity:
         assert report.pairs_checked == 30
 
     def test_random_pairs_violation_free(self):
-        rng = np.random.default_rng(6)
-        for delta in (0.01, 0.1, 1.0):
-            spec = AdvRiskSpec(delta)
-            for _ in range(100):
-                n = int(rng.integers(2, 30))
-                vectors = [random_loss_vector(rng, n) for _ in range(2)]
-                assert check_monotonicity(vectors, spec).ok
+        [order] = check_risk_order(np.random.default_rng(6), 100)
+        assert order.ok, order.detail
 
     def test_validation(self):
         with pytest.raises(ValueError):

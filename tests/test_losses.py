@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from npcl import losses
+from npcl import losses, verification
 from npcl.losses import BaseLoss, _loss_pass, margins_and_values, multiclass_margin
 from npcl.objectives import MarginBatch
 
@@ -174,17 +174,14 @@ class TestGradients:
         "kind", [BaseLoss.hinge(), BaseLoss.soft(), BaseLoss.weighted(0.5)]
     )
     def test_matches_central_differences(self, kind):
-        # 1000 random non-kink inputs: |u| and |u - 1| away from 0, no ties
+        # 1000 random inputs away from every kink
         rng = np.random.default_rng(23)
         checked = 0
         while checked < 1000:
             k = int(rng.integers(2, 6))
             t = rng.normal(0.0, 2.0, size=k)
             y = int(rng.integers(0, k))
-            u = multiclass_margin(t, y)
-            rival = np.sort(np.delete(t, y))
-            tie_gap = rival[-1] - rival[-2] if k > 2 else 1.0
-            if abs(u) < 1e-3 or abs(u - 1.0) < 1e-3 or tie_gap < 1e-3:
+            if verification._near_kink(t[None], np.array([y])):
                 continue
             analytic = kind.gradients(t, y)
             numeric = numeric_gradient(lambda x: kind.values(x, y), t)

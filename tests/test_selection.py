@@ -13,6 +13,7 @@ from npcl.selection import (
     compute_threshold,
     partial_optimize,
 )
+from npcl.verification import check_selector, optimum_identities_hold
 
 
 def dyadic_losses(rng, n, high=4.0):
@@ -199,19 +200,12 @@ class TestPartialOptimize:
             assert not in_sorted[r.selected_count :].any()
 
     def test_optimum_identities(self):
-        # L_T <= C+1-T; if T < n: L_{T+1} > C-T
         rng = np.random.default_rng(6)
         for _ in range(500):
             n = int(rng.integers(1, 30))
             l = dyadic_losses(rng, n)
             c = float(rng.uniform(0, 2 * n))
-            r = partial_optimize(l, c)
-            t = r.selected_count
-            l_t = r.prefix_sums[t - 1] if t > 0 else 0.0
-            assert l_t <= c + 1.0 - t
-            if t < n:
-                assert r.prefix_sums[t] > c - t
-            assert r.objective == max(l_t, c - t)
+            assert optimum_identities_hold(partial_optimize(l, c), c)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(8)
@@ -245,15 +239,9 @@ class TestBruteForce:
             brute_force_optimize(np.zeros(21), 1.0)
 
     def test_matches_partial_optimize(self):
-        rng = np.random.default_rng(42)
         start = time.perf_counter()
-        for _ in range(1000):
-            n = int(rng.integers(1, 13))
-            l = dyadic_losses(rng, n)
-            c = float(rng.uniform(0, 2 * n))
-            fast = partial_optimize(l, c)
-            exact = brute_force_optimize(l, c)
-            assert fast.objective == exact.objective
+        [optimal, _] = check_selector(np.random.default_rng(42), 1000)
+        assert optimal.ok, optimal.detail
         assert time.perf_counter() - start < 5.0
 
 
