@@ -163,10 +163,6 @@ class MonotonicityReport:
     pairs_checked: int
     violations: list = field(default_factory=list)
 
-    @property
-    def ok(self):
-        return not self.violations
-
 
 def check_monotonicity(loss_vectors, spec: AdvRiskSpec):
     """Verify the plain/worst-case order relationship over all ordered pairs.

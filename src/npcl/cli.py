@@ -2,14 +2,17 @@
 
 Every run writes a ``config.txt`` echo of its fully resolved settings next
 to its outputs, in the same line-oriented ``key = value`` format the
-``--config`` option reads back (flags override file values).  Exit codes:
-0 success, 1 validation problem, 2 I/O problem, 3 verification failure.
+``--config`` option reads back (flags override file values); values are
+``shlex`` words, which the echo quotes where needed: an unquoted ``#`` starts
+a comment.  Exit codes: 0 success, 1 validation problem, 2 I/O problem,
+3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -144,30 +147,34 @@ def build_parser():
 
 
 def parse_config_file(path):
+    """``key = value`` lines as ``{key: [word, ...]}``, the value split into shell words."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        try:
+            values[key.strip().replace("-", "_")] = shlex.split(value, comments=True)
+        except ValueError as exc:  # an unclosed quote
+            raise CliError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
 def _config_argv(sub, path):
     """The config file as flag tokens, to go ahead of the user's flags so those override it."""
     tokens = []
-    for key, raw in parse_config_file(path).items():
+    for key, words in parse_config_file(path).items():
         action = sub.options.get(key)
         if action is None or key in ("help", "config"):
             raise CliError(f"unknown config key {key.replace('_', '-')!r}")
         flag = action.option_strings[-1]
         if action.nargs == 0:
-            tokens += [flag] if raw.lower() in ("1", "true", "yes") else []
-        else:
-            tokens += [flag, *(raw.split() if action.nargs == "+" else [raw])]
+            tokens += [flag] if " ".join(words).lower() in ("1", "true", "yes") else []
+        else:  # argparse rejects a word count the flag does not take
+            tokens += [flag, *words]
     try:
         sub.parse_args(tokens)
     except CliError as exc:
@@ -181,10 +188,10 @@ def _out_dir(args):
     for key, value in sorted(vars(args).items()):
         if key in ("command", "config") or value is None:
             continue
-        if isinstance(value, list):  # --dataset and --test-dataset paths
-            value = " ".join(value)
-        elif isinstance(value, tuple):  # --hidden sizes
+        if isinstance(value, tuple):  # --hidden sizes
             value = ",".join(str(v) for v in value)
+        # --dataset and --test-dataset take a list of paths, one shell word each
+        value = shlex.join(value) if isinstance(value, list) else shlex.quote(str(value))
         lines.append(f"{key.replace('_', '-')} = {value}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -250,9 +257,13 @@ def _noise_spec(args, dataset):
 
 def _load_datasets(args):
     train_set = _source(args)
-    if args.noise_rate and not args.noise and train_set.clean_labels is None:
-        raise CliError(f"--noise-rate {args.noise_rate} needs --noise to corrupt the labels at that rate; "
-                       "add --noise, or drop --noise-rate to train on the labels as they are")
+    if args.noise_rate and not args.noise:
+        if train_set.clean_labels is None:
+            raise CliError(f"--noise-rate {args.noise_rate} needs --noise to corrupt the labels at that rate; "
+                           "add --noise, or drop --noise-rate to train on the labels as they are")
+        if args.command == "train":  # a sweep scales its priors from the stored noise's rate
+            raise CliError(f"--noise-rate {args.noise_rate} corrupts nothing: {' '.join(args.dataset)} already "
+                           "holds its noise; drop --noise-rate to train on its labels as they are")
     if args.synthetic:
         test_set = _blobs(args, args.test_size, "--test-size", 200)
     elif args.test_dataset:
@@ -330,7 +341,9 @@ def _sweep_cells(args):
             skipped += 1
             continue
         out = str(Path(args.out) / f"prior_{prior:.4g}")
-        cells.append(argparse.Namespace(**{**vars(args), "epsilon_prior": prior, "out": out}))
+        # a cell echoes the rate it applied, so its rerun as a train run applies the same
+        cells.append(argparse.Namespace(**{**vars(args), "epsilon_prior": prior, "out": out,
+                                           "noise_rate": args.noise_rate if args.noise else 0.0}))
     return cells, skipped
 
 

@@ -23,8 +23,9 @@ Round-tripping through this format is bit-exact.  Readers reject an IDX
 file with no images or no labels, an IDX image with no rows or no columns,
 a dataset file with no samples, no features or a class count above
 ``MAX_CLASSES``, and any file with bytes left after its last field, naming
-the file and the field or the leftover byte count.  Every rejection is an
-``IdxFormatError``, which the command line reports with exit code 2.
+the file and the field or the leftover byte count.  Every rejection, whatever
+its fault, is one type, ``IdxFormatError``, which the command line reports
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "IdxFormatError",
-    "BadMagicError",
-    "TruncatedFileError",
-    "CountMismatchError",
-    "TrailingBytesError",
     "load_idx",
     "synth_blobs",
     "split",
@@ -59,23 +56,7 @@ MAX_CLASSES = 65536
 
 
 class IdxFormatError(ValueError):
-    """Base for IDX and NPDS parse failures."""
-
-
-class BadMagicError(IdxFormatError):
-    pass
-
-
-class TruncatedFileError(IdxFormatError):
-    pass
-
-
-class CountMismatchError(IdxFormatError):
-    pass
-
-
-class TrailingBytesError(IdxFormatError):
-    pass
+    """An IDX, NPDS or checkpoint file that does not parse; the message names the file and the fault."""
 
 
 @dataclass
@@ -128,18 +109,16 @@ def _read_exact(fh, size, path, what):
     left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else size
     raw = fh.read(min(size, left))
     if len(raw) != size:
-        raise TruncatedFileError(
-            f"{path}: truncated while reading {what}: expected {size} bytes, got {len(raw)}"
-        )
+        raise IdxFormatError(f"{path}: truncated while reading {what}: expected {size} bytes, got {len(raw)}")
     return raw
 
 
 def _expect_end(fh, path):
-    """Raise ``TrailingBytesError`` if ``fh`` holds bytes after the last field read."""
+    """Raise ``IdxFormatError`` if ``fh`` holds bytes after the last field read."""
     st = os.fstat(fh.fileno())
     left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else len(fh.read())
     if left:
-        raise TrailingBytesError(f"{path}: {left} bytes left after the last field")
+        raise IdxFormatError(f"{path}: {left} bytes left after the last field")
 
 
 def _read_scalar(fh, fmt, path, what):
@@ -158,9 +137,7 @@ def load_idx(images_path, labels_path):
     with open(images_path, "rb") as fh:
         magic = _read_scalar(fh, ">I", images_path, "image magic")
         if magic != IDX_IMAGE_MAGIC:
-            raise BadMagicError(
-                f"{images_path}: bad image magic {magic} at offset 0, expected {IDX_IMAGE_MAGIC}"
-            )
+            raise IdxFormatError(f"{images_path}: bad image magic {magic} at offset 0, expected {IDX_IMAGE_MAGIC}")
         n = _read_scalar(fh, ">I", images_path, "image count")
         rows = _read_scalar(fh, ">I", images_path, "row count")
         cols = _read_scalar(fh, ">I", images_path, "column count")
@@ -173,9 +150,7 @@ def load_idx(images_path, labels_path):
     with open(labels_path, "rb") as fh:
         magic = _read_scalar(fh, ">I", labels_path, "label magic")
         if magic != IDX_LABEL_MAGIC:
-            raise BadMagicError(
-                f"{labels_path}: bad label magic {magic} at offset 0, expected {IDX_LABEL_MAGIC}"
-            )
+            raise IdxFormatError(f"{labels_path}: bad label magic {magic} at offset 0, expected {IDX_LABEL_MAGIC}")
         n_labels = _read_scalar(fh, ">I", labels_path, "label count")
         if n_labels == 0:
             raise IdxFormatError(f"{labels_path}: label count is 0; need at least one label")
@@ -183,7 +158,7 @@ def load_idx(images_path, labels_path):
         _expect_end(fh, labels_path)
 
     if n != n_labels:
-        raise CountMismatchError(f"{images_path}: {n} images but {labels_path}: {n_labels} labels")
+        raise IdxFormatError(f"{images_path}: {n} images but {labels_path}: {n_labels} labels")
     num_classes = max(int(labels.max()) + 1, 2)
     return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64), num_classes)
 
@@ -294,7 +269,7 @@ def load_dataset(path):
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
         if magic != DATASET_MAGIC:
-            raise BadMagicError(f"{path}: not a dataset file (magic {magic!r})")
+            raise IdxFormatError(f"{path}: not a dataset file (magic {magic!r})")
         version = _read_scalar(fh, "<I", path, "version")
         if version != 1:
             raise IdxFormatError(f"{path}: unsupported dataset version {version}")

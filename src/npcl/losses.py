@@ -29,8 +29,8 @@ rule), which fixes both the subgradient and the sign of a zero rival score;
 score is zero are re-read by ``np.argmax``.
 
 Binary classification is the K=2 special case; there is no separate code
-path.  The public functions accept a single sample (``logits`` of shape
-``(K,)``, integer label) or a batch (``(n, K)`` logits, ``(n,)`` labels).
+path.  The public functions take a batch, ``(n, K)`` logits and ``(n,)``
+integer labels; one sample is a batch of one row, and 1-D logits raise.
 """
 
 from __future__ import annotations
@@ -52,30 +52,18 @@ MARGIN_BLOCK = 1 << 15
 
 
 def _as_batch(logits, labels):
-    """Normalize inputs to ``(n, K)`` logits and ``(n,)`` labels.
-
-    Returns the arrays plus a flag telling whether the caller passed a
-    single sample (so results can be unwrapped back to scalars).  The
-    finiteness of the logits is checked by ``_margins``, which every loss
-    computation goes through.
-    """
+    """Checked ``(n, K)`` float64 logits and ``(n,)`` int64 labels; ``_margins`` checks finiteness."""
     t = np.asarray(logits, dtype=np.float64)
-    single = t.ndim == 1
-    t = np.atleast_2d(t)
     if t.ndim != 2 or t.shape[1] < 2:
-        raise ValueError(f"logits must have at least 2 classes, got shape {t.shape}")
-    y = np.atleast_1d(np.asarray(labels))
+        raise ValueError(f"logits must be (n, K) with K >= 2, got shape {t.shape}")
+    y = np.asarray(labels)
     if y.shape != (t.shape[0],):
-        raise ValueError(f"labels shape {y.shape} does not match {t.shape[0]} samples")
+        raise ValueError(f"labels must be ({t.shape[0]},), one per logit row, got shape {y.shape}")
     if not np.issubdtype(y.dtype, np.integer):
         raise ValueError("labels must be integers")
     if np.any(y < 0) or np.any(y >= t.shape[1]):
         raise ValueError("labels out of range for the given number of classes")
-    return t, y.astype(np.int64), single
-
-
-def _unwrap(values, single):
-    return float(values[0]) if single else values
+    return t, y.astype(np.int64)
 
 
 def _margins(t, y, rival_index=False):
@@ -125,12 +113,6 @@ def _margins(t, y, rival_index=False):
     return u, true, rival_idx
 
 
-def _logsumexp(t):
-    # max-subtraction keeps exp() in range for large logits
-    m = np.max(t, axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.sum(np.exp(t - m), axis=1))
-
-
 def _hinge_from_margins(u):
     """Hard hinge ``max(1 - u, 0)`` of float64 margins, in one new array."""
     hard = 1.0 - u
@@ -153,7 +135,12 @@ def _loss_pass(t, y, kind, gradients):
     if kind.kind == "hinge":
         values = hard
     else:
-        soft = np.where(u >= 0, hard, np.maximum(1.0 - true + _logsumexp(t), 0.0))
+        # one exp pass serves logsumexp(t) here and the softmax gradient below;
+        # max-subtraction keeps exp() in range for large logits
+        top = np.max(t, axis=1, keepdims=True)
+        e = np.exp(t - top)
+        total = np.sum(e, axis=1)
+        soft = np.where(u >= 0, hard, np.maximum(1.0 - true + (top[:, 0] + np.log(total)), 0.0))
         values = soft if kind.kind == "soft-hinge" else kind.beta * soft + (1.0 - kind.beta) * hard
     if not gradients:
         return u, values, None
@@ -170,10 +157,8 @@ def _loss_pass(t, y, kind, gradients):
     if np.any(mis):
         # misclassified branch: 1 - t[y] + logsumexp(t) > 1, so the clip at 0
         # is never active and the gradient is softmax(t) - e_y
-        tm = t[mis]
-        sm = np.exp(tm - np.max(tm, axis=1, keepdims=True))
-        sm /= np.sum(sm, axis=1, keepdims=True)
-        sm[np.arange(tm.shape[0]), y[mis]] -= 1.0
+        sm = e[mis] / total[mis, None]
+        sm[np.arange(sm.shape[0]), y[mis]] -= 1.0
         soft_g[mis] = sm
     if kind.kind == "soft-hinge":
         return u, values, soft_g
@@ -182,15 +167,12 @@ def _loss_pass(t, y, kind, gradients):
 
 def multiclass_margin(logits, labels):
     """Margin ``u = t[y] - max_{i != y} t[i]``; ``1(u < 0)`` is the 0-1 loss."""
-    t, y, single = _as_batch(logits, labels)
-    return _unwrap(_margins(t, y)[0], single)
+    return _margins(*_as_batch(logits, labels))[0]
 
 
 def margins_and_values(logits, labels, kind):
     """Margins and per-sample values of the ``BaseLoss`` ``kind`` from one pass."""
-    t, y, single = _as_batch(logits, labels)
-    u, values, _ = _loss_pass(t, y, kind, gradients=False)
-    return _unwrap(u, single), _unwrap(values, single)
+    return _loss_pass(*_as_batch(logits, labels), kind, gradients=False)[:2]
 
 
 @dataclass(frozen=True)
@@ -255,6 +237,4 @@ class BaseLoss:
         rival-score ties resolve to the smallest index.  Away from those
         points the result is the exact gradient.
         """
-        t, y, single = _as_batch(logits, labels)
-        g = _loss_pass(t, y, self, gradients=True)[2]
-        return g[0] if single else g
+        return _loss_pass(*_as_batch(logits, labels), self, gradients=True)[2]

@@ -111,10 +111,6 @@ class MlpParams:
         return cls(weights, biases, alpha)
 
     @property
-    def num_classes(self):
-        return self.weights[-1].shape[1]
-
-    @property
     def input_dim(self):
         return self.weights[0].shape[0]
 
@@ -130,12 +126,11 @@ class MlpParams:
 
 
 def _check_features(params: MlpParams, features):
+    """Features as a float64 ``(n, d)`` batch for the model's input dim ``d``."""
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[1] != params.input_dim:
-        raise ValueError(f"features have dim {x.shape[1]}, model expects {params.input_dim}")
-    return x, single
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(f"features must be (n, {params.input_dim}), got shape {x.shape}")
+    return x
 
 
 class Workspace:
@@ -196,17 +191,16 @@ def _backprop(params: MlpParams, ws: Workspace, delta, g_w, g_b):
 
 
 def forward(params: MlpParams, features, workspace: Workspace | None = None):
-    """Logits for one sample ``(d,)`` or a batch ``(n, d)``.
+    """Logits ``(n, K)`` of a batch ``(n, d)``.
 
     Without ``workspace`` the pass builds one for its input.  With one (for
     the input's row count) it reuses its buffers, and the returned logits
     are a buffer of the workspace that its next pass overwrites.
     """
-    x, single = _check_features(params, features)
+    x = _check_features(params, features)
     if workspace is None:
         workspace = Workspace(params, x.shape[0])
-    logits = _forward_cached(params, x, workspace)
-    return logits[0] if single else logits
+    return _forward_cached(params, x, workspace)
 
 
 @dataclass
@@ -263,11 +257,11 @@ def grad_check(params: MlpParams, features, labels, kind: BaseLoss):
     kinks and rival-score ties; the differences step by ``GRAD_CHECK_STEP``
     and the error is normalized by max(1, |analytic|, |numeric|).
     """
-    x, _ = _check_features(params, features)
+    x = _check_features(params, features)
     probe = MlpParams(params.weights, params.biases, params.alpha)
     theta = probe.flat
     ws = Workspace(probe, x.shape[0])
-    t, y, _ = _as_batch(_forward_cached(probe, x, ws), labels)
+    t, y = _as_batch(_forward_cached(probe, x, ws), labels)
     analytic = np.empty_like(theta)
     delta = _loss_pass(t, y, kind, gradients=True)[2] * (1.0 / x.shape[0])
     _backprop(probe, ws, delta, *probe.views(analytic))

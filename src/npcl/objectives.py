@@ -64,15 +64,16 @@ class MarginBatch:
 
     @classmethod
     def from_margins(cls, margins):
-        """Hinge base losses computed straight from margins; a scalar is one sample."""
-        u = np.atleast_1d(np.asarray(margins, dtype=np.float64))
+        """Hinge base losses computed straight from ``(n,)`` margins."""
+        u = np.asarray(margins, dtype=np.float64)
+        if u.ndim != 1:
+            raise ValueError(f"margins must be (n,), got shape {u.shape}")
         return cls(u, _hinge_from_margins(u))
 
     @classmethod
     def from_logits(cls, logits, labels, base_loss: BaseLoss):
         """Margins and base losses of raw logits, from one loss pass."""
-        u, values = margins_and_values(logits, labels, base_loss)
-        return cls(np.atleast_1d(u), np.atleast_1d(values))
+        return cls(*margins_and_values(logits, labels, base_loss))
 
     def __len__(self):
         return self.margins.size

@@ -289,14 +289,14 @@ class TestMonotonicity:
         rb = empirical_adversarial_risk(b, spec)
         assert ra < rb
         report = check_monotonicity([a, b], spec)
-        assert report.ok
+        assert not report.violations
         assert report.pairs_checked == 2
 
     def test_identical_vectors_equal_risks(self):
         v = np.array([1.0, 0.0, 1.0, 0.0])
         spec = AdvRiskSpec(0.3)
         report = check_monotonicity([v, v.copy()], spec)
-        assert report.ok
+        assert not report.violations
         assert empirical_adversarial_risk(v, spec) == empirical_adversarial_risk(v.copy(), spec)
 
     def test_saturated_branch(self):
@@ -311,13 +311,13 @@ class TestMonotonicity:
         assert empirical_adversarial_risk(a, spec) == 1.0
         assert empirical_adversarial_risk(b, spec) == 1.0
         report = check_monotonicity([a, b], spec)
-        assert report.ok
+        assert not report.violations
 
     def test_many_vectors_check_all_ordered_pairs(self):
         rng = np.random.default_rng(9)
         vectors = [random_loss_vector(rng, 12) for _ in range(6)]
         report = check_monotonicity(vectors, AdvRiskSpec(0.5))
-        assert report.ok
+        assert not report.violations
         assert report.pairs_checked == 30
 
     def test_random_pairs_violation_free(self):

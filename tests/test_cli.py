@@ -296,7 +296,7 @@ class TestTrain:
         from npcl.net import load_params
 
         params = load_params(ckpt)
-        assert params.num_classes == 4
+        assert params.weights[-1].shape[1] == 4
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -337,6 +337,19 @@ class TestTrain:
         assert f"dataset = {images} {labels}" in (first / "config.txt").read_text()
         assert run(["train", "--config", str(first / "config.txt"), "--out", str(second)]) == 0
         assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["sp ace", "h#x"], ids=["space", "hash"])
+    def test_config_rerun_keeps_quoted_paths(self, tmp_path, name):
+        # the data and the run live under a directory whose name the echo must quote
+        data, out = tmp_path / name / "data", tmp_path / name / "run"
+        assert run(["corrupt", "--synthetic", "blobs", "--train-size", "120", "--classes", "3", "--noise",
+                    "symmetric", "--noise-rate", "0.2", "--out", str(data)]) == 0
+        assert run(["train", "--dataset", str(data / "corrupted.npds"), "--epochs", "2", "--burn-in", "1",
+                    "--batch-size", "32", "--hidden", "4", "--out", str(out)]) == 0
+        metrics = (out / "metrics.csv").read_bytes()
+        (out / "metrics.csv").unlink()
+        assert run(["train", "--config", str(out / "config.txt")]) == 0  # writes to the echoed --out
+        assert (out / "metrics.csv").read_bytes() == metrics
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -530,6 +543,14 @@ class TestNpdsInput:
         assert advice in err
         assert not out.exists()
 
+    def test_noise_rate_on_stored_noise_is_rejected(self, tmp_path, capsys):
+        path, out = self.corrupted(tmp_path), tmp_path / "run"
+        assert run(["train", "--dataset", path, "--noise-rate", "0.9", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --noise-rate 0.9 corrupts nothing: ")
+        assert f"{path} already holds its noise" in err
+        assert not out.exists()
+
     def test_sweep_scales_priors_from_the_stored_noise_rate(self, tmp_path):
         # the file already holds the noise, so --noise-rate without --noise only scales the priors
         out = tmp_path / "sweep"
@@ -539,7 +560,7 @@ class TestNpdsInput:
         assert [cell.name for cell in cells] == ["prior_0.2", "prior_0.3", "prior_0.4", "prior_0.5", "prior_0.6"]
         for cell in cells:
             metrics = (cell / "metrics.csv").read_bytes()
-            assert "noise-rate = 0.4\n" in (cell / "config.txt").read_text()
+            assert "noise-rate = 0.0\n" in (cell / "config.txt").read_text()
             assert run(["train", "--config", str(cell / "config.txt"), "--out", str(tmp_path / "rerun")]) == 0
             assert (tmp_path / "rerun" / "metrics.csv").read_bytes() == metrics
 

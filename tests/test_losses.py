@@ -1,6 +1,7 @@
 """Margins, hinge losses, and their subgradients."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from npcl import losses, verification
 from npcl.losses import BaseLoss, _loss_pass, margins_and_values, multiclass_margin
+from npcl.net import MlpParams, forward, grad_check
 from npcl.objectives import MarginBatch
 
 SOFT_HINGE_01 = 2.3132616875182228  # 1 + log(1 + e), t=[0,1], y=0
@@ -25,7 +27,7 @@ class TestMargin:
         ],
     )
     def test_values(self, t, y, expected):
-        assert multiclass_margin(t, y) == expected
+        assert multiclass_margin([t], [y]).tolist() == [expected]
 
     def test_shift_invariance(self):
         # dyadic logits and shifts keep the subtraction exact
@@ -37,36 +39,29 @@ class TestMargin:
         u_shifted = multiclass_margin(t + shifts[:, None], y)
         assert np.array_equal(u, u_shifted)
 
-    def test_batch_matches_scalar(self):
-        t = np.array([[0.5, 2.0, -1.0], [1.0, 0.0, 0.0]])
-        y = np.array([1, 0])
-        batch = multiclass_margin(t, y)
-        singles = [multiclass_margin(t[i], int(y[i])) for i in range(2)]
-        assert np.array_equal(batch, singles)
-
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            multiclass_margin([np.inf, 0.0], 0)
-        with pytest.raises(ValueError):
-            multiclass_margin([np.nan, 0.0, 1.0], 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            multiclass_margin([[np.inf, 0.0]], [0])
+        with pytest.raises(ValueError, match="non-finite"):
+            multiclass_margin([[np.nan, 0.0, 1.0]], [2])
 
     def test_rejects_single_class(self):
-        with pytest.raises(ValueError):
-            multiclass_margin([1.0], 0)
+        with pytest.raises(ValueError, match="K >= 2"):
+            multiclass_margin([[1.0]], [0])
 
     def test_rejects_bad_label(self):
-        with pytest.raises(ValueError):
-            multiclass_margin([1.0, 2.0], 2)
-        with pytest.raises(ValueError):
-            multiclass_margin([1.0, 2.0], -1)
+        with pytest.raises(ValueError, match="out of range"):
+            multiclass_margin([[1.0, 2.0]], [2])
+        with pytest.raises(ValueError, match="out of range"):
+            multiclass_margin([[1.0, 2.0]], [-1])
 
 
 class TestZeroOne:
     """The 0-1 objective J as ``MarginBatch`` counts it."""
 
     def test_definition(self):
-        assert MarginBatch.from_margins(-0.1).zero_one_total == 1  # a scalar is one sample
-        assert MarginBatch.from_margins(3.0).zero_one_total == 0
+        assert MarginBatch.from_margins([-0.1]).zero_one_total == 1
+        assert MarginBatch.from_margins([3.0]).zero_one_total == 0
         # the boundary counts as correct, whatever the sign of the zero
         assert MarginBatch.from_margins([0.0, -0.0, -1.0]).zero_one_total == 1
 
@@ -76,24 +71,22 @@ class TestZeroOne:
 
 class TestHinges:
     def test_hard_hinge_examples(self):
-        assert HARD.values([3.0, 0.0], 0) == 0.0
-        assert HARD.values([0.0, 1.0], 0) == 2.0
-        assert HARD.values([1.0, 1.0], 0) == 1.0
+        assert HARD.values([[3.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 0, 0]).tolist() == [0.0, 2.0, 1.0]
 
     def test_soft_hinge_correct_branch_equals_hard(self):
-        assert SOFT.values([3.0, 0.0], 0) == HARD.values([3.0, 0.0], 0)
+        assert SOFT.values([[3.0, 0.0]], [0]) == HARD.values([[3.0, 0.0]], [0])
 
     def test_soft_hinge_misclassified_value(self):
-        assert SOFT.values([0.0, 1.0], 0) == pytest.approx(SOFT_HINGE_01, abs=1e-12)
+        assert SOFT.values([[0.0, 1.0]], [0])[0] == pytest.approx(SOFT_HINGE_01, abs=1e-12)
 
     def test_soft_hinge_zero_margin_takes_hard_branch(self):
-        assert SOFT.values([0.0, 0.0, 0.0], 0) == 1.0
+        assert SOFT.values([[0.0, 0.0, 0.0]], [0])[0] == 1.0
 
     def test_weighted_endpoints_and_midpoint(self):
-        t, y = [0.0, 1.0], 0
+        t, y = [[0.0, 1.0]], [0]
         assert BaseLoss.weighted(0.0).values(t, y) == HARD.values(t, y)
         assert BaseLoss.weighted(1.0).values(t, y) == SOFT.values(t, y)
-        assert BaseLoss.weighted(0.5).values(t, y) == pytest.approx(
+        assert BaseLoss.weighted(0.5).values(t, y)[0] == pytest.approx(
             (2.0 + SOFT_HINGE_01) / 2.0, abs=1e-12
         )
 
@@ -139,6 +132,32 @@ class TestBaseLoss:
         )
 
 
+ROW = np.array([0.5, 2.0, -1.0])  # one sample's logits, or its 3 features
+NET = MlpParams.init([3, 4, 3], seed=0)
+LOGITS_SHAPE = "logits must be (n, K) with K >= 2, got shape (3,)"
+FEATURES_SHAPE = "features must be (n, 3), got shape (3,)"
+
+
+class TestBatchOnly:
+    """Every entry takes a batch; a single sample's 1-D form is rejected, naming the expected shape."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: multiclass_margin(ROW, 1), LOGITS_SHAPE),
+        (lambda: margins_and_values(ROW, 1, HARD), LOGITS_SHAPE),
+        (lambda: SOFT.values(ROW, 1), LOGITS_SHAPE),
+        (lambda: SOFT.gradients(ROW, 1), LOGITS_SHAPE),
+        (lambda: MarginBatch.from_logits(ROW, 1, HARD), LOGITS_SHAPE),
+        (lambda: MarginBatch.from_margins(0.5), "margins must be (n,), got shape ()"),
+        (lambda: forward(NET, ROW), FEATURES_SHAPE),
+        (lambda: grad_check(NET, ROW, 1, HARD), FEATURES_SHAPE),
+        (lambda: multiclass_margin(ROW[None], 1), "labels must be (1,), one per logit row, got shape ()"),
+    ], ids=["multiclass_margin", "margins_and_values", "values", "gradients", "from_logits", "from_margins",
+            "forward", "grad_check", "scalar-label"])
+    def test_single_sample_form_is_rejected(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def numeric_gradient(fn, t, h=1e-5):
     g = np.zeros_like(t, dtype=np.float64)
     for j in range(t.size):
@@ -156,19 +175,19 @@ def relative_error(a, b):
 
 class TestGradients:
     def test_flat_region_is_zero(self):
-        assert np.array_equal(HARD.gradients([5.0, 0.0], 0), [0.0, 0.0])
+        assert np.array_equal(HARD.gradients([[5.0, 0.0]], [0]), [[0.0, 0.0]])
 
     def test_hard_hinge_misclassified_subgradient(self):
-        g = HARD.gradients([0.0, 2.0, 1.0], 0)
-        assert np.array_equal(g, [-1.0, 1.0, 0.0])
+        g = HARD.gradients([[0.0, 2.0, 1.0]], [0])
+        assert np.array_equal(g, [[-1.0, 1.0, 0.0]])
 
     def test_rival_tie_breaks_to_smallest_index(self):
-        g = HARD.gradients([0.0, 2.0, 2.0], 0)
-        assert np.array_equal(g, [-1.0, 1.0, 0.0])
+        g = HARD.gradients([[0.0, 2.0, 2.0]], [0])
+        assert np.array_equal(g, [[-1.0, 1.0, 0.0]])
 
     def test_kink_at_unit_margin_takes_flat_branch(self):
-        g = HARD.gradients([1.0, 0.0], 0)
-        assert np.array_equal(g, [0.0, 0.0])
+        g = HARD.gradients([[1.0, 0.0]], [0])
+        assert np.array_equal(g, [[0.0, 0.0]])
 
     @pytest.mark.parametrize(
         "kind", [BaseLoss.hinge(), BaseLoss.soft(), BaseLoss.weighted(0.5)]
@@ -183,18 +202,10 @@ class TestGradients:
             y = int(rng.integers(0, k))
             if verification._near_kink(t[None], np.array([y])):
                 continue
-            analytic = kind.gradients(t, y)
-            numeric = numeric_gradient(lambda x: kind.values(x, y), t)
+            analytic = kind.gradients(t[None], [y])[0]
+            numeric = numeric_gradient(lambda x: kind.values(x[None], [y])[0], t)
             assert relative_error(analytic, numeric) < 1e-5
             checked += 1
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        t = rng.normal(size=(8, 3))
-        y = rng.integers(0, 3, size=8)
-        g = SOFT.gradients(t, y)
-        for i in range(8):
-            assert np.array_equal(g[i], SOFT.gradients(t[i], int(y[i])))
 
 
 def tied_batch(seed, n=500, k=5):

@@ -55,11 +55,11 @@ def plain_forward(params, x):
 class TestForward:
     def test_zero_params_give_zero_logits(self):
         params = MlpParams([np.zeros((2, 3))], [np.zeros(3)])
-        assert np.array_equal(forward(params, np.array([1.5, -2.0])), np.zeros(3))
+        assert np.array_equal(forward(params, np.array([[1.5, -2.0]])), np.zeros((1, 3)))
 
     def test_identity_single_layer(self):
         params = MlpParams([np.eye(2)], [np.zeros(2)])
-        x = np.array([0.3, -0.7])
+        x = np.array([[0.3, -0.7]])
         assert np.array_equal(forward(params, x), x)
 
     def test_matches_independent_recomputation(self):
@@ -69,8 +69,8 @@ class TestForward:
         np.testing.assert_allclose(forward(params, x), plain_forward(params, x), atol=1e-12)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            forward(tiny_net(), np.zeros(5))
+        with pytest.raises(ValueError, match=re.escape("features must be (n, 3), got shape (1, 5)")):
+            forward(tiny_net(), np.zeros((1, 5)))
 
     @pytest.mark.parametrize("alpha", [5.0, -0.01, float("nan"), float("inf")])
     def test_rejects_slope_outside_unit_interval(self, alpha):

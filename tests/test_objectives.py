@@ -34,10 +34,6 @@ class TestMarginBatch:
         assert np.array_equal(batch.margins, multiclass_margin(t, y))
         assert np.array_equal(batch.base_losses, kind.values(t, y))
 
-    def test_from_logits_single_sample(self):
-        batch = MarginBatch.from_logits([0.5, 2.0, -1.0], 0, BaseLoss.hinge())
-        assert batch.margins.tolist() == [-1.5] and batch.base_losses.tolist() == [2.5]
-
     def test_from_margins_uses_hinge(self):
         b = MarginBatch.from_margins(np.array([2.0, -1.0]))
         assert np.array_equal(b.base_losses, [0.0, 2.0])

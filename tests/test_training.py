@@ -106,7 +106,7 @@ class TestEvaluate:
         labels = np.array([0, 1] * 50)
         ds = Dataset(features, labels, 2)
         params = MlpParams([np.zeros((3, 2))], [np.zeros(2)])
-        assert np.array_equal(forward(params, features[0]), [0.0, 0.0])
+        assert np.array_equal(forward(params, features[:1]), [[0.0, 0.0]])
         assert evaluate(params, ds) == 0.5  # ties resolve to class 0
 
 
