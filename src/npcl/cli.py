@@ -3,9 +3,9 @@
 Every run writes a ``config.txt`` echo of its fully resolved settings next
 to its outputs, in the same line-oriented ``key = value`` format the
 ``--config`` option reads back (flags override file values); values are
-``shlex`` words, which the echo quotes where needed: an unquoted ``#`` starts
-a comment.  Exit codes: 0 success, 1 validation problem, 2 I/O problem,
-3 verification failure.
+``shlex`` words, which the echo quotes where needed; a comment starts at a
+``#`` that begins a line or an unquoted word.  Exit codes: 0 success,
+1 validation problem, 2 I/O problem, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from .corruption import CorruptionSpec, corrupt_dataset
 from .data import (Dataset, IdxFormatError, _check_blob_size, _check_classes, _check_dim, _check_fraction,
                    _check_seed, _check_spread, load_dataset, load_idx, save_dataset, split, synth_blobs)
 from .losses import BaseLoss
-from .net import save_params
 from .selection import ThresholdMode
 from .training import TrainConfig, _check_batch_size, _check_epochs, train, write_metrics_csv
 from .verification import SUITES, run_suites
 
 SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}  # a switch's words
 _DEFAULTS = TrainConfig()  # the run flags' defaults are the reference setup
 
 
@@ -133,10 +133,9 @@ def build_parser():
         _add_data_flags(sub)
         if name != "corrupt":
             _add_train_flags(sub)
-        if name == "train":  # sweep sets each cell's prior and writes no parameters
+        if name == "train":  # sweep sets each cell's prior
             sub.add_argument("--epsilon-prior", type=_checked(ThresholdMode.npcl_fixed),
                              default=_DEFAULTS.threshold.epsilon)
-            sub.add_argument("--checkpoint", help="write final parameters to this file")
         subparsers[name] = sub
 
     verify = subs.add_parser("verify", help="run the property suites")
@@ -146,8 +145,19 @@ def build_parser():
     return parser, subparsers
 
 
+def _words(value):
+    """``value``'s shell words up to a comment, which starts at a ``#`` that begins a word."""
+    lex = shlex.shlex(value, posix=True)
+    lex.whitespace_split, lex.commenters = True, ""
+    words = []  # between words the lexer stands just past the whitespace that ended the last one
+    while (value[lex.instream.tell():].lstrip(lex.whitespace)[:1] != "#"
+           and (word := lex.get_token()) is not None):
+        words.append(word)
+    return words
+
+
 def parse_config_file(path):
-    """``key = value`` lines as ``{key: [word, ...]}``, the value split into shell words."""
+    """``key = value`` lines as ``{key: (line number, [word, ...])}``; a key's last line wins."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -157,7 +167,7 @@ def parse_config_file(path):
         if not sep:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
         try:
-            values[key.strip().replace("-", "_")] = shlex.split(value, comments=True)
+            values[key.strip().replace("-", "_")] = lineno, _words(value)
         except ValueError as exc:  # an unclosed quote
             raise CliError(f"{path}:{lineno}: {exc}") from None
     return values
@@ -166,13 +176,16 @@ def parse_config_file(path):
 def _config_argv(sub, path):
     """The config file as flag tokens, to go ahead of the user's flags so those override it."""
     tokens = []
-    for key, words in parse_config_file(path).items():
-        action = sub.options.get(key)
+    for key, (lineno, words) in parse_config_file(path).items():
+        action, name = sub.options.get(key), key.replace("_", "-")
         if action is None or key in ("help", "config"):
-            raise CliError(f"unknown config key {key.replace('_', '-')!r}")
+            raise CliError(f"{path}:{lineno}: unknown config key {name!r}")
         flag = action.option_strings[-1]
         if action.nargs == 0:
-            tokens += [flag] if " ".join(words).lower() in ("1", "true", "yes") else []
+            on = _BOOLEANS.get(" ".join(words).lower())
+            if on is None:
+                raise CliError(f"{path}:{lineno}: {name} takes true/false, 1/0 or yes/no, got {' '.join(words)!r}")
+            tokens += [flag] if on else []
         else:  # argparse rejects a word count the flag does not take
             tokens += [flag, *words]
     try:
@@ -302,18 +315,16 @@ def _train_config(args):
 
 
 def _train_run(args, config, train_set, test_set):
-    """``npcl train``'s run, and each sweep cell's: ``_out_dir``, training, ``metrics.csv``; (metrics, params)."""
+    """``npcl train``'s run, and each sweep cell's: ``_out_dir``, training, ``metrics.csv``; the metrics."""
     out = _out_dir(args)
-    metrics, params = train(config, train_set, test_set)
+    metrics, _ = train(config, train_set, test_set)
     write_metrics_csv(out / "metrics.csv", metrics)
-    return metrics, params
+    return metrics
 
 
 def _cmd_train(args):
     config = _train_config(args)
-    metrics, params = _train_run(args, config, *_load_datasets(args))
-    if args.checkpoint:
-        save_params(args.checkpoint, params)
+    metrics = _train_run(args, config, *_load_datasets(args))
     print(f"wrote {Path(args.out) / 'metrics.csv'} ({len(metrics)} epochs, "
           f"final test accuracy {metrics[-1].test_acc:.4f})")
     return 0
@@ -354,7 +365,7 @@ def _sweep_cell(index):
     """Sweep cell ``index`` as a ``train`` run in a forked worker; its final test accuracy and warnings."""
     cells, configs, *datasets = _sweep
     with warnings.catch_warnings(record=True) as caught:
-        metrics, _ = _train_run(cells[index], configs[index], *datasets)
+        metrics = _train_run(cells[index], configs[index], *datasets)
     return metrics[-1].test_acc, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 

@@ -56,7 +56,7 @@ MAX_CLASSES = 65536
 
 
 class IdxFormatError(ValueError):
-    """An IDX, NPDS or checkpoint file that does not parse; the message names the file and the fault."""
+    """An IDX or NPDS file that does not parse; the message names the file and the fault."""
 
 
 @dataclass

@@ -33,26 +33,14 @@ it stands for, so results are bit-equal to it:
 * its derivative ``where(pre > 0, 1.0, alpha)`` is ``maximum(pre > 0, alpha)``
   with ``pre > 0`` written as 0.0 or 1.0 into a float buffer, equal for a
   slope in [0, 1].
-
-Checkpoint format (little-endian):
-
-    magic  b"NPW1"
-    f64    leaky-ReLU slope, in [0, 1]
-    u32    layer count
-    per layer: u32 d_in, u32 d_out, f64[d_in*d_out] weights row-major,
-               f64[d_out] biases
-
-Bytes after the last layer's biases are rejected.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _expect_end, _read_array, _read_exact, _read_scalar
 from .losses import BaseLoss, _as_batch, _loss_pass
 
 __all__ = [
@@ -61,11 +49,8 @@ __all__ = [
     "AdamState",
     "forward",
     "grad_check",
-    "save_params",
-    "load_params",
 ]
 
-CHECKPOINT_MAGIC = b"NPW1"
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -281,32 +266,3 @@ def grad_check(params: MlpParams, features, labels, kind: BaseLoss):
         worst = max(worst, abs(analytic[i] - numeric) / scale)
     return worst
 
-
-def save_params(path, params: MlpParams):
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<dI", params.alpha, len(params.weights)))
-        for w, b in zip(params.weights, params.biases):
-            fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
-            fh.write(w.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
-
-
-def load_params(path):
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
-        alpha = _read_scalar(fh, "<d", path, "slope")
-        count = _read_scalar(fh, "<I", path, "layer count")
-        weights, biases = [], []
-        for i in range(count):
-            d_in = _read_scalar(fh, "<I", path, f"layer {i} input size")
-            d_out = _read_scalar(fh, "<I", path, f"layer {i} output size")
-            weights.append(_read_array(fh, d_in * d_out, "<f8", path, f"layer {i} weights").reshape(d_in, d_out))
-            biases.append(_read_array(fh, d_out, "<f8", path, f"layer {i} biases"))
-        _expect_end(fh, path)
-    try:
-        return MlpParams(weights, biases, alpha)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

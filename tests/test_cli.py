@@ -21,7 +21,7 @@ from npcl.adversarial import empirical_adversarial_risk
 from npcl.cli import _out_dir, _train_config, build_parser, run
 from npcl.corruption import CorruptionSpec, corrupt_dataset
 from npcl.data import MAX_CLASSES, load_dataset, save_dataset, split, synth_blobs
-from npcl.net import _backprop, forward, load_params
+from npcl.net import _backprop, forward
 from npcl.objectives import curriculum_objective
 from npcl.selection import partial_optimize
 from npcl.training import METRICS_HEADER, TrainConfig, train
@@ -158,12 +158,14 @@ class TestRejectedFlags:
         (["--loss", "weighted:x"], ["--loss"]),
         (["--loss", "bogus"], ["--loss"]),
         (["--no-selection"], ["--no-selection", "--epsilon-prior"]),
+        (["--checkpoint", "ck.bin"], ["unrecognized arguments", "--checkpoint"]),
     ], ids=lambda v: " ".join(v))
-    def test_train(self, tmp_path, capsys, argv, flags):
+    def test_train(self, tmp_path, capsys, monkeypatch, argv, flags):
+        monkeypatch.chdir(tmp_path)
         assert run(smoke_args(tmp_path / "run", extra=argv)) == 1  # smoke_args sets --epsilon-prior 0.4
         err = capsys.readouterr().err
         assert all(flag in err for flag in flags), err
-        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "run").exists() and not (tmp_path / "ck.bin").exists()
 
     @pytest.mark.parametrize("argv, flags", [
         (["--test-fraction", "0.01"], ["--test-fraction", "test side"]),
@@ -289,15 +291,6 @@ class TestTrain:
         assert run(smoke_args(b)) == 0
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
-    def test_checkpoint_written(self, tmp_path):
-        out = tmp_path / "run"
-        ckpt = tmp_path / "final.npw"
-        assert run(smoke_args(out, extra=["--checkpoint", str(ckpt)])) == 0
-        from npcl.net import load_params
-
-        params = load_params(ckpt)
-        assert params.weights[-1].shape[1] == 4
-
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -356,6 +349,29 @@ class TestTrain:
         cfg.write_text("no-such-option = 1\n")
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "no-such-option" in capsys.readouterr().err
+
+    def test_config_hash_inside_a_word_is_kept(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'cfgx#y'}  # only a '#' that starts a word starts a comment\n")
+        flags = smoke_args(tmp_path / "unused", epochs=2)[1:-2]  # without its --out
+        assert run(["train", "--config", str(cfg), *flags]) == 0
+        assert (tmp_path / "cfgx#y" / "metrics.csv").exists()
+        assert not (tmp_path / "cfgx").exists()
+
+    @pytest.mark.parametrize("word, on", [("true", True), ("TRUE", True), ("1", True), ("Yes", True),
+                                          ("False", False), ("0", False), ("no", False)])
+    def test_config_switch_words(self, tmp_path, word, on):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no-shuffle = {word}\n")
+        assert npcl.cli._config_argv(build_parser()[1]["train"], cfg) == (["--no-shuffle"] if on else [])
+
+    def test_config_switch_rejects_other_words(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = 1\nno-shuffle = maybe\n")
+        out = tmp_path / "o"
+        assert run(["train", "--config", str(cfg), *smoke_args(out, epochs=2)[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: no-shuffle takes true/false, 1/0 or yes/no, got 'maybe'\n"
+        assert not out.exists()
 
     def test_config_file_bad_choice(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -502,11 +518,13 @@ class TestNpdsInput:
 
     def test_held_out_side_scored_on_clean_labels(self, tmp_path):
         path = self.corrupted(tmp_path)
-        out, checkpoint = tmp_path / "run", tmp_path / "params.bin"
+        out = tmp_path / "run"
         assert run(["train", "--dataset", path, "--epochs", "4", "--burn-in", "1", "--batch-size", "32",
-                    "--hidden", "8", "--seed", "7", "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
-        _, test_side = split(load_dataset(path), 0.2, seed=[7, 300])
-        predictions = np.argmax(forward(load_params(checkpoint), test_side.features), axis=1)
+                    "--hidden", "8", "--seed", "7", "--out", str(out)]) == 0
+        train_side, test_side = split(load_dataset(path), 0.2, seed=[7, 300])
+        _, params = train(TrainConfig(epochs=4, burn_in_epochs=1, batch_size=32, hidden=(8,), seed=7),
+                          train_side, test_side)
+        predictions = np.argmax(forward(params, test_side.features), axis=1)
         clean_acc = float(np.mean(predictions == test_side.clean_labels))
         assert np.count_nonzero(test_side.flip_flags) > 10
         assert clean_acc != float(np.mean(predictions == test_side.labels))

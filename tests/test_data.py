@@ -21,7 +21,6 @@ from npcl.data import (
     split,
     synth_blobs,
 )
-from npcl.net import MlpParams, load_params, save_params
 
 
 def write_idx_pair(tmp_path, pixels, labels, image_magic=2051, label_magic=2049, label_count=None):
@@ -284,8 +283,7 @@ class TestNpdsHeader:
 
     @pytest.mark.parametrize("save, load, value", [
         (save_dataset, load_dataset, synth_blobs(6, 2, 3.0, 0.5, seed=1)),
-        (save_params, load_params, MlpParams.init([3, 4, 2], seed=0)),
-    ], ids=["npds", "npw1"])
+    ], ids=["npds"])
     def test_trailing_bytes_name_file_and_count(self, tmp_path, save, load, value):
         path = tmp_path / "padded.bin"
         save(path, value)
@@ -309,10 +307,7 @@ def noisy_blobs(n):
      noisy_blobs(10),
      ["magic", "version", "sample count", "feature count", "class count", "flags",
       "features", "labels", "clean labels"]),
-    (save_params, load_params, MlpParams.init([3, 5, 2], seed=0),
-     ["magic", "slope", "layer count"]
-     + [f"layer {i} {field}" for i in (0, 1) for field in ("input size", "output size", "weights", "biases")]),
-], ids=["npds", "npw1"])
+], ids=["npds"])
 def test_every_truncation_names_file_and_field(tmp_path, save, load, value, fields):
     path = tmp_path / "cut.bin"
     save(path, value)
@@ -351,8 +346,7 @@ def expect_value_error_naming(load, path, *args):
     (save_dataset, load_dataset,
      noisy_blobs(4),
      lambda dataset: dataset.num_classes <= MAX_CLASSES and dataset.dim > 0 and len(dataset) > 0),
-    (save_params, load_params, MlpParams.init([2, 2, 2], seed=0), lambda params: 0.0 <= params.alpha <= 1.0),
-], ids=["npds", "npw1"])
+], ids=["npds"])
 def test_bit_flips_raise_only_value_errors(tmp_path, save, load, value, plausible):
     path = tmp_path / "flipped.bin"
     save(path, value)

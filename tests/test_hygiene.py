@@ -17,10 +17,6 @@ MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parents[1]
 # the package's __init__ re-exports names without calling them, so it is no caller
 CALLERS = [*MODULES, *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
-# exports kept with no caller, each with its reason
-UNCALLED = {
-    "net.load_params",  # the reader of the --checkpoint format that save_params writes
-}
 
 
 def unused_imports(source):
@@ -99,7 +95,7 @@ def test_every_export_has_a_caller():
     def sources(paths):
         return {str(p): p.read_text(encoding="utf-8") for p in paths}
 
-    assert sorted(set(uncalled_exports(sources(PACKAGE), sources(CALLERS))) - UNCALLED) == []
+    assert uncalled_exports(sources(PACKAGE), sources(CALLERS)) == []
 
 
 def test_import_loads_no_process_pool_modules():

@@ -1,7 +1,6 @@
-"""MLP forward/backward cores, the flat layout, Adam, gradient checks, checkpoints."""
+"""MLP forward/backward cores, the flat layout, Adam, gradient checks."""
 
 import re
-import struct
 import tracemalloc
 
 import numpy as np
@@ -18,8 +17,6 @@ from npcl.net import (
     _forward_cached,
     forward,
     grad_check,
-    load_params,
-    save_params,
 )
 from npcl.training import TrainConfig, train
 
@@ -71,6 +68,16 @@ class TestForward:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match=re.escape("features must be (n, 3), got shape (1, 5)")):
             forward(tiny_net(), np.zeros((1, 5)))
+
+    def test_init_from_two_sizes_has_no_hidden_layer(self):
+        params = MlpParams.init([3, 2], seed=0)
+        x = np.array([[0.5, -1.0, 2.0]])
+        assert [w.shape for w in params.weights] == [(3, 2)]
+        assert np.array_equal(forward(params, x), x @ params.weights[0] + params.biases[0])
+
+    def test_init_needs_input_and_output_sizes(self):
+        with pytest.raises(ValueError, match="need at least input and output sizes"):
+            MlpParams.init([3], seed=0)
 
     @pytest.mark.parametrize("alpha", [5.0, -0.01, float("nan"), float("inf")])
     def test_rejects_slope_outside_unit_interval(self, alpha):
@@ -273,30 +280,3 @@ class TestGradCheck:
         y = np.array([0, 0])
         assert grad_check(params, x, y, BaseLoss.hinge()) == 0.0
 
-
-class TestCheckpoints:
-    def test_round_trip_bit_identical(self, tmp_path):
-        params = tiny_net(seed=12)
-        path = tmp_path / "model.npw"
-        save_params(path, params)
-        back = load_params(path)
-        assert back.alpha == params.alpha
-        for a, b in zip(back.weights, params.weights):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(back.biases, params.biases):
-            np.testing.assert_array_equal(a, b)
-
-    def test_rejects_wrong_magic(self, tmp_path):
-        path = tmp_path / "bogus.npw"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            load_params(path)
-
-    def test_rejects_nan_slope_naming_file(self, tmp_path):
-        path = tmp_path / "model.npw"
-        save_params(path, tiny_net(seed=13))
-        data = bytearray(path.read_bytes())
-        data[4:12] = struct.pack("<d", float("nan"))
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: leaky-ReLU slope must be finite")):
-            load_params(path)

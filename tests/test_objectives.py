@@ -97,6 +97,12 @@ class TestBatchedObjective:
         assert whole == brute_value(batch, ThresholdMode.full_q())
         assert split >= whole
 
+    def test_unit_groups_are_singletons(self):
+        part = BatchPartition.contiguous(5, 1)
+        assert [g.tolist() for g in part.groups] == [[0], [1], [2], [3], [4]]
+        with pytest.raises(ValueError, match="group size must be >= 1"):
+            BatchPartition.contiguous(5, 0)
+
     def test_zero_losses_select_everything(self):
         batch = MarginBatch.from_margins(np.full(9, 2.0))
         part = BatchPartition.contiguous(9, 4)  # short last group

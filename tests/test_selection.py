@@ -235,8 +235,12 @@ class TestBruteForce:
         assert r0.objective == 0.0 and not r0.mask.any()
 
     def test_capacity_limit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="limited to n <= 20, got n=21"):
             brute_force_optimize(np.zeros(21), 1.0)
+
+    def test_full_capacity_matches_partial_optimize(self):
+        losses = dyadic_losses(np.random.default_rng(20), 20)
+        assert brute_force_optimize(losses, 8.0).objective == partial_optimize(losses, 8.0).objective
 
     def test_matches_partial_optimize(self):
         start = time.perf_counter()

@@ -61,6 +61,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="hidden"):
             small_config(hidden=hidden)
 
+    def test_accepts_a_hidden_layer_of_width_one(self):
+        assert small_config(hidden=(1,)).hidden == (1,)
+
     @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_learning_rates(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
