@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+def _misclassified(margins):
+    """The 0-1 indicator ``1(margins < 0)`` as a boolean array; a zero margin counts as correct."""
+    return margins < 0
+
+
 @dataclass
 class MarginBatch:
     """Per-sample margins with their base-loss values.
@@ -55,12 +60,12 @@ class MarginBatch:
             raise ValueError("margins and base_losses must be equal-length 1-D vectors")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(l))):
             raise ValueError("non-finite margins or losses")
-        indicators = (u < 0).astype(np.float64)
+        indicators = _misclassified(u).astype(np.float64)
         if np.any(l < indicators):
             raise ValueError("base losses must upper-bound the 0-1 indicators")
         self.margins = u
         self.base_losses = l
-        self.zero_one_total = int(np.count_nonzero(u < 0))
+        self.zero_one_total = int(np.count_nonzero(_misclassified(u)))
 
     @classmethod
     def from_margins(cls, margins):
@@ -136,7 +141,7 @@ def batched_objective(batch: MarginBatch, partition: BatchPartition, mode: Thres
     for m in np.unique(sizes).tolist():
         groups = np.flatnonzero(sizes == m)
         rows = partition.index[starts[groups, None] + np.arange(m)]
-        wrong = np.count_nonzero(batch.margins[rows] < 0, axis=1)
+        wrong = np.count_nonzero(_misclassified(batch.margins[rows]), axis=1)
         c = _thresholds(mode, np.full(groups.size, m), wrong)
         for g, result in zip(groups.tolist(), _select_rows(batch.base_losses[rows], c)):
             results[g] = result

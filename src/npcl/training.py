@@ -66,6 +66,7 @@ from .net import (
     _forward_cached,
     forward,
 )
+from .objectives import _misclassified
 from .selection import ThresholdMode, _select_rows, compute_threshold
 
 __all__ = [
@@ -204,7 +205,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
                 mask = np.ones(m, dtype=bool)
                 value = float(losses.sum())
             else:
-                misclassified = int(np.count_nonzero(margins < 0))
+                misclassified = int(np.count_nonzero(_misclassified(margins)))
                 c = compute_threshold(config.threshold, m, misclassified)
                 result = _select_rows(losses[None], np.array([c]))[0]
                 mask = result.mask

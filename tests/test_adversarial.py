@@ -7,8 +7,6 @@ import pytest
 
 from npcl import adversarial
 from npcl.adversarial import (
-    MAX_STEP,
-    POLISH_STEPS,
     AdvRiskSpec,
     adversarial_risk_numeric,
     check_monotonicity,
@@ -66,8 +64,9 @@ class TestClosedForm:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             empirical_adversarial_risk(np.array([0.5]), AdvRiskSpec(0.1))
-        with pytest.raises(ValueError):
-            AdvRiskSpec(-0.1)
+        for delta in (-0.1, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                AdvRiskSpec(delta)
 
 
 class TestProjection:
@@ -213,7 +212,8 @@ class TestSolverAgreement:
         assert adversarial_risk_numeric(l, spec) == pytest.approx(empirical_adversarial_risk(l, spec), abs=1e-6)
 
 
-SOLVER_STEPS = [min(4.0**i, MAX_STEP) for i in range(14)] + [MAX_STEP] * POLISH_STEPS
+# 14 growing steps capped at 1e8, then 6 at the cap: short steps as well as the solver's 1e8
+SOLVER_STEPS = [min(4.0**i, 1e8) for i in range(14)] + [1e8] * 6
 
 
 class TestProjectionBits:
@@ -229,7 +229,7 @@ class TestProjectionBits:
         assert h.hexdigest() == "971229b52639d83cf5cd567f8310492d2be94fd5bc032367b20368cb77bb6be7"
 
     def test_solver_iterates(self):
-        # every step of the full ascent schedule, fixed points included
+        # every step of the schedule, fixed points included
         rng = np.random.default_rng(32)
         h = hashlib.sha256()
         for _ in range(40):
@@ -266,15 +266,14 @@ class TestFixedPointStop:
             return project_chi_square_ball(w, delta)
 
         monkeypatch.setattr(adversarial, "project_chi_square_ball", counting)
-        saturated = 0
+        counts = []
         for l, spec in criterion7_instances():
             calls.clear()
             adversarial_risk_numeric(l, spec)
-            assert len(calls) <= len(SOLVER_STEPS)
-            if l.sum() not in (0.0, l.size) and empirical_adversarial_risk(l, spec) == 1.0:
-                saturated += 1
-                assert len(calls) <= 3  # two steps reach the vertex, the third repeats it
-        assert saturated > 100
+            counts.append(len(calls))
+        # the first projection lands on the maximizer up to rounding; the second repeats it
+        # (every saturated instance stops there) or settles its last bits, and the third repeats it
+        assert max(counts) <= 3
 
 
 class TestMonotonicity:

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
-name a module exports is used outside ``tests/``, and importing the package
-loads no process-pool modules."""
+function, class and constant a module defines is read in the package,
+``demos/`` or ``perfbench/``, and importing the package loads no process-pool
+modules."""
 
 import ast
 import os
@@ -57,24 +58,29 @@ def referenced_names(source, imports=True):
     return names
 
 
-def exports(source):
-    """The names in ``source``'s ``__all__``, read from its syntax tree, so nothing is imported."""
+def module_names(source):
+    """The functions, classes and constants ``source`` defines at module level, dunder names
+    aside, read from its syntax tree, so nothing is imported."""
+    names = []
     for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            return ast.literal_eval(node.value)
-    return []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
 
 
-def uncalled_exports(modules, callers):
-    """``module.name`` for each export of ``modules`` (path -> source) that its own module never
-    uses and no other source in ``callers`` (path -> source) references."""
+def unread_module_names(modules, callers):
+    """``module.name`` for each module-level name of ``modules`` (path -> source) that its own
+    module never reads and no other source in ``callers`` (path -> source) references."""
     references = {name: referenced_names(source) for name, source in callers.items()}
-    uncalled = []
+    unread = []
     for module, source in modules.items():
         used = referenced_names(source, imports=False).union(
             *(names for name, names in references.items() if name != module))
-        uncalled += [f"{Path(module).stem}.{name}" for name in exports(source) if name not in used]
-    return sorted(uncalled)
+        unread += [f"{Path(module).stem}.{name}" for name in module_names(source) if name not in used]
+    return sorted(unread)
 
 
 def test_detects_a_reference():
@@ -83,19 +89,20 @@ def test_detects_a_reference():
     }
 
 
-def test_detects_an_uncalled_export():
+def test_detects_an_unread_module_name():
     modules = {
-        "a.py": '__all__ = ["E", "K", "f", "g"]\nK = 1\nclass E(Exception): pass\ndef f(): raise E\ndef g(): pass\n',
+        "a.py": ('__all__ = ["E", "f"]\nK = 1\nL: int = 2\nM = L\nclass E(Exception): pass\n'
+                 "def f(): raise E\ndef _g(): pass\n"),
         "b.py": "__all__ = []\nfrom a import f\n",
     }
-    assert uncalled_exports(modules, modules) == ["a.K", "a.g"]
+    assert unread_module_names(modules, modules) == ["a.K", "a.M", "a._g"]
 
 
-def test_every_export_has_a_caller():
+def test_every_module_name_is_read():
     def sources(paths):
         return {str(p): p.read_text(encoding="utf-8") for p in paths}
 
-    assert uncalled_exports(sources(PACKAGE), sources(CALLERS)) == []
+    assert unread_module_names(sources(PACKAGE), sources(CALLERS)) == []
 
 
 def test_import_loads_no_process_pool_modules():

@@ -280,3 +280,13 @@ class TestGradCheck:
         y = np.array([0, 0])
         assert grad_check(params, x, y, BaseLoss.hinge()) == 0.0
 
+    def test_error_is_relative_to_large_gradients(self):
+        # weights scaled by 40 give gradients far above 1, where the error is divided by
+        # max(1, |analytic|, |numeric|); multiplying by it instead reads about 3e-6
+        params = MlpParams.init([3, 6, 4], seed=1)
+        params.flat *= 40.0
+        rng = np.random.default_rng(3)
+        x = rng.normal(0, 2, (3, 3))
+        y = rng.integers(0, 4, 3)
+        assert grad_check(params, x, y, BaseLoss.hinge()) < 1e-6
+

@@ -234,6 +234,10 @@ class TestBruteForce:
         r0 = brute_force_optimize([3.0, 1.0, 0.2], 0.0)
         assert r0.objective == 0.0 and not r0.mask.any()
 
+    def test_ties_across_chunks_keep_the_smallest_code(self):
+        # every mask scores 0 at C = 0; n = 17 enumerates two chunks of 2^16 masks
+        assert not brute_force_optimize(np.zeros(17), 0.0).mask.any()
+
     def test_capacity_limit(self):
         with pytest.raises(ValueError, match="limited to n <= 20, got n=21"):
             brute_force_optimize(np.zeros(21), 1.0)
