@@ -14,6 +14,8 @@ The core pieces:
 * :mod:`npcl.adversarial` — worst-case reweighted risk under a chi-square
   divergence budget
 * :mod:`npcl.data` — IDX and NPDS ingestion, synthetic blobs, splits, serialization
+* :mod:`npcl.verification` — the property checks behind ``npcl verify``,
+  criterion 6's finite-difference ``grad_check`` among them
 * :mod:`npcl.cli` — the ``npcl`` command (train / corrupt / verify / sweep)
 """
 
@@ -26,10 +28,11 @@ from .adversarial import (
 from .corruption import CorruptionSpec, corrupt_dataset
 from .data import Dataset, load_dataset, load_idx, save_dataset, split, synth_blobs
 from .losses import BaseLoss, multiclass_margin
-from .net import AdamState, MlpParams, forward, grad_check
+from .net import AdamState, MlpParams, forward
 from .objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from .selection import SelectionResult, ThresholdMode, brute_force_optimize, compute_threshold, partial_optimize
 from .training import EpochMetrics, TrainConfig, evaluate, train
+from .verification import grad_check
 
 __version__ = "0.1.0"
 

@@ -34,6 +34,7 @@ routes validate each other; the closed form is what the fast API returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,11 +89,17 @@ def project_chi_square_ball(w, delta):
     Every k is scored in one vectorised pass from prefix sums, and the k
     whose cut is consistent, ``w_(k) > theta >= w_(k+1)``, is the exact
     projection.  Under rounding the least inconsistent k is taken.
+    A negative or NaN ``delta``, an empty ``w`` and a non-finite entry of
+    ``w`` raise ``ValueError``.
     """
     w = np.asarray(w, dtype=np.float64)
     n = w.size
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not delta >= 0:  # NaN fails this too
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    top = w.max() if n else math.nan  # the methods skip np.max's dispatch
+    # an empty w, NaN and +inf show in the maximum, -inf in the minimum
+    if not (math.isfinite(top) and math.isfinite(w.min())):
+        raise ValueError("w must be non-empty with every entry finite")
 
     k = np.arange(1, n + 1)
     # equal weights on k samples already spend n^2 / k - n of the budget
@@ -103,7 +110,7 @@ def project_chi_square_ball(w, delta):
         return np.ones(n)  # no room left: delta is 0, or so small that 1 + delta rounds to 1
     # a shift of w leaves the projection unchanged (sum(r) is fixed); moving
     # the maximum to 0 limits cancellation in the prefix sums of squares
-    u = w - np.max(w)
+    u = w - top
     v = np.sort(u)[::-1]
     mean = np.cumsum(v) / k
     scatter = np.maximum(np.cumsum(v * v) - k * mean * mean, 0.0)
@@ -150,7 +157,6 @@ def adversarial_risk_numeric(losses01, spec: AdvRiskSpec):
 class MonotonicityReport:
     """Outcome of the pairwise order check between plain and worst-case risk."""
 
-    delta: float
     pairs_checked: int
     violations: list = field(default_factory=list)
 
@@ -175,7 +181,7 @@ def check_monotonicity(loss_vectors, spec: AdvRiskSpec):
         raise ValueError("loss vectors must have equal length")
 
     plain = [float(v.sum()) / v.size for v in vectors]
-    report = MonotonicityReport(delta=spec.delta, pairs_checked=0)
+    report = MonotonicityReport(pairs_checked=0)
     for i in range(len(vectors)):
         for j in range(len(vectors)):
             if i == j:

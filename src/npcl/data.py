@@ -14,18 +14,18 @@ The internal dataset format is little-endian binary:
     u64    n samples
     u32    d features
     u32    K classes, at most ``MAX_CLASSES``
-    u32    flags (bit 0: clean labels present)
+    u32    flags (bit 0: clean labels present; every other bit must be 0)
     f64[n*d]  features, row-major
     i64[n]    labels
     i64[n]    clean labels, only when flagged
 
 Round-tripping through this format is bit-exact.  Readers reject an IDX
 file with no images or no labels, an IDX image with no rows or no columns,
-a dataset file with no samples, no features or a class count above
-``MAX_CLASSES``, and any file with bytes left after its last field, naming
-the file and the field or the leftover byte count.  Every rejection, whatever
-its fault, is one type, ``IdxFormatError``, which the command line reports
-with exit code 2.
+a dataset file with no samples, no features, a class count above
+``MAX_CLASSES`` or any flag bit but bit 0 set, and any file with bytes
+left after its last field, naming the file and the field or the leftover
+byte count.  Every rejection, whatever its fault, is one type,
+``IdxFormatError``, which the command line reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -283,6 +283,8 @@ def load_dataset(path):
         if k > MAX_CLASSES:
             raise IdxFormatError(f"{path}: class count {k} exceeds MAX_CLASSES = {MAX_CLASSES}")
         flags = _read_scalar(fh, "<I", path, "flags")
+        if flags & ~1:
+            raise IdxFormatError(f"{path}: flags {flags:#x} set unknown bits; only bit 0 (clean labels) is defined")
         features = _read_array(fh, n * d, "<f8", path, "features").reshape(n, d)
         labels = _read_array(fh, n, "<i8", path, "labels")
         clean = _read_array(fh, n, "<i8", path, "clean labels") if flags & 1 else None

@@ -1,13 +1,13 @@
 """Small MLP with an explicit cached forward pass, backprop and Adam.
 
-The model is a stack of affine layers with leaky-ReLU between them and raw
-logits at the output.  ``MlpParams`` keeps every weight and bias in one
-flat vector, ``params.flat``, and its ``weights`` and ``biases`` are views
-into it, so the parameters, the gradients and both Adam moments each live
-in one contiguous vector laid out alike (``MlpParams.views``).
+The model is a stack of affine layers with leaky-ReLU of slope
+``LEAKY_SLOPE`` between them and raw logits at the output.  ``MlpParams``
+keeps every weight and bias in one flat vector, ``params.flat``, and its
+``weights`` and ``biases`` are views into it, so the parameters, the
+gradients and both Adam moments each live in one contiguous vector laid
+out alike (``MlpParams.views``).
 
-A training step runs these cores in order; ``grad_check`` runs the first
-three as the training loop does:
+A training step runs these cores in order:
 
 1. ``_forward_cached`` runs the forward pass once into a ``Workspace``,
    which keeps every layer's pre-activation and activation;
@@ -27,12 +27,12 @@ it stands for, so results are bit-equal to it:
 
 * ``z += b`` would broadcast ``b`` through a buffered iterator that
   allocates; ``b`` is copied into a batch-shaped buffer and added from there;
-* the leaky-ReLU ``where(z > 0, z, alpha * z)`` is ``maximum(z, alpha * z)``,
-  equal for finite ``z`` and a slope in [0, 1], signed zeros included
-  (``MlpParams`` rejects any other slope);
-* its derivative ``where(pre > 0, 1.0, alpha)`` is ``maximum(pre > 0, alpha)``
-  with ``pre > 0`` written as 0.0 or 1.0 into a float buffer, equal for a
-  slope in [0, 1].
+* the leaky-ReLU ``where(z > 0, z, LEAKY_SLOPE * z)`` is
+  ``maximum(z, LEAKY_SLOPE * z)``, equal for finite ``z`` and a slope in
+  [0, 1], signed zeros included;
+* its derivative ``where(pre > 0, 1.0, LEAKY_SLOPE)`` is
+  ``maximum(pre > 0, LEAKY_SLOPE)`` with ``pre > 0`` written as 0.0 or 1.0
+  into a float buffer, equal for a slope in [0, 1].
 """
 
 from __future__ import annotations
@@ -41,21 +41,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import BaseLoss, _as_batch, _loss_pass
-
 __all__ = [
     "MlpParams",
     "Workspace",
     "AdamState",
     "forward",
-    "grad_check",
 ]
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-GRAD_CHECK_STEP = 1e-5  # central-difference step of ``grad_check``
+LEAKY_SLOPE = 0.01  # in [0, 1], where max(z, LEAKY_SLOPE * z) is the leaky-ReLU
 
 
 @dataclass
@@ -64,13 +61,9 @@ class MlpParams:
 
     weights: list
     biases: list
-    alpha: float = 0.01  # leaky-ReLU slope
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # max(z, alpha * z) is the leaky-ReLU only for a slope in [0, 1]; NaN fails the test too
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"leaky-ReLU slope must be finite and in [0, 1], got {self.alpha}")
         if not self.weights or len(self.weights) != len(self.biases):
             raise ValueError("need matching weight and bias lists")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -83,7 +76,7 @@ class MlpParams:
         self.weights, self.biases = self.views(self.flat)
 
     @classmethod
-    def init(cls, layer_sizes, seed, alpha=alpha):  # the slope defaults to the field's
+    def init(cls, layer_sizes, seed):
         """Seeded uniform init in +-sqrt(6 / (d_in + d_out)); zero biases."""
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
@@ -93,11 +86,7 @@ class MlpParams:
             bound = np.sqrt(6.0 / (d_in + d_out))
             weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
             biases.append(np.zeros(d_out))
-        return cls(weights, biases, alpha)
-
-    @property
-    def input_dim(self):
-        return self.weights[0].shape[0]
+        return cls(weights, biases)
 
     def views(self, flat):
         """Per-layer weight and bias views into ``flat``, laid out as ``self.flat``."""
@@ -113,8 +102,9 @@ class MlpParams:
 def _check_features(params: MlpParams, features):
     """Features as a float64 ``(n, d)`` batch for the model's input dim ``d``."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(f"features must be (n, {params.input_dim}), got shape {x.shape}")
+    d = params.weights[0].shape[0]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"features must be (n, {d}), got shape {x.shape}")
     return x
 
 
@@ -151,7 +141,7 @@ def _forward_cached(params: MlpParams, x, ws: Workspace):
         z += ws.bias[i]
         if i < last:
             a = ws.acts[i + 1]
-            np.multiply(z, params.alpha, out=a)
+            np.multiply(z, LEAKY_SLOPE, out=a)
             np.maximum(z, a, out=a)
     return ws.acts[-1]
 
@@ -170,7 +160,7 @@ def _backprop(params: MlpParams, ws: Workspace, delta, g_w, g_b):
         if i > 0:
             slope = ws.slope[i - 1]
             np.greater(ws.pre[i - 1], 0.0, out=slope)
-            np.maximum(slope, params.alpha, out=slope)
+            np.maximum(slope, LEAKY_SLOPE, out=slope)
             delta = np.matmul(delta, params.weights[i].T, out=ws.deltas[i - 1])
             delta *= slope
 
@@ -232,37 +222,3 @@ def _adam_update(theta, grad, state: AdamState):
     t += ADAM_EPS
     s /= t
     theta -= s
-
-
-def grad_check(params: MlpParams, features, labels, kind: BaseLoss):
-    """Worst relative error of the training step's gradient vs central differences.
-
-    The analytic gradient of the mean loss comes from the cores the training
-    loop runs, with every sample selected.  Meaningful away from the hinge
-    kinks and rival-score ties; the differences step by ``GRAD_CHECK_STEP``
-    and the error is normalized by max(1, |analytic|, |numeric|).
-    """
-    x = _check_features(params, features)
-    probe = MlpParams(params.weights, params.biases, params.alpha)
-    theta = probe.flat
-    ws = Workspace(probe, x.shape[0])
-    t, y = _as_batch(_forward_cached(probe, x, ws), labels)
-    analytic = np.empty_like(theta)
-    delta = _loss_pass(t, y, kind, gradients=True)[2] * (1.0 / x.shape[0])
-    _backprop(probe, ws, delta, *probe.views(analytic))
-
-    def loss_at():
-        return float(np.mean(kind.values(_forward_cached(probe, x, ws), y)))
-
-    worst = 0.0
-    for i, original in enumerate(theta.copy()):
-        theta[i] += GRAD_CHECK_STEP
-        up = loss_at()
-        theta[i] -= 2 * GRAD_CHECK_STEP
-        down = loss_at()
-        theta[i] = original
-        numeric = (up - down) / (2 * GRAD_CHECK_STEP)
-        scale = max(1.0, abs(analytic[i]), abs(numeric))
-        worst = max(worst, abs(analytic[i] - numeric) / scale)
-    return worst
-

@@ -186,10 +186,17 @@ class ThresholdMode:
         return self.kind
 
 
+def _count(value, name):
+    """``value`` as an int; ``ValueError`` naming the argument ``name`` unless it is integral."""
+    if not float(value).is_integer():  # NaN and infinities included
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def compute_threshold(mode: ThresholdMode, n, misclassified_count):
     """Threshold ``C`` for a group of ``n`` samples; always in ``[0, 2n]``."""
-    n = int(n)
-    k = int(misclassified_count)
+    n = _count(n, "n")
+    k = _count(misclassified_count, "misclassified_count")
     if n < 1:
         raise ValueError("group size must be >= 1")
     if not 0 <= k <= n:

@@ -12,6 +12,10 @@ samples of a late-training batch; analytic loss gradients match central
 differences away from kinks; the closed-form worst-case risk
 matches the projected-ascent solver and keeps the plain-risk order.
 
+Criterion 6's finite differences live here too: ``grad_check`` runs the
+training step's cores of ``npcl.net`` and compares their gradient with
+central differences of the loss.
+
 Exact checks draw from a dyadic grid (multiples of 2^-10), which keeps
 every partial sum exactly representable in float64.
 """
@@ -28,16 +32,17 @@ from .adversarial import (
     check_monotonicity,
     empirical_adversarial_risk,
 )
-from .losses import BaseLoss, multiclass_margin
-from .net import MlpParams, forward, grad_check
+from .losses import BaseLoss, _as_batch, _loss_pass, multiclass_margin
+from .net import MlpParams, Workspace, _backprop, _check_features, _forward_cached, forward
 from .objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from .selection import ThresholdMode, brute_force_optimize, partial_optimize
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "optimum_identities_hold", "check_selector",
-           "check_bound_chains", "check_zero_prior_reductions", "check_pruning_counts", "check_gradients",
-           "check_solver_agreement", "check_risk_order"]
+           "check_bound_chains", "check_zero_prior_reductions", "check_pruning_counts", "grad_check",
+           "check_gradients", "check_solver_agreement", "check_risk_order"]
 
 KINK_GAP = 1e-3  # distance from a loss kink within which check_gradients redraws a net
+GRAD_CHECK_STEP = 1e-5  # central-difference step of ``grad_check``
 
 
 @dataclass
@@ -154,6 +159,39 @@ def _near_kink(logits, labels):
     top = np.sort(rivals, axis=1)[:, -2:]
     return bool(np.any(np.abs(u) < KINK_GAP) or np.any(np.abs(u - 1.0) < KINK_GAP)
                 or np.any(top[:, 1] - top[:, 0] < KINK_GAP))
+
+
+def grad_check(params: MlpParams, features, labels, kind: BaseLoss):
+    """Worst relative error of the training step's gradient vs central differences.
+
+    The analytic gradient of the mean loss comes from the cores the training
+    loop runs, with every sample selected.  Meaningful away from the hinge
+    kinks and rival-score ties; the differences step by ``GRAD_CHECK_STEP``
+    and the error is normalized by max(1, |analytic|, |numeric|).
+    """
+    x = _check_features(params, features)
+    probe = MlpParams(params.weights, params.biases)
+    theta = probe.flat
+    ws = Workspace(probe, x.shape[0])
+    t, y = _as_batch(_forward_cached(probe, x, ws), labels)
+    analytic = np.empty_like(theta)
+    delta = _loss_pass(t, y, kind, gradients=True)[2] * (1.0 / x.shape[0])
+    _backprop(probe, ws, delta, *probe.views(analytic))
+
+    def loss_at():
+        return float(np.mean(_loss_pass(_forward_cached(probe, x, ws), y, kind, gradients=False)[1]))
+
+    worst = 0.0
+    for i, original in enumerate(theta.copy()):
+        theta[i] += GRAD_CHECK_STEP
+        up = loss_at()
+        theta[i] -= 2 * GRAD_CHECK_STEP
+        down = loss_at()
+        theta[i] = original
+        numeric = (up - down) / (2 * GRAD_CHECK_STEP)
+        scale = max(1.0, abs(analytic[i]), abs(numeric))
+        worst = max(worst, abs(analytic[i] - numeric) / scale)
+    return worst
 
 
 def check_gradients(rng, count):

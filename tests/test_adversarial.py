@@ -92,6 +92,19 @@ class TestProjection:
         # 1 + 1e-17 rounds to 1, so no support has budget left
         np.testing.assert_array_equal(project_chi_square_ball(np.array([3.0, -1.0, 0.5]), 1e-17), np.ones(3))
 
+    @pytest.mark.parametrize("w, delta, message", [
+        ([3.0, -1.0, 0.5], float("nan"), "delta must be nonnegative, got nan"),
+        ([3.0, -1.0, 0.5], -0.5, "delta must be nonnegative, got -0.5"),
+        ([3.0, float("nan"), 0.5], 0.5, "w must be non-empty with every entry finite"),
+        ([3.0, float("inf"), 0.5], 0.5, "w must be non-empty with every entry finite"),
+        ([3.0, float("-inf"), 0.5], 0.5, "w must be non-empty with every entry finite"),
+        ([3.0, float("nan"), 0.5], 1e-17, "w must be non-empty with every entry finite"),  # before the no-room exit
+        ([], 0.5, "w must be non-empty with every entry finite"),
+    ], ids=["nan-delta", "negative-delta", "nan-w", "inf-w", "minus-inf-w", "nan-w-no-room", "empty-w"])
+    def test_rejects_non_finite_input(self, w, delta, message):
+        with pytest.raises(ValueError, match=message):
+            project_chi_square_ball(np.array(w), delta)
+
 
 def bisection_projection(w, delta):
     """Slow reference: bisect the quadratic constraint's multiplier ``lam``.

@@ -601,7 +601,7 @@ class TestVerify:
          lambda losses, c: partial_optimize(losses, max(c - 1.0, 0.0)), 0),
         ("adversarial", ["npcl.verification", "npcl.adversarial"], "empirical_adversarial_risk",
          lambda losses, spec: 1.0 - empirical_adversarial_risk(losses, spec), 0),
-        ("gradients", ["npcl.net"], "_backprop",
+        ("gradients", ["npcl.verification"], "_backprop",
          lambda params, ws, delta, g_w, g_b: _backprop(params, ws, 2.0 * delta, g_w, g_b), 0),
         # the chains and reductions read only values, so only the pruning count sees it
         ("bounds", ["npcl.verification"], "curriculum_objective", select_one_more, 2),

@@ -267,6 +267,16 @@ class TestSerialization:
         path.write_bytes(bytes(data))
         assert load_dataset(path).num_classes == MAX_CLASSES
 
+    @pytest.mark.parametrize("flags", [2, 6])
+    def test_unknown_flag_bits_name_file_and_field(self, tmp_path, flags):
+        path = tmp_path / "blobs.npds"
+        save_dataset(path, synth_blobs(30, 3, separation=3.0, noise_std=0.7, seed=8))
+        data = bytearray(path.read_bytes())
+        data[24:28] = struct.pack("<I", flags)  # no clean labels: bit 0 stays clear
+        path.write_bytes(bytes(data))
+        with pytest.raises(IdxFormatError, match=re.escape(f"{path}: flags {flags:#x} set unknown bits")):
+            load_dataset(path)
+
 
 class TestNpdsHeader:
     def test_zero_sample_count_names_file_and_field(self, tmp_path):

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
 function, class and constant a module defines is read in the package,
-``demos/`` or ``perfbench/``, and importing the package loads no process-pool
-modules."""
+``demos/`` or ``perfbench/``, the leaf modules import no other package
+module, and importing the package loads no process-pool modules."""
 
 import ast
 import os
@@ -18,6 +18,8 @@ MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parents[1]
 # the package's __init__ re-exports names without calling them, so it is no caller
 CALLERS = [*MODULES, *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+# modules that stand on numpy and the standard library alone; the rest of the package builds on them
+LEAVES = ["data", "losses", "selection", "adversarial", "net"]
 
 
 def unused_imports(source):
@@ -103,6 +105,29 @@ def test_every_module_name_is_read():
         return {str(p): p.read_text(encoding="utf-8") for p in paths}
 
     assert unread_module_names(sources(PACKAGE), sources(CALLERS)) == []
+
+
+def package_imports(source):
+    """The ``npcl`` modules ``source`` imports, relative imports included, read from its syntax tree."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "npcl"):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "npcl"]
+    return found
+
+
+def test_detects_a_package_import():
+    source = ("from __future__ import annotations\nimport os, npcl.net\nfrom . import data\n"
+              "from .losses import f\nfrom npcl import cli\nfrom numpy import g\n")
+    assert package_imports(source) == ["npcl.net", ".", ".losses", "npcl"]
+
+
+@pytest.mark.parametrize("name", LEAVES)
+def test_leaf_module_imports_no_package_module(name):
+    path = Path(npcl.__file__).parent / f"{name}.py"
+    assert package_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_import_loads_no_process_pool_modules():

@@ -9,8 +9,9 @@ import pytest
 
 from npcl import losses, verification
 from npcl.losses import BaseLoss, _loss_pass, margins_and_values, multiclass_margin
-from npcl.net import MlpParams, forward, grad_check
+from npcl.net import MlpParams, forward
 from npcl.objectives import MarginBatch
+from npcl.verification import grad_check
 
 SOFT_HINGE_01 = 2.3132616875182228  # 1 + log(1 + e), t=[0,1], y=0
 HARD, SOFT = BaseLoss.hinge(), BaseLoss.soft()

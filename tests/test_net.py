@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from npcl import net
 from npcl.data import synth_blobs
 from npcl.losses import BaseLoss, _loss_pass
 from npcl.net import (
@@ -16,9 +17,9 @@ from npcl.net import (
     _backprop,
     _forward_cached,
     forward,
-    grad_check,
 )
 from npcl.training import TrainConfig, train
+from npcl.verification import grad_check
 
 
 def tiny_net(seed=0, sizes=(3, 8, 8, 4)):
@@ -43,7 +44,7 @@ def plain_forward(params, x):
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
             z = np.array([sum(h[j] * w[j, c] for j in range(w.shape[0])) + b[c] for c in range(w.shape[1])])
             if i < len(params.weights) - 1:
-                z = np.array([v if v > 0 else params.alpha * v for v in z])
+                z = np.array([v if v > 0 else net.LEAKY_SLOPE * v for v in z])
             h = z
         out.append(h)
     return np.array(out)
@@ -78,11 +79,6 @@ class TestForward:
     def test_init_needs_input_and_output_sizes(self):
         with pytest.raises(ValueError, match="need at least input and output sizes"):
             MlpParams.init([3], seed=0)
-
-    @pytest.mark.parametrize("alpha", [5.0, -0.01, float("nan"), float("inf")])
-    def test_rejects_slope_outside_unit_interval(self, alpha):
-        with pytest.raises(ValueError, match="leaky-ReLU slope must be finite and in"):
-            MlpParams.init([3, 4, 2], seed=0, alpha=alpha)
 
 
 class TestBackward:
@@ -160,12 +156,12 @@ def allocating_step(params, x, delta, m, v, step):
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = acts[-1] @ w + b
         pre.append(z)
-        acts.append(z if i == last else np.where(z > 0, z, params.alpha * z))
+        acts.append(z if i == last else np.where(z > 0, z, net.LEAKY_SLOPE * z))
     grads = []
     for i in range(last, -1, -1):
         grads[:0] = [acts[i].T @ delta, np.sum(delta, axis=0)]
         if i > 0:
-            delta = (delta @ params.weights[i].T) * np.where(pre[i - 1] > 0, 1.0, params.alpha)
+            delta = (delta @ params.weights[i].T) * np.where(pre[i - 1] > 0, 1.0, net.LEAKY_SLOPE)
     grad = np.concatenate([g.ravel() for g in grads])
     m *= 0.9
     m += (1.0 - 0.9) * grad
@@ -177,12 +173,14 @@ def allocating_step(params, x, delta, m, v, step):
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("alpha", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
     @pytest.mark.parametrize("rows", [1, 7, 128])
-    def test_cores_match_allocating_expressions_bitwise(self, rows, alpha):
+    def test_cores_match_allocating_expressions_bitwise(self, monkeypatch, rows, slope):
+        # the equalities the cores rely on hold for any slope in [0, 1], so test its ends too
+        monkeypatch.setattr(net, "LEAKY_SLOPE", slope)
         rng = np.random.default_rng(rows)
-        params = MlpParams.init([5, 6, 6, 3], seed=16, alpha=alpha)
-        reference = MlpParams(params.weights, params.biases, alpha)
+        params = MlpParams.init([5, 6, 6, 3], seed=16)
+        reference = MlpParams(params.weights, params.biases)
         m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
         ws, state = Workspace(params, rows), AdamState.init(params, 1e-3)
         grad = np.empty_like(params.flat)

@@ -1,5 +1,6 @@
 """Selection kernel: exactness against brute force and structural identities."""
 
+import re
 import time
 
 import numpy as np
@@ -293,3 +294,19 @@ class TestThresholds:
             compute_threshold(ThresholdMode.full_q(), 4, 5)
         with pytest.raises(ValueError):
             compute_threshold(ThresholdMode.full_q(), 4, -1)
+
+    @pytest.mark.parametrize("n, k, message", [
+        (5, 2.5, "misclassified_count must be an integer, got 2.5"),
+        (5.9, 2, "n must be an integer, got 5.9"),
+        (float("nan"), 2, "n must be an integer, got nan"),
+        (5, float("inf"), "misclassified_count must be an integer, got inf"),
+    ])
+    def test_non_integral_counts_name_the_argument(self, n, k, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_threshold(ThresholdMode.full_q(), n, k)
+
+    def test_integral_counts_of_any_type(self):
+        mode = ThresholdMode.npcl_adaptive(0.3)
+        expected = compute_threshold(mode, 7, 2)
+        for n, k in [(7.0, 2.0), (np.int32(7), np.int64(2)), (np.float64(7.0), 2)]:
+            assert compute_threshold(mode, n, k) == expected
