@@ -89,10 +89,12 @@ def project_chi_square_ball(w, delta):
     Every k is scored in one vectorised pass from prefix sums, and the k
     whose cut is consistent, ``w_(k) > theta >= w_(k+1)``, is the exact
     projection.  Under rounding the least inconsistent k is taken.
-    A negative or NaN ``delta``, an empty ``w`` and a non-finite entry of
-    ``w`` raise ``ValueError``.
+    A negative or NaN ``delta``, a ``w`` that is not a 1-D vector, an empty
+    ``w`` and a non-finite entry of ``w`` raise ``ValueError``.
     """
     w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError(f"w must be a 1-D vector, got shape {w.shape}")
     n = w.size
     if not delta >= 0:  # NaN fails this too
         raise ValueError(f"delta must be nonnegative, got {delta}")
@@ -176,8 +178,7 @@ def check_monotonicity(loss_vectors, spec: AdvRiskSpec):
     adv = [empirical_adversarial_risk(v, spec) for v in vectors]  # validates each vector
     if len(vectors) < 2:
         raise ValueError("need at least two loss vectors")
-    lengths = {v.size for v in vectors}
-    if len(lengths) != 1:
+    if len({v.size for v in vectors}) != 1:
         raise ValueError("loss vectors must have equal length")
 
     plain = [float(v.sum()) / v.size for v in vectors]

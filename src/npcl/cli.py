@@ -412,10 +412,9 @@ def _cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     width = max(len(f"{r.suite}: {r.name}") for r in results)
-    all_ok = True
+    all_ok = all(r.ok for r in results)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
-        all_ok &= r.ok
         print(f"{status}  {f'{r.suite}: {r.name}':<{width}}  {r.detail}")
     print("all checks passed" if all_ok else "SOME CHECKS FAILED")
     return 0 if all_ok else 3

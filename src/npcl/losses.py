@@ -21,12 +21,13 @@ and ``MarginBatch.from_margins``.
 The margins come from one blocked pass over the rows (``_margins``).  A
 block holds ``MARGIN_BLOCK`` elements, so it stays in cache at any class
 count, and a training batch is one block.  Per block: a finiteness check by
-its min and max, the true scores by one flat gather, and the rival score as
-a running ``np.maximum`` over the columns with the true class masked to
-``-inf``.  Rival ties resolve to the lowest class index (``np.argmax``'s
-rule), which fixes both the subgradient and the sign of a zero rival score;
-``np.maximum`` may keep either zero of a ``+-0`` tie, so rows whose rival
-score is zero are re-read by ``np.argmax``.
+its min and max, a copy that reads ``-0.0`` as ``+0.0`` (as the selection
+kernel does), the true scores by one flat gather, and the true class masked
+to ``-inf``.  Equal scores then have equal bits, no margin is ``-0.0``, and
+the rival score is read once: as a running ``np.maximum`` over the columns
+for values alone, or at the ``np.argmax`` index when gradients are taken.
+Rival ties resolve to the lowest class index (``np.argmax``'s rule), which
+fixes the subgradient.
 
 Binary classification is the K=2 special case; there is no separate code
 path.  The public functions take a batch, ``(n, K)`` logits and ``(n,)``
@@ -71,17 +72,16 @@ def _margins(t, y, rival_index=False):
 
     One pass over blocks of ``MARGIN_BLOCK`` elements (at least one row).
     Each block is checked for non-finite values (NaN propagates through
-    ``min``), copied, and its true scores are gathered and then masked to
-    ``-inf`` by flat row-major positions.  The rival score, the highest
-    non-true score, is a running ``np.maximum`` over the K columns, written
-    straight into the margin buffer.  Ties resolve to the smallest class
-    index, as in ``np.argmax``: equal nonzero scores have equal bits, but
-    ``np.maximum`` may keep either zero of a ``+-0`` tie, so rows whose
-    rival score is zero are re-read through ``np.argmax``.  Only when
-    ``rival_index`` is set does the pass find the rival's index, by
-    ``np.argmax`` over the masked block.  The margins ``true - rival`` then
-    overwrite the rival scores in place; no ``(n,)`` index array is made
-    for values alone.
+    ``min``) and copied by adding ``0.0``, which turns ``-0.0`` into
+    ``+0.0`` so that equal scores have equal bits.  Its true scores are
+    gathered and then masked to ``-inf`` by flat row-major positions.  The
+    rival score, the highest non-true score, is read once per row, straight
+    into the margin buffer: without ``rival_index`` as a running
+    ``np.maximum`` over the K columns, with it by ``np.argmax`` over the
+    masked block (ties go to the smallest class index) and one gather at
+    that index.  Both reads give the same bits.  The margins
+    ``true - rival`` then overwrite the rival scores in place, so no margin
+    is ``-0.0``; no ``(n,)`` index array is made for values alone.
     """
     n, k = t.shape
     rows = max(1, MARGIN_BLOCK // k)
@@ -95,20 +95,19 @@ def _margins(t, y, rival_index=False):
         if not (math.isfinite(block.min()) and math.isfinite(block.max())):
             raise ValueError("logits contain non-finite values")
         work = masked[:m]
-        np.copyto(work, block)
+        np.add(block, 0.0, out=work)
         flat = work.reshape(-1)
         pos = row_starts[:m] + y[s : s + m]
         true[s : s + m] = flat[pos]
         flat[pos] = -np.inf
         rival = u[s : s + m]
-        np.maximum(work[:, 0], work[:, 1], out=rival)
-        for j in range(2, k):
-            np.maximum(rival, work[:, j], out=rival)
-        if np.count_nonzero(rival) < m:
-            zero = np.flatnonzero(rival == 0.0)
-            rival[zero] = work[zero, np.argmax(work[zero], axis=1)]
         if rival_index:
             np.argmax(work, axis=1, out=rival_idx[s : s + m])
+            np.take(flat, row_starts[:m] + rival_idx[s : s + m], out=rival)
+        else:
+            np.maximum(work[:, 0], work[:, 1], out=rival)
+            for j in range(2, k):
+                np.maximum(rival, work[:, j], out=rival)
         np.subtract(true[s : s + m], rival, out=rival)
     return u, true, rival_idx
 

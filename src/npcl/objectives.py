@@ -60,12 +60,12 @@ class MarginBatch:
             raise ValueError("margins and base_losses must be equal-length 1-D vectors")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(l))):
             raise ValueError("non-finite margins or losses")
-        indicators = _misclassified(u).astype(np.float64)
-        if np.any(l < indicators):
+        wrong = _misclassified(u)
+        if np.any(l < wrong):
             raise ValueError("base losses must upper-bound the 0-1 indicators")
         self.margins = u
         self.base_losses = l
-        self.zero_one_total = int(np.count_nonzero(_misclassified(u)))
+        self.zero_one_total = int(np.count_nonzero(wrong))
 
     @classmethod
     def from_margins(cls, margins):

@@ -187,9 +187,12 @@ class ThresholdMode:
 
 
 def _count(value, name):
-    """``value`` as an int; ``ValueError`` naming the argument ``name`` unless it is integral."""
-    if not float(value).is_integer():  # NaN and infinities included
-        raise ValueError(f"{name} must be an integer, got {value}")
+    """``value`` as an int; ``ValueError`` naming the argument ``name`` unless it is an
+    integral number.  A type test, not a parse: strings and bools are rejected.
+    """
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (number and float(value).is_integer()):  # NaN and infinities included
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 

@@ -1,6 +1,7 @@
 """Worst-case reweighted risk: closed form, solver agreement, monotonicity."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -62,8 +63,10 @@ class TestClosedForm:
         assert empirical_adversarial_risk(l, AdvRiskSpec(0.999)) < 1.0
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="losses must be 0/1 valued"):
             empirical_adversarial_risk(np.array([0.5]), AdvRiskSpec(0.1))
+        with pytest.raises(ValueError, match="need a non-empty 1-D loss vector"):
+            empirical_adversarial_risk(np.array([[0.0, 1.0], [1.0, 1.0]]), AdvRiskSpec(0.1))
         for delta in (-0.1, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 AdvRiskSpec(delta)
@@ -100,9 +103,12 @@ class TestProjection:
         ([3.0, float("-inf"), 0.5], 0.5, "w must be non-empty with every entry finite"),
         ([3.0, float("nan"), 0.5], 1e-17, "w must be non-empty with every entry finite"),  # before the no-room exit
         ([], 0.5, "w must be non-empty with every entry finite"),
-    ], ids=["nan-delta", "negative-delta", "nan-w", "inf-w", "minus-inf-w", "nan-w-no-room", "empty-w"])
+        ([[3.0, -1.0], [0.5, 2.0]], 0.5, "w must be a 1-D vector, got shape (2, 2)"),
+        (2.0, 0.5, "w must be a 1-D vector, got shape ()"),
+    ], ids=["nan-delta", "negative-delta", "nan-w", "inf-w", "minus-inf-w", "nan-w-no-room", "empty-w",
+            "2-d-w", "scalar-w"])
     def test_rejects_non_finite_input(self, w, delta, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             project_chi_square_ball(np.array(w), delta)
 
 

@@ -159,6 +159,7 @@ class TestRejectedFlags:
         (["--loss", "bogus"], ["--loss"]),
         (["--no-selection"], ["--no-selection", "--epsilon-prior"]),
         (["--checkpoint", "ck.bin"], ["unrecognized arguments", "--checkpoint"]),
+        (["--hidden", "4,x"], ["argument --hidden: bad hidden sizes '4,x'"]),
     ], ids=lambda v: " ".join(v))
     def test_train(self, tmp_path, capsys, monkeypatch, argv, flags):
         monkeypatch.chdir(tmp_path)
@@ -176,6 +177,11 @@ class TestRejectedFlags:
         assert run(["train", "--dataset", *files, *argv, "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert all(flag in err for flag in flags), err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_without_data(self, tmp_path, capsys):
+        assert run(["train", "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: need --dataset or --synthetic\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "corrupt"])
@@ -349,6 +355,17 @@ class TestTrain:
         cfg.write_text("no-such-option = 1\n")
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "no-such-option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1\nepochs 3\n", "2: expected 'key = value'"),
+        ("out = 'run\n", "1: No closing quotation"),
+    ], ids=["no-equals", "unclosed-quote"])
+    def test_config_file_malformed_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_config_hash_inside_a_word_is_kept(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -696,6 +713,18 @@ class TestSweep:
 
     def test_requires_noise_rate(self, tmp_path):
         assert run(["sweep", "--synthetic", "blobs", "--out", str(tmp_path)]) == 1
+
+    def test_skipped_factor_exits_one_after_the_other_cells(self, tmp_path, capsys):
+        # factor 1.5 scales a noise rate of 0.7 to a prior of 1.05, outside [0, 1)
+        code = run([
+            "sweep", "--synthetic", "blobs", "--train-size", "64", "--test-size", "32",
+            "--noise", "symmetric", "--noise-rate", "0.7", "--epochs", "2",
+            "--batch-size", "32", "--burn-in", "1", "--seed", "2", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "skipping factor 1.5: prior 1.050 outside [0, 1)\n" in capsys.readouterr().err
+        cells = sorted(p.parent.name for p in tmp_path.glob("*/metrics.csv"))
+        assert cells == ["prior_0.35", "prior_0.525", "prior_0.7", "prior_0.875"]
 
 
 class TestParallelSweep:

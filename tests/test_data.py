@@ -385,3 +385,5 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1]), 2)
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)
+    with pytest.raises(ValueError, match="clean labels must match label shape"):
+        Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, clean_labels=np.array([0, 1, 1]))

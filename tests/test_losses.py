@@ -50,6 +50,10 @@ class TestMargin:
         with pytest.raises(ValueError, match="K >= 2"):
             multiclass_margin([[1.0]], [0])
 
+    def test_rejects_float_labels(self):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            multiclass_margin([[1.0, 2.0]], [1.0])
+
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError, match="out of range"):
             multiclass_margin([[1.0, 2.0]], [2])
@@ -296,13 +300,39 @@ def dyadic_batch():
     return t, rng.integers(0, 10, size=300_000)
 
 
+class TestSignedZeroMargins:
+    """The margin pass reads -0.0 as +0.0, so no margin is -0.0 and both rival
+    reads (column maxima for values, the argmax index for gradients) agree."""
+
+    @pytest.mark.parametrize(
+        "batch",
+        [signed_zero_batch, two_class_batch, lambda: tied_batch(21)],
+        ids=["signed-zeros", "two-classes", "tied"],
+    )
+    def test_margins_hold_no_negative_zero(self, batch):
+        t, y = batch()
+        masked = t.copy()
+        masked[np.arange(y.size), y] = -np.inf
+        reference = t[np.arange(y.size), y] - masked.max(axis=1)
+        margins = [multiclass_margin(t, y), MarginBatch.from_logits(t, y, HARD).margins]
+        for kind in KINDS:
+            margins += [_loss_pass(t, y, kind, gradients=gradients)[0] for gradients in (False, True)]
+        for u in margins:
+            assert not np.any(np.signbit(u) & (u == 0.0))
+            assert np.array_equal(u, reference)
+            assert u.tobytes() == margins[0].tobytes()
+
+
 class TestMarginPassDigest:
     """sha256 of every ``_loss_pass`` output, recorded before the margins were
-    taken by column maxima in cache-sized blocks."""
+    taken by column maxima in cache-sized blocks.  The signed-zeros and
+    two-classes digests were re-recorded when the pass began to read -0.0 as
+    +0.0: their values and gradients kept every byte, and only the sign of
+    zero margins moved (773 of 20,000 and 132 of 5,000 rows)."""
 
     @pytest.mark.parametrize("batch, digest", [
-        (signed_zero_batch, "51fa67a22b384384774ced3e8af43c6c024add333ab08ec9fe944a24ab8c88b3"),
-        (two_class_batch, "ec35d65bb81da56d4c60f378a99d5327ee7f3a48dcf6204994246ab71f125270"),
+        (signed_zero_batch, "e6e696b62ad194765911476c3a78004f77e97ecaefe4e38b467d2aa42d1a6a95"),
+        (two_class_batch, "1e2953bc8e93bf04b99d83ccf3a277928ed1fa272b8ce29c4bc136492d6c8bcd"),
         (dyadic_batch, "f5c7df535baa08e245063efde37a00582b2ae4682c6af66c42955bd84904a233"),
     ], ids=["signed-zeros", "two-classes", "dyadic-300k"])
     def test_outputs_match_recorded_digest(self, batch, digest):

@@ -19,7 +19,7 @@ from npcl.net import (
     forward,
 )
 from npcl.training import TrainConfig, train
-from npcl.verification import grad_check
+from npcl.verification import check_gradients, grad_check
 
 
 def tiny_net(seed=0, sizes=(3, 8, 8, 4)):
@@ -79,6 +79,17 @@ class TestForward:
     def test_init_needs_input_and_output_sizes(self):
         with pytest.raises(ValueError, match="need at least input and output sizes"):
             MlpParams.init([3], seed=0)
+
+    @pytest.mark.parametrize("weights, biases, message", [
+        ([], [], "need matching weight and bias lists"),
+        ([np.zeros((2, 3))], [np.zeros(3), np.zeros(3)], "need matching weight and bias lists"),
+        ([np.zeros((2, 3))], [np.zeros(2)], "layer 0: weight (2, 3) and bias (2,) mismatch"),
+        ([np.zeros(3)], [np.zeros(3)], "layer 0: weight (3,) and bias (3,) mismatch"),
+        ([np.zeros((2, 3)), np.zeros((4, 2))], [np.zeros(3), np.zeros(2)], "layer 1: input dim breaks the chain"),
+    ], ids=["empty", "count", "bias-shape", "1-d-weight", "chain"])
+    def test_params_reject_bad_shapes(self, weights, biases, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MlpParams(weights, biases)
 
 
 class TestBackward:
@@ -262,14 +273,10 @@ class TestAdam:
 
 
 class TestGradCheck:
-    @pytest.mark.parametrize("kind", [BaseLoss.hinge(), BaseLoss.soft(), BaseLoss.weighted(0.5)])
-    def test_random_configurations(self, kind):
-        rng = np.random.default_rng(11)
-        for trial in range(10):
-            params = tiny_net(seed=100 + trial, sizes=(3, 6, 4))
-            x = rng.normal(size=(3, 3)) * 2.0
-            y = rng.integers(0, 4, size=3)
-            assert grad_check(params, x, y, kind) < 1e-5
+    def test_random_configurations(self):
+        # criterion 6's property loop (10 [3, 6, 4] nets x 3 losses) at this file's seed
+        [result] = check_gradients(np.random.default_rng(11), 10)
+        assert result.ok, result.detail
 
     def test_flat_region_exact(self):
         # all margins beyond the hinge: analytic and numeric are both zero

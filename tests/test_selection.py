@@ -283,6 +283,10 @@ class TestThresholds:
                 c = compute_threshold(mode, n, k)
                 assert 0.0 <= c <= 2.0 * n
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown threshold mode 'x'$"):
+            ThresholdMode("x")
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             ThresholdMode.npcl_fixed(1.0)
@@ -294,12 +298,18 @@ class TestThresholds:
             compute_threshold(ThresholdMode.full_q(), 4, 5)
         with pytest.raises(ValueError):
             compute_threshold(ThresholdMode.full_q(), 4, -1)
+        with pytest.raises(ValueError, match="^group size must be >= 1$"):
+            compute_threshold(ThresholdMode.full_q(), 0, 0)
 
     @pytest.mark.parametrize("n, k, message", [
         (5, 2.5, "misclassified_count must be an integer, got 2.5"),
         (5.9, 2, "n must be an integer, got 5.9"),
         (float("nan"), 2, "n must be an integer, got nan"),
         (5, float("inf"), "misclassified_count must be an integer, got inf"),
+        ("5", True, "n must be an integer, got '5'"),
+        (5, True, "misclassified_count must be an integer, got True"),
+        (5, np.True_, "misclassified_count must be an integer, got np.True_"),
+        (np.int64(5), "1", "misclassified_count must be an integer, got '1'"),
     ])
     def test_non_integral_counts_name_the_argument(self, n, k, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -69,6 +69,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="learning rate"):
             small_config(lr=lr)
 
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_rejects_an_empty_dataset(self, side):
+        sets = dict(zip(["train", "test"], separable_sets()))
+        sets[side] = Dataset(np.zeros((0, sets[side].dim)), np.zeros(0, dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="^datasets must be non-empty$"):
+            train(small_config(), sets["train"], sets["test"])
+
 
 class TestLabelPrecision:
     """``train``'s per-epoch clean fraction of the trained samples."""
