@@ -273,7 +273,16 @@ class TestAdam:
 
 
 class TestGradCheck:
-    def test_random_configurations(self):
+    @pytest.mark.parametrize("kind", [BaseLoss.hinge(), BaseLoss.soft(), BaseLoss.weighted(0.5)])
+    def test_random_configurations(self, kind):
+        rng = np.random.default_rng(11)
+        for trial in range(10):
+            params = tiny_net(seed=100 + trial, sizes=(3, 6, 4))
+            x = rng.normal(size=(3, 3)) * 2.0
+            y = rng.integers(0, 4, size=3)
+            assert grad_check(params, x, y, kind) < 1e-5
+
+    def test_check_gradients_property_loop(self):
         # criterion 6's property loop (10 [3, 6, 4] nets x 3 losses) at this file's seed
         [result] = check_gradients(np.random.default_rng(11), 10)
         assert result.ok, result.detail
