@@ -30,10 +30,16 @@ so every later step would repeat it.  The step is long enough that the
 first projection lands on the maximizer up to rounding: a saturated
 instance stops on its second projection, any other by its third.  The two
 routes validate each other; the closed form is what the fast API returns.
+
+Each risk entry makes one count pass per loss vector: its count of
+entries equal to 1 must equal its count of nonzero entries, and that count
+``k`` gives ``p = k / n``, the bits of ``mean(l)``, as 0/1 sums are exact.
+``check_monotonicity`` makes that pass once over all its vectors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -56,24 +62,34 @@ class AdvRiskSpec:
     delta: float  # chi-square divergence budget
 
     def __post_init__(self):
-        if not (self.delta >= 0 and np.isfinite(self.delta)):
-            raise ValueError("divergence budget must be finite and nonnegative")
+        number = isinstance(self.delta, (int, float, np.integer, np.floating)) and not isinstance(self.delta, bool)
+        if not (number and self.delta >= 0 and np.isfinite(self.delta)):
+            raise ValueError(f"divergence budget must be finite and nonnegative, got {self.delta!r}")
 
 
-def _check_losses01(losses01):
+def _loss_vector(losses01):
     l = np.asarray(losses01, dtype=np.float64)
     if l.ndim != 1 or l.size == 0:
         raise ValueError("need a non-empty 1-D loss vector")
-    if not np.all((l == 0.0) | (l == 1.0)):
-        raise ValueError("losses must be 0/1 valued")
     return l
 
 
+def _count_ones(l):
+    """The number of ones in ``l``; ``ValueError`` if an entry is neither 0 nor 1 (NaN counts as nonzero)."""
+    ones = int(np.count_nonzero(l == 1.0))
+    if ones != np.count_nonzero(l):
+        raise ValueError("losses must be 0/1 valued")
+    return ones
+
+
+def _worst_case(p, delta):
+    return min(1.0, p + math.sqrt(delta * p * (1.0 - p)))
+
+
 def empirical_adversarial_risk(losses01, spec: AdvRiskSpec):
-    """Closed-form worst-case risk; equals the plain risk at delta = 0."""
-    l = _check_losses01(losses01)
-    p = float(l.sum()) / l.size
-    return min(1.0, p + np.sqrt(spec.delta * p * (1.0 - p)))
+    """Closed-form worst-case risk as a float; equals the plain risk at delta = 0."""
+    l = _loss_vector(losses01)
+    return _worst_case(_count_ones(l) / l.size, spec.delta)  # a 0/1 sum is exact, so this is float(l.sum()) / n
 
 
 def project_chi_square_ball(w, delta):
@@ -107,48 +123,44 @@ def project_chi_square_ball(w, delta):
     # equal weights on k samples already spend n^2 / k - n of the budget
     budget = n * (1.0 + delta) - n * n / k
     # budget rises with k, so the supports with room left are the k from `first` on
-    first = int(np.searchsorted(budget, 0.0, side="right"))
+    first = int(budget.searchsorted(0.0, side="right"))
     if first == n:
         return np.ones(n)  # no room left: delta is 0, or so small that 1 + delta rounds to 1
     # a shift of w leaves the projection unchanged (sum(r) is fixed); moving
     # the maximum to 0 limits cancellation in the prefix sums of squares
     u = w - top
     v = np.sort(u)[::-1]
-    mean = np.cumsum(v) / k
-    scatter = np.maximum(np.cumsum(v * v) - k * mean * mean, 0.0)
+    mean = np.add.accumulate(v) / k
+    scatter = np.maximum(np.add.accumulate(v * v) - k * mean * mean, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sqrt(np.minimum(1.0, budget[first:] / scatter[first:]))
         theta = mean[first:] - n / (k[first:] * s)
     inconsistency = theta - v[first:]
     np.maximum(inconsistency[:-1], v[first + 1 :] - theta[:-1], out=inconsistency[:-1])
-    j = int(np.argmin(inconsistency))
+    j = int(inconsistency.argmin())
     return np.maximum(0.0, s[j] * (u - theta[j]))
 
 
 def adversarial_risk_numeric(losses01, spec: AdvRiskSpec):
     """Worst-case risk by projected gradient ascent over the weight set.
 
-    The objective ``mean(r * l)`` is linear, so projected steps of the fixed
-    length ``STEP`` along ``l`` walk to the boundary maximizer from
-    ``r = 1``.  The ascent stops at the first ``r`` whose next projection
-    returns it unchanged, which takes at most three projections on every
-    instance tried; 20 projections bound it regardless.  That fixed point is
-    the optimality condition itself (``STEP * l`` is in the normal cone at
-    ``r``), so stopping there loses nothing.  Returns the largest objective
-    over the iterates, each taken as ``sum(r * l) / n``, the same bits as
-    ``np.mean``.
+    Fixed steps ``STEP * l`` from ``r = 1``, each projected back onto the
+    set, until the first ``r`` that the next projection returns unchanged:
+    that fixed point is the optimality condition (see the module docstring).
+    Three projections reach it on every instance tried; 20 bound it.
+    Returns the largest ``sum(r * l) / n`` over the iterates (the bits of
+    ``np.mean``).
     """
-    l = _check_losses01(losses01)
-    n = l.size
-    total = float(l.sum())
-    if spec.delta == 0.0 or total in (0.0, n):
-        return total / n
+    l = _loss_vector(losses01)
+    n, ones = l.size, _count_ones(l)
+    if spec.delta == 0.0 or ones in (0, n):
+        return ones / n
 
     r = np.ones(n)
-    best = total / n
+    best = ones / n
     for _ in range(20):
         ascended = project_chi_square_ball(r + STEP * l, spec.delta)
-        if np.array_equal(ascended, r):
+        if (ascended == r).all():
             break  # STEP * l lies in the normal cone at r, so r is a maximizer
         r = ascended
         best = max(best, float((r * l).sum()) / n)
@@ -172,25 +184,23 @@ def check_monotonicity(loss_vectors, spec: AdvRiskSpec):
     is not above ``b``'s, then ``b`` must saturate too.  (Only this forward
     implication is generally valid: saturation covers the whole upper
     interval of plain risks, so two saturated models can differ in plain
-    risk.)  Each vector is validated once, by ``empirical_adversarial_risk``.
+    risk.)  Each vector's shape is checked first; then one pass over all of
+    them checks the 0/1 values and one more counts each vector's ones.
     """
-    vectors = [np.asarray(v, dtype=np.float64) for v in loss_vectors]
-    adv = [empirical_adversarial_risk(v, spec) for v in vectors]  # validates each vector
-    if len(vectors) < 2:
+    vectors = [_loss_vector(v) for v in loss_vectors]
+    m = len(vectors)
+    if m < 2:
         raise ValueError("need at least two loss vectors")
+    flat = np.concatenate(vectors)
+    _count_ones(flat)
     if len({v.size for v in vectors}) != 1:
         raise ValueError("loss vectors must have equal length")
-
-    plain = [float(v.sum()) / v.size for v in vectors]
-    report = MonotonicityReport(pairs_checked=0)
-    for i in range(len(vectors)):
-        for j in range(len(vectors)):
-            if i == j:
-                continue
-            report.pairs_checked += 1
-            if adv[i] < 1.0:
-                if (plain[i] < plain[j]) != (adv[i] < adv[j]):
-                    report.violations.append((i, j, plain[i], plain[j], adv[i], adv[j]))
-            elif plain[i] <= plain[j] and adv[j] != 1.0:
-                report.violations.append((i, j, plain[i], plain[j], adv[i], adv[j]))
+    n = vectors[0].size
+    # past the 0/1 check a row sum is the exact count of ones, so p has the bits of float(v.sum()) / n
+    plain = [ones / n for ones in flat.reshape(m, n).sum(axis=1).tolist()]
+    adv = [_worst_case(p, spec.delta) for p in plain]
+    report = MonotonicityReport(pairs_checked=m * (m - 1))
+    for i, j in itertools.permutations(range(m), 2):
+        if ((plain[i] < plain[j]) != (adv[i] < adv[j])) if adv[i] < 1.0 else (plain[i] <= plain[j] and adv[j] != 1.0):
+            report.violations.append((i, j, plain[i], plain[j], adv[i], adv[j]))
     return report

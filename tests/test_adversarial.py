@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ class TestClosedForm:
 
     def test_all_zeros(self):
         assert empirical_adversarial_risk(np.zeros(5), AdvRiskSpec(1.0)) == 0.0
+        assert empirical_adversarial_risk(np.array([-0.0, 0.0]), AdvRiskSpec(1.0)) == 0.0  # -0.0 is a zero
 
     def test_bounds_and_monotone_in_delta(self):
         rng = np.random.default_rng(2)
@@ -70,6 +72,31 @@ class TestClosedForm:
         for delta in (-0.1, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 AdvRiskSpec(delta)
+
+    @pytest.mark.parametrize("delta", ["0.5", True, False, np.bool_(True), None, [0.5]],
+                             ids=["str", "true", "false", "np-bool", "none", "list"])
+    def test_budget_must_be_a_number(self, delta):
+        # a type test, not a parse, as for the selection counts
+        with pytest.raises(ValueError, match=re.escape(f"finite and nonnegative, got {delta!r}")):
+            AdvRiskSpec(delta)
+
+    @pytest.mark.parametrize("delta", [0, 2, 0.5, np.int64(1), np.float64(0.25), np.float32(0.5)])
+    def test_numeric_budgets_accepted(self, delta):
+        assert AdvRiskSpec(delta).delta == delta
+
+    def test_returns_a_python_float(self):
+        # below saturation, at the cap, and at delta = 0
+        for l, delta in (([1.0, 0.0, 0.0, 0.0], 0.1), ([1.0, 1.0, 0.0], 5.0), ([1.0, 0.0], 0.0), ([0.0], 1.0)):
+            assert type(empirical_adversarial_risk(np.array(l), AdvRiskSpec(delta))) is float
+            assert type(adversarial_risk_numeric(np.array(l), AdvRiskSpec(delta))) is float
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.5, 2.0], ids=["nan", "inf", "minus-one", "half", "two"])
+    def test_zero_one_check(self, bad):
+        l = np.array([1.0, 0.0, bad])
+        with pytest.raises(ValueError, match="losses must be 0/1 valued"):
+            empirical_adversarial_risk(l, AdvRiskSpec(0.1))
+        with pytest.raises(ValueError, match="losses must be 0/1 valued"):
+            adversarial_risk_numeric(l, AdvRiskSpec(0.1))
 
 
 class TestProjection:
@@ -293,6 +320,8 @@ class TestFixedPointStop:
         # the first projection lands on the maximizer up to rounding; the second repeats it
         # (every saturated instance stops there) or settles its last bits, and the third repeats it
         assert max(counts) <= 3
+        # trivial instances (all-0, all-1 or delta = 0) make none; the rest stop on a repeat
+        assert Counter(counts) == {0: 47, 2: 223, 3: 230}
 
 
 class TestMonotonicity:
@@ -343,7 +372,53 @@ class TestMonotonicity:
         assert order.ok, order.detail
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            check_monotonicity([np.array([1.0, 0.0])], AdvRiskSpec(0.1))
-        with pytest.raises(ValueError):
-            check_monotonicity([np.array([1.0]), np.array([1.0, 0.0])], AdvRiskSpec(0.1))
+        for vectors, message in [
+            ([[1.0, 0.0], [[1.0, 0.0]]], "need a non-empty 1-D loss vector"),  # 2-D
+            ([[1.0, 0.0], 1.0], "need a non-empty 1-D loss vector"),  # scalar
+            ([[], []], "need a non-empty 1-D loss vector"),
+            ([[1.0, 0.0], [1.0, 0.5]], "losses must be 0/1 valued"),
+            ([[1.0, np.nan], [1.0, 0.0]], "losses must be 0/1 valued"),
+            ([[1.0, 0.0]], "need at least two loss vectors"),
+            ([], "need at least two loss vectors"),
+            ([[1.0], [1.0, 0.0]], "loss vectors must have equal length"),
+            ([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0, 0.0, 1.0]], "loss vectors must have equal length"),
+            ([[1.0, 0.5], [[1.0, 0.0]]], "need a non-empty 1-D loss vector"),  # every shape before any value
+            ([[1.0], [1.0, 0.5]], "losses must be 0/1 valued"),  # values before lengths
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_monotonicity([np.array(v) for v in vectors], AdvRiskSpec(0.1))
+
+    @pytest.mark.parametrize("closed_form", [
+        None,
+        lambda p, delta: 1.0 - p,  # reverses the order: unsaturated-side violations
+        lambda p, delta: 1.0 if p < 0.5 else p,  # saturates low risks: saturated-side violations
+    ], ids=["closed-form", "reversed", "saturates-low"])
+    def test_equals_a_per_pair_loop(self, monkeypatch, closed_form):
+        # the counts of one pass over all vectors give what the closed form gives on each
+        # vector; the broken forms check that both report the same violations, in order
+        if closed_form is not None:
+            monkeypatch.setattr(adversarial, "_worst_case", closed_form)
+        rng, seen = np.random.default_rng(27), 0
+        for case in range(1000):
+            m, n = int(rng.integers(2, 7)), int(rng.integers(1, 61))
+            delta = (0.0, 0.01, 0.1, 1.0, float(rng.uniform(0.0, 3.0)))[case % 5]
+            spec = AdvRiskSpec(delta)
+            vectors = [random_loss_vector(rng, n) for _ in range(m)]
+            plain = [float(v.sum()) / n for v in vectors]
+            adv = [empirical_adversarial_risk(v, spec) for v in vectors]
+            pairs, violations = 0, []
+            for i in range(m):
+                for j in range(m):
+                    if i == j:
+                        continue
+                    pairs += 1
+                    if adv[i] < 1.0:
+                        if (plain[i] < plain[j]) != (adv[i] < adv[j]):
+                            violations.append((i, j, plain[i], plain[j], adv[i], adv[j]))
+                    elif plain[i] <= plain[j] and adv[j] != 1.0:
+                        violations.append((i, j, plain[i], plain[j], adv[i], adv[j]))
+            report = check_monotonicity(vectors, spec)
+            assert report.pairs_checked == pairs == m * (m - 1)
+            assert report.violations == violations
+            seen += len(violations)
+        assert (seen > 0) == (closed_form is not None)

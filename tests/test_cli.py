@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import npcl.cli
-from npcl.adversarial import empirical_adversarial_risk
+from npcl.adversarial import _worst_case
 from npcl.cli import _out_dir, _train_config, build_parser, run
 from npcl.corruption import CorruptionSpec, corrupt_dataset
 from npcl.data import MAX_CLASSES, load_dataset, save_dataset, split, synth_blobs
@@ -428,6 +428,16 @@ class TestTestDataset:
         assert all(path in err for path in train_files + test_files)
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
+    def test_label_mismatch_message(self, tmp_path, capsys):
+        # the test set's top label is 3; the train set has 2 classes
+        train_files = write_idx(tmp_path, "train", [0, 1] * 10)
+        test_files = write_idx(tmp_path, "test", [0, 1, 2, 3] * 5)
+        assert run(["train", "--dataset", *train_files, "--test-dataset", *test_files,
+                    "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (f"error: test set {' '.join(test_files)} has labels up to 3, "
+                                           f"but train set {' '.join(train_files)} has 2 classes\n")
+        assert not (tmp_path / "run").exists()
+
 
 class TestEmptyRunWarning:
     def test_all_empty_run_warns_on_stderr_and_exits_zero(self, tmp_path):
@@ -616,8 +626,8 @@ class TestVerify:
     @pytest.mark.parametrize("suite, modules, name, sabotage, spared", [
         ("selector", ["npcl.verification"], "partial_optimize",
          lambda losses, c: partial_optimize(losses, max(c - 1.0, 0.0)), 0),
-        ("adversarial", ["npcl.verification", "npcl.adversarial"], "empirical_adversarial_risk",
-         lambda losses, spec: 1.0 - empirical_adversarial_risk(losses, spec), 0),
+        # the closed form that empirical_adversarial_risk and check_monotonicity share
+        ("adversarial", ["npcl.adversarial"], "_worst_case", lambda p, delta: 1.0 - _worst_case(p, delta), 0),
         ("gradients", ["npcl.verification"], "_backprop",
          lambda params, ws, delta, g_w, g_b: _backprop(params, ws, 2.0 * delta, g_w, g_b), 0),
         # the chains and reductions read only values, so only the pruning count sees it
@@ -725,6 +735,19 @@ class TestSweep:
         assert "skipping factor 1.5: prior 1.050 outside [0, 1)\n" in capsys.readouterr().err
         cells = sorted(p.parent.name for p in tmp_path.glob("*/metrics.csv"))
         assert cells == ["prior_0.35", "prior_0.525", "prior_0.7", "prior_0.875"]
+
+    def test_prior_of_exactly_one_is_skipped(self, tmp_path, capsys):
+        # factor 1.25 scales a noise rate of 0.8 to a prior of exactly 1.0, the open end of [0, 1)
+        assert 1.25 * 0.8 == 1.0
+        code = run([
+            "sweep", "--synthetic", "blobs", "--classes", "10", "--train-size", "100", "--test-size", "50",
+            "--noise", "symmetric", "--noise-rate", "0.8", "--epochs", "2",
+            "--batch-size", "50", "--burn-in", "1", "--seed", "2", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "skipping factor 1.25: prior 1.000 outside [0, 1)\n" in capsys.readouterr().err
+        cells = sorted(p.parent.name for p in tmp_path.glob("*/metrics.csv"))
+        assert cells == ["prior_0.4", "prior_0.6", "prior_0.8"]
 
 
 class TestParallelSweep:
