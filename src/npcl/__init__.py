@@ -2,8 +2,8 @@
 
 The core pieces:
 
-* :mod:`npcl.losses` — margins, hinge-family upper bounds of the 0-1 loss
-  and their logit subgradients (``BaseLoss.values``, ``BaseLoss.gradients``)
+* :mod:`npcl.losses` — margins and the ``BaseLoss`` hinge-family upper
+  bounds of the 0-1 loss, with their logit subgradients in one loss pass
 * :mod:`npcl.selection` — the sort/prefix-sum selection kernel and its
   brute-force oracle
 * :mod:`npcl.objectives` — whole-set and per-batch curriculum objectives

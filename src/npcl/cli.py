@@ -66,9 +66,10 @@ def _checked(check, kind=float):
 
 
 def _paired(check, flags, *values):
-    """Run a range ``check`` over two flags' values; its ValueError becomes a CliError naming both."""
+    """Run ``check`` over two flags' values and return its result; its ValueError becomes a CliError
+    naming both flags."""
     try:
-        check(*values)
+        return check(*values)
     except ValueError as exc:
         raise CliError(f"arguments {' and '.join(flags)}: {exc}") from None
 
@@ -294,9 +295,7 @@ def _load_datasets(args):
 
 def _train_config(args):
     _paired(_check_epochs, ["--epochs", "--burn-in"], args.epochs, args.burn_in)
-    if args.epsilon_prior and not args.threshold.startswith("npcl"):
-        raise CliError(f"--threshold {args.threshold} ignores --epsilon-prior, got {args.epsilon_prior}; "
-                       "leave it at 0 or choose an npcl threshold")
+    threshold = _paired(ThresholdMode, ["--threshold", "--epsilon-prior"], args.threshold, args.epsilon_prior)
     if args.epsilon_prior and args.no_selection:
         raise CliError(f"--no-selection ignores --epsilon-prior, got {args.epsilon_prior}; "
                        "leave it at 0 or drop --no-selection")
@@ -304,7 +303,7 @@ def _train_config(args):
         epochs=args.epochs,
         batch_size=args.batch_size,
         burn_in_epochs=args.burn_in,
-        threshold=ThresholdMode(args.threshold, args.epsilon_prior),
+        threshold=threshold,
         base_loss=BaseLoss.parse(args.loss),
         lr=args.lr,
         seed=args.seed,

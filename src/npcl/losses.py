@@ -12,11 +12,11 @@ bound of it:
                   ``max(1 - t[y] + logsumexp(t), 0)``
 * weighted        ``beta * soft + (1 - beta) * hard``
 
-A ``BaseLoss`` names one of them; its ``values`` and ``gradients`` give the
-loss values and logit subgradients.  Every loss computation, the training
-loop's included, is one pass (``_loss_pass``) over shared rival scores; the
-hard hinge on given margins (``_hinge_from_margins``) is shared by that pass
-and ``MarginBatch.from_margins``.
+A ``BaseLoss`` names one of them.  Every loss computation is one pass
+(``_loss_pass``) over shared rival scores, giving margins, loss values and,
+for training, logit subgradients; ``MarginBatch.from_logits`` is its public
+entry for values.  The hard hinge on given margins (``_hinge_from_margins``)
+is shared by that pass and ``MarginBatch.from_margins``.
 
 The margins come from one blocked pass over the rows (``_margins``).  A
 block holds ``MARGIN_BLOCK`` elements, so it stays in cache at any class
@@ -44,7 +44,6 @@ import numpy as np
 __all__ = [
     "BaseLoss",
     "multiclass_margin",
-    "margins_and_values",
 ]
 
 # elements per block of the margin pass: a cache-sized masked copy at any
@@ -128,6 +127,14 @@ def _loss_pass(t, y, kind, gradients):
     shared by all three results, the rival indices only for ``gradients``.
     Returns ``(margins, values, grads)`` with ``grads`` None when not asked
     for.
+
+    The soft hinge equals the hard hinge for ``u >= 0``; for ``u < 0`` the
+    rival max is replaced by ``logsumexp(t)``, which upper-bounds it, so the
+    soft hinge dominates the hard hinge.  ``grads`` has the shape of ``t``
+    and is the exact gradient away from three non-differentiable points,
+    where it takes one fixed subgradient: the hinge kink ``u == 1`` takes
+    the flat (zero) branch, the soft hinge's ``u == 0`` takes the hard
+    branch, and rival-score ties go to the smallest class index.
     """
     u, true, rival_idx = _margins(t, y, rival_index=gradients)
     hard = _hinge_from_margins(u)
@@ -169,17 +176,13 @@ def multiclass_margin(logits, labels):
     return _margins(*_as_batch(logits, labels))[0]
 
 
-def margins_and_values(logits, labels, kind):
-    """Margins and per-sample values of the ``BaseLoss`` ``kind`` from one pass."""
-    return _loss_pass(*_as_batch(logits, labels), kind, gradients=False)[:2]
-
-
 @dataclass(frozen=True)
 class BaseLoss:
     """Named per-sample upper bound of the 0-1 loss.
 
     ``kind`` is one of ``"hinge"``, ``"soft-hinge"``, ``"weighted"``; the
-    weighted variant mixes soft into hard with weight ``beta in [0, 1]``.
+    weighted variant mixes soft into hard with weight ``beta in [0, 1]``, and
+    only it takes a nonzero ``beta``.
     """
 
     kind: str
@@ -192,6 +195,8 @@ class BaseLoss:
             raise ValueError(f"unknown base loss kind {self.kind!r}")
         if self.kind == "weighted" and not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        if self.kind != "weighted" and self.beta != 0.0:
+            raise ValueError(f"beta must be 0 for {self.kind}, got {self.beta}; only the weighted loss mixes")
 
     @classmethod
     def hinge(cls):
@@ -216,24 +221,3 @@ class BaseLoss:
         if self.kind == "weighted":
             return f"weighted:{self.beta}"
         return self.kind
-
-    def values(self, logits, labels):
-        """Per-sample loss values.
-
-        The soft hinge equals the hard hinge for ``u >= 0``.  For ``u < 0``
-        the rival max is replaced by ``logsumexp(t)`` over all classes,
-        which upper-bounds the max, so the soft hinge always dominates the
-        hard hinge.
-        """
-        return margins_and_values(logits, labels, self)[1]
-
-    def gradients(self, logits, labels):
-        """Subgradient of the loss with respect to the logits.
-
-        Shape matches ``logits``.  Conventions at the non-differentiable
-        points: the hinge kink ``u == 1`` takes the flat (zero) branch, the
-        boundary ``u == 0`` of the soft hinge takes the hard branch, and
-        rival-score ties resolve to the smallest index.  Away from those
-        points the result is the exact gradient.
-        """
-        return _loss_pass(*_as_batch(logits, labels), self, gradients=True)[2]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import BaseLoss, _hinge_from_margins, margins_and_values
+from .losses import BaseLoss, _as_batch, _hinge_from_margins, _loss_pass
 from .selection import ThresholdMode, _select_rows, _thresholds, compute_threshold
 
 __all__ = [
@@ -78,7 +78,7 @@ class MarginBatch:
     @classmethod
     def from_logits(cls, logits, labels, base_loss: BaseLoss):
         """Margins and base losses of raw logits, from one loss pass."""
-        return cls(*margins_and_values(logits, labels, base_loss))
+        return cls(*_loss_pass(*_as_batch(logits, labels), base_loss, gradients=False)[:2])
 
     def __len__(self):
         return self.margins.size
@@ -101,10 +101,14 @@ class BatchPartition:
     def __post_init__(self):
         if not self.groups:
             raise ValueError("partition needs at least one group")
-        self.groups = [np.asarray(g, dtype=np.int64) for g in self.groups]
-        self.sizes = np.array([g.size for g in self.groups])
-        if np.any(self.sizes == 0):
+        groups = [np.asarray(g) for g in self.groups]
+        self.sizes = np.array([g.size for g in groups])
+        if np.any(self.sizes == 0):  # checked before the dtypes: an empty list reads as float64
             raise ValueError("partition contains an empty group")
+        for i, g in enumerate(groups):
+            if g.dtype.kind not in "iu":  # a float index would truncate, a boolean mask read as 0/1
+                raise ValueError(f"partition group {i} holds {g.dtype} values, not integer indices")
+        self.groups = [g.astype(np.int64, copy=False) for g in groups]
         self.index = np.concatenate(self.groups)
         n = self.index.size
         if not np.array_equal(np.sort(self.index), np.arange(n)):

@@ -149,8 +149,8 @@ class ThresholdMode:
     ``npcl-fixed``    C = (1 - eps) * n            (prunes ~eps*n samples)
     ``npcl-adaptive`` C = (1-eps)^2 n + (1-eps) * (# misclassified)
 
-    ``eps`` is the prior rate of corrupted labels; the noise-pruned modes
-    with ``eps = 0`` coincide with the corresponding full modes.
+    ``eps`` is the prior rate of corrupted labels, which only the npcl modes
+    take; with ``eps = 0`` they coincide with the corresponding full modes.
     """
 
     kind: str
@@ -163,6 +163,8 @@ class ThresholdMode:
             raise ValueError(f"unknown threshold mode {self.kind!r}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        if self.epsilon and not self.kind.startswith("npcl"):
+            raise ValueError(f"epsilon must be 0 for {self.kind}, got {self.epsilon}; only npcl modes take a prior")
 
     @classmethod
     def full_q(cls):

@@ -18,12 +18,12 @@ import pytest
 
 import npcl.cli
 from npcl.adversarial import _worst_case
-from npcl.cli import _out_dir, _train_config, build_parser, run
+from npcl.cli import _out_dir, _sweep_cells, _train_config, build_parser, run
 from npcl.corruption import CorruptionSpec, corrupt_dataset
 from npcl.data import MAX_CLASSES, load_dataset, save_dataset, split, synth_blobs
 from npcl.net import _backprop, forward
 from npcl.objectives import curriculum_objective
-from npcl.selection import partial_optimize
+from npcl.selection import ThresholdMode, partial_optimize
 from npcl.training import METRICS_HEADER, TrainConfig, train
 from npcl.verification import SUITES, optimum_identities_hold, run_suites
 
@@ -748,6 +748,16 @@ class TestSweep:
         assert "skipping factor 1.25: prior 1.000 outside [0, 1)\n" in capsys.readouterr().err
         cells = sorted(p.parent.name for p in tmp_path.glob("*/metrics.csv"))
         assert cells == ["prior_0.4", "prior_0.6", "prior_0.8"]
+
+    def test_prior_that_underflows_to_zero_is_kept(self, tmp_path):
+        # factor 0.5 scales the least subnormal noise rate to a prior of exactly 0.0, the closed end of [0, 1)
+        assert 0.5 * 5e-324 == 0.0
+        args = build_parser()[0].parse_args(["sweep", "--synthetic", "blobs", "--noise", "symmetric",
+                                             "--noise-rate", "5e-324", "--out", str(tmp_path)])
+        cells, skipped = _sweep_cells(args)
+        assert skipped == 0 and len(cells) == 5
+        assert cells[0].epsilon_prior == 0.0
+        assert _train_config(cells[0]).threshold == ThresholdMode.npcl_adaptive(0.0)
 
 
 class TestParallelSweep:

@@ -1,12 +1,14 @@
 """Source hygiene: every name a module imports is used in that module, every
 function, class and constant a module defines is read in the package,
-``demos/`` or ``perfbench/``, the leaf modules import no other package
-module, and importing the package loads no process-pool modules."""
+``demos/`` or ``perfbench/``, and so is every member of its classes, the leaf
+modules import no other package module, and importing the package loads no
+process-pool modules."""
 
 import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,16 @@ ROOT = Path(__file__).resolve().parents[1]
 CALLERS = [*MODULES, *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
 # modules that stand on numpy and the standard library alone; the rest of the package builds on them
 LEAVES = ["data", "losses", "selection", "adversarial", "net"]
+# class members read only where no attribute load shows it, each with its reader
+ALLOWED = {
+    "cli._Parser.error": "argparse calls it on a bad command line",
+    "training.EpochMetrics.train_loss": "dataclasses.fields reads every field for metrics.csv",
+    "verification.CheckResult.value": "the acceptance PASS lines print it",
+}
+
+
+def sources(paths):
+    return {str(p): p.read_text(encoding="utf-8") for p in paths}
 
 
 def unused_imports(source):
@@ -101,10 +113,113 @@ def test_detects_an_unread_module_name():
 
 
 def test_every_module_name_is_read():
-    def sources(paths):
-        return {str(p): p.read_text(encoding="utf-8") for p in paths}
-
     assert unread_module_names(sources(PACKAGE), sources(CALLERS)) == []
+
+
+def class_members(source):
+    """``Class.member`` -> its definition, for each method, property, dataclass field and class
+    constant of the module-level classes of ``source``, dunder names aside."""
+    members = {}
+    for cls in ast.parse(source).body:
+        for node in cls.body if isinstance(cls, ast.ClassDef) else []:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            members.update((f"{cls.name}.{name}", node) for name in names if not name.startswith("__"))
+    return members
+
+
+def attribute_loads(source):
+    """Each attribute name ``source`` loads -> the call of each load, None where it is not called.
+    A keyword argument or an attribute store is no load."""
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    loads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.setdefault(node.attr, []).append(calls.get(id(node)))
+    return loads
+
+
+def accepts(member, call):
+    """Whether ``call``, made through an instance or the class, fits the positional arity of
+    ``member``; a property, field or constant takes any call, as it may hold a callable."""
+    if not isinstance(member, ast.FunctionDef):
+        return True
+    decorators = {d.id for d in member.decorator_list if isinstance(d, ast.Name)}
+    if "property" in decorators or any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True
+    spec = member.args
+    params = [*spec.posonlyargs, *spec.args][0 if "staticmethod" in decorators else 1:]
+    named = {k.arg for k in call.keywords}
+    required = [p for p in params[: len(params) - len(spec.defaults)] if p.arg not in named]
+    return len(required) <= len(call.args) and (spec.vararg is not None or len(call.args) <= len(params))
+
+
+def unread_members(modules, callers, allowed=()):
+    """``module.Class.member`` for each class member of ``modules`` (path -> source) that no
+    source in ``callers`` (path -> source) loads as an attribute, outside ``allowed``.  A called
+    load counts only when its positional arity fits the member, so ``d.values()`` does not
+    read a ``values(self, a, b)``."""
+    loads = [attribute_loads(source) for source in callers.values()]
+    unread = []
+    for module, source in modules.items():
+        for qualified, member in class_members(source).items():
+            name = qualified.rsplit(".", 1)[1]
+            calls = [call for found in loads for call in found.get(name, [])]
+            if not any(call is None or accepts(member, call) for call in calls):
+                unread.append(f"{Path(module).stem}.{qualified}")
+    return sorted(set(unread) - set(allowed))
+
+
+def test_detects_an_unread_class_member():
+    defines = textwrap.dedent("""\
+        from dataclasses import dataclass
+
+        @dataclass
+        class P:
+            x: int
+            y: int = 0
+            z: int = 0
+            K = 1
+
+            def __post_init__(self): pass
+            def values(self, a, b): pass
+            def used(self, a, b=1): pass
+
+            @property
+            def size(self): return 1
+
+            @property
+            def seen(self): return self.K
+
+            @classmethod
+            def make(cls, x): return cls(x, y=2, z=3)
+
+            @staticmethod
+            def hook(message): pass
+        """)
+    reads = "from a import P\np = P.make(1)\np.used(2)\np.seen\np.x\n{}.values()\np.z = 4\n"
+    modules = {"a.py": defines, "b.py": reads}
+    # keyword arguments and stores read nothing, and dict.values() is no read of values(self, a, b)
+    assert unread_members(modules, modules) == ["a.P.hook", "a.P.size", "a.P.values", "a.P.y", "a.P.z"]
+    assert unread_members(modules, modules, {"a.P.hook": "a framework calls it"}) == [
+        "a.P.size", "a.P.values", "a.P.y", "a.P.z"]
+    # a called load whose arity fits is a read, with arguments by keyword or by position
+    modules["b.py"] += "p.values(1, b=2)\nP.hook('m')\n"
+    assert unread_members(modules, modules) == ["a.P.size", "a.P.y", "a.P.z"]
+
+
+def test_every_class_member_is_read():
+    modules, callers = sources(MODULES), sources(CALLERS)
+    assert unread_members(modules, callers, ALLOWED) == []
+    # an entry stays on the list only while its member has no reader the scan can see
+    assert set(ALLOWED) <= set(unread_members(modules, callers))
 
 
 def package_imports(source):

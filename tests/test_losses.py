@@ -8,13 +8,23 @@ import numpy as np
 import pytest
 
 from npcl import losses, verification
-from npcl.losses import BaseLoss, _loss_pass, margins_and_values, multiclass_margin
+from npcl.losses import BaseLoss, _as_batch, _loss_pass, multiclass_margin
 from npcl.net import MlpParams, forward
 from npcl.objectives import MarginBatch
 from npcl.verification import grad_check
 
 SOFT_HINGE_01 = 2.3132616875182228  # 1 + log(1 + e), t=[0,1], y=0
 HARD, SOFT = BaseLoss.hinge(), BaseLoss.soft()
+
+
+def loss_values(kind, logits, labels):
+    """Per-sample loss values, from ``MarginBatch.from_logits``'s loss pass."""
+    return MarginBatch.from_logits(logits, labels, kind).base_losses
+
+
+def loss_gradients(kind, logits, labels):
+    """Logit subgradients, from the loss pass that training runs."""
+    return _loss_pass(*_as_batch(logits, labels), kind, gradients=True)[2]
 
 
 class TestMargin:
@@ -76,22 +86,22 @@ class TestZeroOne:
 
 class TestHinges:
     def test_hard_hinge_examples(self):
-        assert HARD.values([[3.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 0, 0]).tolist() == [0.0, 2.0, 1.0]
+        assert loss_values(HARD, [[3.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 0, 0]).tolist() == [0.0, 2.0, 1.0]
 
     def test_soft_hinge_correct_branch_equals_hard(self):
-        assert SOFT.values([[3.0, 0.0]], [0]) == HARD.values([[3.0, 0.0]], [0])
+        assert loss_values(SOFT, [[3.0, 0.0]], [0]) == loss_values(HARD, [[3.0, 0.0]], [0])
 
     def test_soft_hinge_misclassified_value(self):
-        assert SOFT.values([[0.0, 1.0]], [0])[0] == pytest.approx(SOFT_HINGE_01, abs=1e-12)
+        assert loss_values(SOFT, [[0.0, 1.0]], [0])[0] == pytest.approx(SOFT_HINGE_01, abs=1e-12)
 
     def test_soft_hinge_zero_margin_takes_hard_branch(self):
-        assert SOFT.values([[0.0, 0.0, 0.0]], [0])[0] == 1.0
+        assert loss_values(SOFT, [[0.0, 0.0, 0.0]], [0])[0] == 1.0
 
     def test_weighted_endpoints_and_midpoint(self):
         t, y = [[0.0, 1.0]], [0]
-        assert BaseLoss.weighted(0.0).values(t, y) == HARD.values(t, y)
-        assert BaseLoss.weighted(1.0).values(t, y) == SOFT.values(t, y)
-        assert BaseLoss.weighted(0.5).values(t, y)[0] == pytest.approx(
+        assert loss_values(BaseLoss.weighted(0.0), t, y) == loss_values(HARD, t, y)
+        assert loss_values(BaseLoss.weighted(1.0), t, y) == loss_values(SOFT, t, y)
+        assert loss_values(BaseLoss.weighted(0.5), t, y)[0] == pytest.approx(
             (2.0 + SOFT_HINGE_01) / 2.0, abs=1e-12
         )
 
@@ -110,13 +120,13 @@ class TestHinges:
         t = rng.normal(0.0, 3.0, size=(1000, 4))
         y = rng.integers(0, 4, size=1000)
         z = multiclass_margin(t, y) < 0
-        h = HARD.values(t, y)
-        s = SOFT.values(t, y)
+        h = loss_values(HARD, t, y)
+        s = loss_values(SOFT, t, y)
         assert np.all(s >= h)
         assert np.all(h >= z)
         assert np.all(z >= 0)
         for beta in (0.0, 0.3, 1.0):
-            assert np.all(BaseLoss.weighted(beta).values(t, y) >= z)
+            assert np.all(loss_values(BaseLoss.weighted(beta), t, y) >= z)
 
 
 class TestBaseLoss:
@@ -128,11 +138,17 @@ class TestBaseLoss:
         with pytest.raises(ValueError):
             BaseLoss.parse("logistic")
 
+    @pytest.mark.parametrize("kind", ["hinge", "soft-hinge"])
+    def test_unweighted_kinds_reject_a_beta(self, kind):
+        with pytest.raises(ValueError, match=f"^beta must be 0 for {kind}, got 0.7; only the weighted loss mixes$"):
+            BaseLoss(kind, 0.7)
+        assert BaseLoss(kind, 0.0) == BaseLoss(kind)
+
     def test_values_dispatch(self):
         t, y = np.array([[0.0, 1.0]]), np.array([0])
-        assert BaseLoss.hinge().values(t, y)[0] == 2.0
-        assert BaseLoss.soft().values(t, y)[0] == pytest.approx(SOFT_HINGE_01)
-        assert BaseLoss.weighted(0.5).values(t, y)[0] == pytest.approx(
+        assert loss_values(BaseLoss.hinge(), t, y)[0] == 2.0
+        assert loss_values(BaseLoss.soft(), t, y)[0] == pytest.approx(SOFT_HINGE_01)
+        assert loss_values(BaseLoss.weighted(0.5), t, y)[0] == pytest.approx(
             (2.0 + SOFT_HINGE_01) / 2.0
         )
 
@@ -148,16 +164,12 @@ class TestBatchOnly:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: multiclass_margin(ROW, 1), LOGITS_SHAPE),
-        (lambda: margins_and_values(ROW, 1, HARD), LOGITS_SHAPE),
-        (lambda: SOFT.values(ROW, 1), LOGITS_SHAPE),
-        (lambda: SOFT.gradients(ROW, 1), LOGITS_SHAPE),
         (lambda: MarginBatch.from_logits(ROW, 1, HARD), LOGITS_SHAPE),
         (lambda: MarginBatch.from_margins(0.5), "margins must be (n,), got shape ()"),
         (lambda: forward(NET, ROW), FEATURES_SHAPE),
         (lambda: grad_check(NET, ROW, 1, HARD), FEATURES_SHAPE),
         (lambda: multiclass_margin(ROW[None], 1), "labels must be (1,), one per logit row, got shape ()"),
-    ], ids=["multiclass_margin", "margins_and_values", "values", "gradients", "from_logits", "from_margins",
-            "forward", "grad_check", "scalar-label"])
+    ], ids=["multiclass_margin", "from_logits", "from_margins", "forward", "grad_check", "scalar-label"])
     def test_single_sample_form_is_rejected(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
@@ -180,18 +192,18 @@ def relative_error(a, b):
 
 class TestGradients:
     def test_flat_region_is_zero(self):
-        assert np.array_equal(HARD.gradients([[5.0, 0.0]], [0]), [[0.0, 0.0]])
+        assert np.array_equal(loss_gradients(HARD, [[5.0, 0.0]], [0]), [[0.0, 0.0]])
 
     def test_hard_hinge_misclassified_subgradient(self):
-        g = HARD.gradients([[0.0, 2.0, 1.0]], [0])
+        g = loss_gradients(HARD, [[0.0, 2.0, 1.0]], [0])
         assert np.array_equal(g, [[-1.0, 1.0, 0.0]])
 
     def test_rival_tie_breaks_to_smallest_index(self):
-        g = HARD.gradients([[0.0, 2.0, 2.0]], [0])
+        g = loss_gradients(HARD, [[0.0, 2.0, 2.0]], [0])
         assert np.array_equal(g, [[-1.0, 1.0, 0.0]])
 
     def test_kink_at_unit_margin_takes_flat_branch(self):
-        g = HARD.gradients([[1.0, 0.0]], [0])
+        g = loss_gradients(HARD, [[1.0, 0.0]], [0])
         assert np.array_equal(g, [[0.0, 0.0]])
 
     @pytest.mark.parametrize(
@@ -207,8 +219,8 @@ class TestGradients:
             y = int(rng.integers(0, k))
             if verification._near_kink(t[None], np.array([y])):
                 continue
-            analytic = kind.gradients(t[None], [y])[0]
-            numeric = numeric_gradient(lambda x: kind.values(x[None], [y])[0], t)
+            analytic = loss_gradients(kind, t[None], [y])[0]
+            numeric = numeric_gradient(lambda x: loss_values(kind, x[None], [y])[0], t)
             assert relative_error(analytic, numeric) < 1e-5
             checked += 1
 
@@ -229,24 +241,23 @@ class TestFusedLossPass:
     @pytest.mark.parametrize("kind", KINDS, ids=str)
     def test_matches_public_functions_bitwise(self, kind, seed):
         t, y = tied_batch(seed)
-        u, values, grads = _loss_pass(t, y, kind, gradients=True)
+        u, values, _ = _loss_pass(t, y, kind, gradients=True)
         assert np.array_equal(u, multiclass_margin(t, y))
-        assert np.array_equal(values, kind.values(t, y))
-        assert np.array_equal(grads, kind.gradients(t, y))
         u2, values2, none = _loss_pass(t, y, kind, gradients=False)
         assert none is None
         assert np.array_equal(u2, u) and np.array_equal(values2, values)
-        u3, values3 = margins_and_values(t, y, kind)
-        assert np.array_equal(u3, u) and np.array_equal(values3, values)
+        batch = MarginBatch.from_logits(t, y, kind)
+        assert np.array_equal(batch.margins, u) and np.array_equal(batch.base_losses, values)
 
     def test_outputs_match_recorded_digest(self):
-        # digest of the public outputs, recorded before the loss functions
-        # were rebuilt over the shared single-pass core
+        # digest of the margins, the values of the values-only pass and the
+        # gradients, recorded before the loss functions were rebuilt over the
+        # shared single-pass core
         t, y = tied_batch(21)
         h = hashlib.sha256(np.asarray(multiclass_margin(t, y)).tobytes())
         for kind in KINDS:
-            h.update(np.asarray(kind.values(t, y)).tobytes())
-            h.update(np.asarray(kind.gradients(t, y)).tobytes())
+            h.update(_loss_pass(t, y, kind, gradients=False)[1].tobytes())
+            h.update(_loss_pass(t, y, kind, gradients=True)[2].tobytes())
         assert h.hexdigest() == "8afce8801e7689c2d5b5a611670625eb7a321deb6ece7332ad82acbb9c0c8414"
 
     @pytest.mark.parametrize("rows", [1, 7])
@@ -354,7 +365,7 @@ class TestMarginPassDigest:
         y = rng.integers(0, 10, size=1_000_000)
         tracemalloc.start()
         try:
-            margins_and_values(t, y, HARD)
+            MarginBatch.from_logits(t, y, HARD)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

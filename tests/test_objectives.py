@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from npcl.losses import BaseLoss, multiclass_margin
+from npcl.losses import BaseLoss, _loss_pass, multiclass_margin
 from npcl.objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from npcl.selection import ThresholdMode, brute_force_optimize, compute_threshold, partial_optimize
 from npcl.verification import check_bound_chains, check_pruning_counts, check_zero_prior_reductions
@@ -32,7 +32,7 @@ class TestMarginBatch:
         y = rng.integers(0, 4, size=200)
         batch = MarginBatch.from_logits(t, y, kind)
         assert np.array_equal(batch.margins, multiclass_margin(t, y))
-        assert np.array_equal(batch.base_losses, kind.values(t, y))
+        assert np.array_equal(batch.base_losses, _loss_pass(t, y, kind, gradients=False)[1])
 
     def test_from_margins_uses_hinge(self):
         b = MarginBatch.from_margins(np.array([2.0, -1.0]))
@@ -117,9 +117,16 @@ class TestBatchedObjective:
             BatchPartition([np.array([0, 1]), np.array([1, 2])])
         with pytest.raises(ValueError):
             BatchPartition([])
+        with pytest.raises(ValueError, match="^partition contains an empty group$"):
+            BatchPartition([[0, 1], []])  # an empty list has dtype float64
         batch = MarginBatch.from_margins(np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             batched_objective(batch, BatchPartition.contiguous(3, 2), ThresholdMode.full_e())
+
+    @pytest.mark.parametrize("group, dtype", [([0.9, 1.2], "float64"), ([True, False], "bool")])
+    def test_partition_takes_integer_indices_only(self, group, dtype):
+        with pytest.raises(ValueError, match=f"^partition group 1 holds {dtype} values, not integer indices$"):
+            BatchPartition([[2], group])
 
 
 class TestBoundChains:

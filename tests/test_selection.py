@@ -293,6 +293,13 @@ class TestThresholds:
         with pytest.raises(ValueError):
             ThresholdMode.npcl_adaptive(-0.2)
 
+    @pytest.mark.parametrize("kind", ["full-q", "full-e"])
+    def test_full_modes_reject_a_prior(self, kind):
+        message = f"^epsilon must be 0 for {kind}, got 0.3; only npcl modes take a prior$"
+        with pytest.raises(ValueError, match=message):
+            ThresholdMode(kind, 0.3)
+        assert ThresholdMode(kind, 0.0) == ThresholdMode(kind)
+
     def test_misclassified_bounds(self):
         with pytest.raises(ValueError):
             compute_threshold(ThresholdMode.full_q(), 4, 5)

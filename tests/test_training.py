@@ -16,6 +16,7 @@ from npcl.corruption import CorruptionSpec, corrupt_dataset
 from npcl.data import Dataset, synth_blobs
 from npcl.losses import BaseLoss
 from npcl.net import MlpParams, forward
+from npcl.objectives import MarginBatch
 from npcl.selection import ThresholdMode
 from npcl.training import (
     METRICS_HEADER,
@@ -136,7 +137,7 @@ class TestTrainLoop:
         metrics, params = train(cfg, train_set, test_set)
         assert metrics[-1].selected_frac == 1.0
         logits = forward(params, train_set.features)
-        assert np.all(BaseLoss.hinge().values(logits, train_set.labels) == 0.0)
+        assert np.all(MarginBatch.from_logits(logits, train_set.labels, BaseLoss.hinge()).base_losses == 0.0)
 
     def test_deterministic_metrics_stream(self):
         train_set, test_set = separable_sets()
