@@ -75,9 +75,10 @@ def _paired(check, flags, *values):
 
 
 def _hidden(text):
-    """Comma-separated layer sizes as ints; their range is ``TrainConfig``'s."""
+    """Comma-separated layer sizes as ints, the empty string for no hidden layer; their range is
+    ``TrainConfig``'s."""
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        return tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad hidden sizes {text!r}") from exc
 
@@ -85,13 +86,8 @@ def _hidden(text):
 def _add_data_flags(sub):
     sub.add_argument("--dataset", nargs="+", metavar="PATH",
                      help="IDX image/label file pair, or one .npds file")
-    sub.add_argument("--test-dataset", nargs="+", metavar="PATH",
-                     help="IDX pair or .npds file for evaluation; default splits --dataset")
-    sub.add_argument("--test-fraction", type=_checked(_check_fraction), default=0.2,
-                     help="held-out fraction when no --test-dataset is given")
     sub.add_argument("--synthetic", choices=["blobs"], help="generate data instead of loading")
     sub.add_argument("--train-size", type=int, default=5000)
-    sub.add_argument("--test-size", type=int, default=1000)
     sub.add_argument("--classes", type=_checked(_check_classes, int), default=4)
     sub.add_argument("--separation", type=_checked(lambda v: _check_spread(v, 0.0)), default=4.0)
     sub.add_argument("--noise-std", type=_checked(lambda v: _check_spread(1.0, v)), default=1.0)
@@ -99,6 +95,14 @@ def _add_data_flags(sub):
                      help="feature dimensions; class signal lives in the first two")
     sub.add_argument("--noise", choices=["symmetric", "pair"], help="label corruption kind")
     sub.add_argument("--noise-rate", type=_checked(lambda v: CorruptionSpec("pair", v, 0, 2)), default=0.0)
+
+
+def _add_test_flags(sub):
+    sub.add_argument("--test-dataset", nargs="+", metavar="PATH",
+                     help="IDX pair or .npds file for evaluation; default splits --dataset")
+    sub.add_argument("--test-fraction", type=_checked(_check_fraction), default=0.2,
+                     help="held-out fraction when no --test-dataset is given")
+    sub.add_argument("--test-size", type=int, default=1000)
 
 
 def _add_train_flags(sub):
@@ -114,7 +118,6 @@ def _add_train_flags(sub):
                      default=_DEFAULTS.hidden)
     sub.add_argument("--no-selection", action="store_true",
                      help="train on every sample (baseline path)")
-    sub.add_argument("--no-shuffle", action="store_true")
 
 
 def build_parser():
@@ -132,7 +135,8 @@ def build_parser():
         sub.add_argument("--seed", type=_checked(_check_seed, int), default=_DEFAULTS.seed)
         sub.add_argument("--out", default="out", help="output directory")
         _add_data_flags(sub)
-        if name != "corrupt":
+        if name != "corrupt":  # a corrupt run builds no test set
+            _add_test_flags(sub)
             _add_train_flags(sub)
         if name == "train":  # sweep sets each cell's prior
             sub.add_argument("--epsilon-prior", type=_checked(ThresholdMode.npcl_fixed),
@@ -234,9 +238,6 @@ def _source(args):
         raise CliError("choose either --dataset or --synthetic, not both")
     if not (args.synthetic or args.dataset):
         raise CliError("need --dataset or --synthetic")
-    if args.synthetic and args.test_dataset:
-        raise CliError("--synthetic builds its own test set and would ignore --test-dataset; "
-                       "drop one of them")
     if args.synthetic:
         return _blobs(args, args.train_size, "--train-size", 100)
     return _read(args.dataset, "--dataset")
@@ -270,6 +271,9 @@ def _noise_spec(args, dataset):
 
 
 def _load_datasets(args):
+    if args.synthetic and args.test_dataset:
+        raise CliError("--synthetic builds its own test set and would ignore --test-dataset; "
+                       "drop one of them")
     train_set = _source(args)
     if args.noise_rate and not args.noise:
         if train_set.clean_labels is None:
@@ -307,7 +311,6 @@ def _train_config(args):
         base_loss=BaseLoss.parse(args.loss),
         lr=args.lr,
         seed=args.seed,
-        shuffle=not args.no_shuffle,
         hidden=args.hidden,
         selection=not args.no_selection,
     )
@@ -342,14 +345,23 @@ def _cmd_corrupt(args):
 
 
 def _sweep_cells(args):
-    """The ``train`` flags of each in-range prior cell, with the number of factors skipped."""
-    cells, skipped = [], 0
+    """The ``train`` flags of each in-range prior cell, with the number of factors skipped.
+
+    A factor whose prior equals an earlier cell's, as at a subnormal ``--noise-rate``, is skipped
+    too: its cell would train into the same directory.
+    """
+    cells, skipped, first = [], 0, {}  # first: each cell's prior -> the factor that gave it
     for factor in SWEEP_FACTORS:
         prior = factor * args.noise_rate
         if not 0.0 <= prior < 1.0:
             print(f"skipping factor {factor}: prior {prior:.3f} outside [0, 1)", file=sys.stderr)
             skipped += 1
             continue
+        if prior in first:
+            print(f"skipping factor {factor}: prior {prior:.4g} equals factor {first[prior]}'s", file=sys.stderr)
+            skipped += 1
+            continue
+        first[prior] = factor
         out = str(Path(args.out) / f"prior_{prior:.4g}")
         # a cell echoes the rate it applied, so its rerun as a train run applies the same
         cells.append(argparse.Namespace(**{**vars(args), "epsilon_prior": prior, "out": out,

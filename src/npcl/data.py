@@ -70,14 +70,14 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _int_labels(self.labels, "labels")
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
             raise ValueError("features must be (n, d) with one label per row")
         _check_classes(self.num_classes)
         if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
             raise ValueError("labels out of range")
         if self.clean_labels is not None:
-            self.clean_labels = np.asarray(self.clean_labels, dtype=np.int64)
+            self.clean_labels = _int_labels(self.clean_labels, "clean labels")
             if self.clean_labels.shape != self.labels.shape:
                 raise ValueError("clean labels must match label shape")
 
@@ -94,6 +94,26 @@ class Dataset:
         if self.clean_labels is None:
             return np.zeros(len(self), dtype=bool)
         return self.labels != self.clean_labels
+
+
+def _int_labels(labels, name):
+    """``labels`` as int64; ``ValueError`` naming the field ``name`` unless their dtype is integer.
+
+    A type test, not a cast: floats would truncate and booleans read as classes 0 and 1.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64, copy=False)
+
+
+def _check_int(value, name):
+    """``ValueError`` naming the field ``name`` unless ``value`` is a Python or numpy integer.
+
+    A type test, not a parse: floats, strings and bools are rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_classes(num_classes):
@@ -211,6 +231,7 @@ def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
 
 def _check_seed(seed):
     """The run seed ``TrainConfig`` and ``CorruptionSpec`` accept: a non-negative integer, as numpy's."""
+    _check_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, _check_seed
+from .data import Dataset, _check_int, _check_seed
 from .losses import BaseLoss, _loss_pass
 from .net import (
     AdamState,
@@ -81,6 +81,8 @@ __all__ = [
 
 def _check_epochs(epochs, burn_in_epochs=0):
     """The run length and burn-in ``TrainConfig`` accepts."""
+    _check_int(epochs, "epochs")
+    _check_int(burn_in_epochs, "burn-in")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if not 0 <= burn_in_epochs < epochs:
@@ -89,6 +91,7 @@ def _check_epochs(epochs, burn_in_epochs=0):
 
 def _check_batch_size(batch_size):
     """The batch size ``TrainConfig`` accepts."""
+    _check_int(batch_size, "batch size")
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
 
@@ -102,7 +105,6 @@ class TrainConfig:
     base_loss: BaseLoss = BaseLoss.hinge()
     lr: float = 1e-3  # Adam learning rate
     seed: int = 0
-    shuffle: bool = True
     hidden: tuple = (64, 64)
     selection: bool = True  # False trains on every sample (baseline path)
 
@@ -110,6 +112,8 @@ class TrainConfig:
         _check_epochs(self.epochs, self.burn_in_epochs)
         _check_batch_size(self.batch_size)
         _check_seed(self.seed)
+        for size in self.hidden:
+            _check_int(size, "hidden layer size")
         if any(size < 1 for size in self.hidden):
             raise ValueError(f"hidden layer sizes must be >= 1, got {tuple(self.hidden)}")
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -183,10 +187,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
     for epoch in range(config.epochs):
         burn_in = epoch < config.burn_in_epochs
         loss_kind = BaseLoss.soft() if burn_in else config.base_loss
-        if config.shuffle:
-            order = np.random.default_rng([config.seed, 1, epoch]).permutation(n)
-        else:
-            order = np.arange(n)
+        order = np.random.default_rng([config.seed, 1, epoch]).permutation(n)
 
         loss_sum = 0.0
         selected_total = 0

@@ -160,6 +160,10 @@ class TestRejectedFlags:
         (["--no-selection"], ["--no-selection", "--epsilon-prior"]),
         (["--checkpoint", "ck.bin"], ["unrecognized arguments", "--checkpoint"]),
         (["--hidden", "4,x"], ["argument --hidden: bad hidden sizes '4,x'"]),
+        (["--hidden", "4,,8"], ["argument --hidden: bad hidden sizes '4,,8'"]),
+        (["--hidden", "4,"], ["argument --hidden: bad hidden sizes '4,'"]),
+        (["--hidden", ",4"], ["argument --hidden: bad hidden sizes ',4'"]),
+        (["--no-shuffle"], ["unrecognized arguments", "--no-shuffle"]),
     ], ids=lambda v: " ".join(v))
     def test_train(self, tmp_path, capsys, monkeypatch, argv, flags):
         monkeypatch.chdir(tmp_path)
@@ -217,6 +221,19 @@ class TestRejectedFlags:
         assert all(flag in err for flag in flags), err
         assert not (tmp_path / "run").exists() and not (tmp_path / "ck.bin").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--test-dataset", "data.npds"],
+        ["--test-size", "5"],
+        ["--test-fraction", "0.3"],
+    ], ids=" ".join)
+    def test_corrupt_takes_no_test_set_flag(self, tmp_path, capsys, monkeypatch, argv):
+        # a corrupt run builds no test set
+        monkeypatch.chdir(tmp_path)
+        assert run([*CORRUPT_ARGS, *argv, "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unrecognized arguments: {' '.join(argv)}\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("source", ["blobs", "idx"])
     def test_noise_rate_without_noise(self, tmp_path, capsys, command, source):
@@ -254,10 +271,11 @@ class TestDefaults:
         return parser.parse_args(["train", "--synthetic", "blobs"])
 
     def test_default_config_echo_digest(self, tmp_path, monkeypatch):
-        # recorded before the flag defaults were read from TrainConfig
+        # recorded before the flag defaults were read from TrainConfig; re-recorded when the echo
+        # lost its one "no-shuffle = False" line
         monkeypatch.chdir(tmp_path)  # the echo holds the default --out, "out"
         digest = hashlib.sha256((_out_dir(self.default_train_args()) / "config.txt").read_bytes()).hexdigest()
-        assert digest == "f66559cc14df9e76a4aaca158e43fded666e94affb5824df30e0c9a12cb5e03c"
+        assert digest == "870a628c7b3f1dbf110a98a2cb09c455911364e32f63fcc1ced4a995ec2265d2"
 
     def test_default_flags_give_default_train_config(self):
         assert _train_config(self.default_train_args()) == TrainConfig()
@@ -324,6 +342,13 @@ class TestTrain:
         assert (second / "config.txt").read_text() == (
             (first / "config.txt").read_text().replace(f"out = {first}", f"out = {second}"))
 
+    def test_config_echo_round_trips_a_net_without_hidden_layers(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(smoke_args(first, epochs=2, extra=["--hidden", ""])) == 0
+        assert "hidden = ''" in (first / "config.txt").read_text().splitlines()
+        assert run(["train", "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+        assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
     def test_config_echo_keeps_path_pairs(self, tmp_path):
         rng = np.random.default_rng(4)
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
@@ -356,6 +381,22 @@ class TestTrain:
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "no-such-option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [
+        ("train", "no-shuffle = true"),
+        ("sweep", "no-shuffle = false"),
+        ("corrupt", "test-size = 1000"),
+        ("corrupt", "test-fraction = 0.2"),
+        ("corrupt", "test-dataset = data.npds"),
+    ], ids=lambda v: v)
+    def test_config_file_key_the_command_does_not_take(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"seed = 1\n{key}\n")
+        assert run([command, "--config", str(cfg), "--synthetic", "blobs", "--noise", "pair",
+                    "--noise-rate", "0.2", "--out", str(tmp_path / "o")]) == 1
+        name = key.partition(" =")[0]
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key {name!r}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("seed = 1\nepochs 3\n", "2: expected 'key = value'"),
         ("out = 'run\n", "1: No closing quotation"),
@@ -379,15 +420,15 @@ class TestTrain:
                                           ("False", False), ("0", False), ("no", False)])
     def test_config_switch_words(self, tmp_path, word, on):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"no-shuffle = {word}\n")
-        assert npcl.cli._config_argv(build_parser()[1]["train"], cfg) == (["--no-shuffle"] if on else [])
+        cfg.write_text(f"no-selection = {word}\n")
+        assert npcl.cli._config_argv(build_parser()[1]["train"], cfg) == (["--no-selection"] if on else [])
 
     def test_config_switch_rejects_other_words(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("seed = 1\nno-shuffle = maybe\n")
+        cfg.write_text("seed = 1\nno-selection = maybe\n")
         out = tmp_path / "o"
         assert run(["train", "--config", str(cfg), *smoke_args(out, epochs=2)[1:]]) == 1
-        assert capsys.readouterr().err == f"error: {cfg}:2: no-shuffle takes true/false, 1/0 or yes/no, got 'maybe'\n"
+        assert capsys.readouterr().err == f"error: {cfg}:2: no-selection takes true/false, 1/0 or yes/no, got 'maybe'\n"
         assert not out.exists()
 
     def test_config_file_bad_choice(self, tmp_path, capsys):
@@ -755,9 +796,25 @@ class TestSweep:
         args = build_parser()[0].parse_args(["sweep", "--synthetic", "blobs", "--noise", "symmetric",
                                              "--noise-rate", "5e-324", "--out", str(tmp_path)])
         cells, skipped = _sweep_cells(args)
-        assert skipped == 0 and len(cells) == 5
+        assert skipped == 2 and len(cells) == 3  # factors 1.0 and 1.25 repeat factor 0.75's prior
         assert cells[0].epsilon_prior == 0.0
         assert _train_config(cells[0]).threshold == ThresholdMode.npcl_adaptive(0.0)
+
+    def test_equal_priors_train_one_cell(self, tmp_path, capsys):
+        # at the least subnormal noise rate, factors 0.75, 1.0 and 1.25 all give the prior 5e-324
+        assert 0.75 * 5e-324 == 1.0 * 5e-324 == 1.25 * 5e-324 == 5e-324
+        code = run([
+            "sweep", "--synthetic", "blobs", "--train-size", "64", "--test-size", "32",
+            "--noise", "symmetric", "--noise-rate", "5e-324", "--epochs", "2",
+            "--batch-size", "32", "--burn-in", "1", "--seed", "2", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipping")]
+        assert skips == ["skipping factor 1.0: prior 4.941e-324 equals factor 0.75's",
+                         "skipping factor 1.25: prior 4.941e-324 equals factor 0.75's"]
+        cells = sorted(p.parent.name for p in tmp_path.glob("*/metrics.csv"))
+        assert cells == ["prior_0", "prior_4.941e-324", "prior_9.881e-324"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == cells
 
 
 class TestParallelSweep:

@@ -24,6 +24,8 @@ def test_spec_validation():
         CorruptionSpec("symmetric", 1.5, 0, 10)
     with pytest.raises(ValueError):
         CorruptionSpec("pair", 0.1, 0, 1)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        CorruptionSpec("pair", 0.1, 1.5, 4)
     with pytest.raises(ValueError, match="corruption spec and dataset disagree on class count"):
         corrupt_dataset(Dataset(np.zeros((4, 1)), np.array([0, 1, 2, 0]), 3), CorruptionSpec("pair", 0.1, 0, 4))
 

@@ -387,3 +387,21 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)
     with pytest.raises(ValueError, match="clean labels must match label shape"):
         Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, clean_labels=np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("labels, clean, field, dtype", [
+    ([0.9, 1.7, 0.2], None, "labels", "float64"),  # would truncate to [0, 1, 0]
+    ([True, False, True], None, "labels", "bool"),  # would read as classes [1, 0, 1]
+    ([0, 1, 0], [0.0, 1.0, 1.0], "clean labels", "float64"),
+    ([0, 1, 0], [False, True, True], "clean labels", "bool"),
+], ids=["float", "bool", "float-clean", "bool-clean"])
+def test_dataset_takes_integer_labels_only(labels, clean, field, dtype):
+    with pytest.raises(ValueError, match=f"^{field} must be integers, got dtype {dtype}$"):
+        Dataset(np.zeros((3, 2)), labels, 2, clean)
+
+
+def test_dataset_takes_any_integer_label_dtype():
+    ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 0], dtype=np.uint8), 2, [1, 1, 0])
+    assert ds.labels.dtype == ds.clean_labels.dtype == np.int64
+    assert ds.flip_flags.tolist() == [True, False, False]
+    assert len(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)) == 0

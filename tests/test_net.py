@@ -144,14 +144,15 @@ class TestFlatLayout:
         assert weights[0][0, 0] == 0.0  # construction copied the inputs
 
     def test_train_step_matches_cores(self):
-        # one full batch, no burn-in, no selection: train() takes exactly one step
+        # one full batch, no burn-in, no selection: train() takes exactly one step, in epoch 0's order
         data = synth_blobs(6, 2, separation=3.0, noise_std=1.0, seed=15)
         cfg = TrainConfig(epochs=1, batch_size=6, burn_in_epochs=0, base_loss=BaseLoss.soft(),
-                          selection=False, shuffle=False, hidden=(4,), seed=14)
+                          selection=False, hidden=(4,), seed=14)
         _, trained = train(cfg, data, data)
 
         params = MlpParams.init([2, 4, 2], seed=[14, 0])
-        grad = masked_gradient(params, data.features, data.labels, BaseLoss.soft(), np.ones(6, bool))
+        order = np.random.default_rng([14, 1, 0]).permutation(6)
+        grad = masked_gradient(params, data.features[order], data.labels[order], BaseLoss.soft(), np.ones(6, bool))
         _adam_update(params.flat, grad, AdamState.init(params, 1e-3))
         np.testing.assert_array_equal(trained.flat, params.flat)
 

@@ -62,6 +62,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="hidden"):
             small_config(hidden=hidden)
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(epochs=3.0, burn_in_epochs=1), "epochs"),
+        (dict(burn_in_epochs=1.0), "burn-in"),
+        (dict(batch_size=16.0), "batch size"),
+        (dict(hidden=(4.5,)), "hidden layer size"),
+        (dict(hidden=("4",)), "hidden layer size"),
+        (dict(seed=1.5), "seed"),
+        (dict(seed="1"), "seed"),
+        (dict(seed=True), "seed"),
+    ], ids=str)
+    def test_integer_settings_reject_other_types(self, overrides, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            small_config(**overrides)
+
+    def test_integer_settings_take_numpy_integers(self):
+        cfg = small_config(epochs=np.int64(3), burn_in_epochs=np.uint8(1), batch_size=np.int32(16),
+                           hidden=(np.int64(4),), seed=np.int64(2))
+        assert (cfg.epochs, cfg.burn_in_epochs, cfg.batch_size, cfg.hidden, cfg.seed) == (3, 1, 16, (4,), 2)
+
     def test_accepts_a_hidden_layer_of_width_one(self):
         assert small_config(hidden=(1,)).hidden == (1,)
 
@@ -159,13 +178,6 @@ class TestTrainLoop:
 
     def test_metrics_header_literal(self):
         assert METRICS_HEADER == "epoch,train_loss,test_acc,label_precision,selected_frac,empty_batches"
-
-    def test_no_shuffle_mode(self):
-        train_set, test_set = separable_sets()
-        cfg = small_config(shuffle=False)
-        a, _ = train(cfg, train_set, test_set)
-        b, _ = train(cfg, train_set, test_set)
-        assert a == b
 
     def test_selection_cap_with_fixed_threshold(self):
         # the kernel can never admit more than m - ceil(eps*m) + 1 per batch
