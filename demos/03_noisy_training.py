@@ -25,19 +25,17 @@ test_set = synth_blobs(1000, 4, separation=4.0, noise_std=1.0, seed=200, dim=64)
 noisy = corrupt_dataset(train_clean, CorruptionSpec("symmetric", rate=0.4, seed=300, num_classes=4))
 print(f"flipped {int(noisy.flip_flags.sum())} of {len(noisy)} training labels")
 
-for selection in (True, False):
+for label, threshold in (("noise-pruned selection", ThresholdMode.npcl_adaptive(0.4)), ("no selection", None)):
     config = TrainConfig(
         epochs=30,
         batch_size=128,
         burn_in_epochs=5,
-        threshold=ThresholdMode.npcl_adaptive(0.4),
+        threshold=threshold,
         base_loss=BaseLoss.hinge(),
         lr=1e-3,
         seed=1,
-        selection=selection,
     )
     metrics, _ = train(config, noisy, test_set)
-    label = "noise-pruned selection" if selection else "no selection"
     print(f"\n--- {label} ---")
     print(f"{'epoch':>6} {'test acc':>9} {'precision':>10} {'selected':>9}")
     for m in metrics[4::5]:

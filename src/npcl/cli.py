@@ -26,7 +26,6 @@ from .training import TrainConfig, _check_batch_size, _check_epochs, train, writ
 from .verification import SUITES, run_suites
 
 SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}  # a switch's words
 _DEFAULTS = TrainConfig()  # the run flags' defaults are the reference setup
 
 
@@ -109,15 +108,13 @@ def _add_train_flags(sub):
     sub.add_argument("--loss", type=_checked(BaseLoss.parse, str), default=str(_DEFAULTS.base_loss),
                      help="hinge | soft-hinge | weighted:<beta>")
     sub.add_argument("--threshold", default=_DEFAULTS.threshold.kind,
-                     choices=list(ThresholdMode.KINDS))
+                     choices=[*ThresholdMode.KINDS, "none"], help="none trains on every sample")
     sub.add_argument("--epochs", type=_checked(_check_epochs, int), default=_DEFAULTS.epochs)
     sub.add_argument("--batch-size", type=_checked(_check_batch_size, int), default=_DEFAULTS.batch_size)
     sub.add_argument("--burn-in", type=int, default=_DEFAULTS.burn_in_epochs)
     sub.add_argument("--lr", type=_checked(lambda v: TrainConfig(lr=v)), default=_DEFAULTS.lr)
     sub.add_argument("--hidden", type=_checked(lambda v: TrainConfig(hidden=v), _hidden),
                      default=_DEFAULTS.hidden)
-    sub.add_argument("--no-selection", action="store_true",
-                     help="train on every sample (baseline path)")
 
 
 def build_parser():
@@ -185,14 +182,7 @@ def _config_argv(sub, path):
         action, name = sub.options.get(key), key.replace("_", "-")
         if action is None or key in ("help", "config"):
             raise CliError(f"{path}:{lineno}: unknown config key {name!r}")
-        flag = action.option_strings[-1]
-        if action.nargs == 0:
-            on = _BOOLEANS.get(" ".join(words).lower())
-            if on is None:
-                raise CliError(f"{path}:{lineno}: {name} takes true/false, 1/0 or yes/no, got {' '.join(words)!r}")
-            tokens += [flag] if on else []
-        else:  # argparse rejects a word count the flag does not take
-            tokens += [flag, *words]
+        tokens += [action.option_strings[-1], *words]  # argparse rejects a word count the flag does not take
     try:
         sub.parse_args(tokens)
     except CliError as exc:
@@ -299,10 +289,11 @@ def _load_datasets(args):
 
 def _train_config(args):
     _paired(_check_epochs, ["--epochs", "--burn-in"], args.epochs, args.burn_in)
-    threshold = _paired(ThresholdMode, ["--threshold", "--epsilon-prior"], args.threshold, args.epsilon_prior)
-    if args.epsilon_prior and args.no_selection:
-        raise CliError(f"--no-selection ignores --epsilon-prior, got {args.epsilon_prior}; "
-                       "leave it at 0 or drop --no-selection")
+    if args.threshold == "none" and args.epsilon_prior:
+        raise CliError(f"--threshold none ignores --epsilon-prior, got {args.epsilon_prior}; "
+                       "leave it at 0 or choose an npcl threshold")
+    threshold = None if args.threshold == "none" else _paired(
+        ThresholdMode, ["--threshold", "--epsilon-prior"], args.threshold, args.epsilon_prior)
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -312,7 +303,6 @@ def _train_config(args):
         lr=args.lr,
         seed=args.seed,
         hidden=args.hidden,
-        selection=not args.no_selection,
     )
 
 
@@ -385,8 +375,6 @@ def _cmd_sweep(args):
     if not args.threshold.startswith("npcl"):
         raise CliError(f"sweep varies the prior, which --threshold {args.threshold} ignores; "
                        "choose an npcl threshold")
-    if args.no_selection:
-        raise CliError("sweep varies the prior, which --no-selection ignores; drop --no-selection")
     if args.noise_rate == 0.0:
         raise CliError("sweep needs a true --noise-rate to scale priors from")
     datasets = _load_datasets(args)

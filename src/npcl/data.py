@@ -118,6 +118,7 @@ def _check_int(value, name):
 
 def _check_classes(num_classes):
     """The class count a ``Dataset`` accepts."""
+    _check_int(num_classes, "class count")
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
 
@@ -193,12 +194,14 @@ def _check_spread(separation, noise_std):
 
 def _check_blob_size(n, num_classes):
     """The sample count ``synth_blobs`` accepts for ``num_classes`` classes."""
+    _check_int(n, "sample count")
     if n < num_classes:
         raise ValueError(f"need at least one sample per class, got {n} samples for {num_classes} classes")
 
 
 def _check_dim(dim):
     """The feature count ``synth_blobs`` accepts."""
+    _check_int(dim, "feature dimension")
     if dim < 2:
         raise ValueError(f"need at least 2 feature dimensions, got {dim}")
 

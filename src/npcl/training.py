@@ -3,7 +3,8 @@
 Each epoch shuffles the training set (seeded), walks it in mini-batches,
 and updates the model on the subset the selection kernel admits.  The
 first ``burn_in_epochs`` epochs train on every sample with the soft hinge
-loss; afterwards the configured base loss and threshold mode take over.
+loss; afterwards the configured base loss and threshold mode take over.  A
+``None`` threshold trains on every sample, the summation baseline.
 Every epoch appends one metrics row, an ``EpochMetrics`` whose fields, in
 order, are the ``metrics.csv`` columns:
 
@@ -101,12 +102,11 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 128
     burn_in_epochs: int = 5
-    threshold: ThresholdMode = ThresholdMode.npcl_adaptive(0.0)
+    threshold: ThresholdMode | None = ThresholdMode.npcl_adaptive(0.0)  # None trains on every sample
     base_loss: BaseLoss = BaseLoss.hinge()
     lr: float = 1e-3  # Adam learning rate
     seed: int = 0
     hidden: tuple = (64, 64)
-    selection: bool = True  # False trains on every sample (baseline path)
 
     def __post_init__(self):
         _check_epochs(self.epochs, self.burn_in_epochs)
@@ -116,8 +116,13 @@ class TrainConfig:
             _check_int(size, "hidden layer size")
         if any(size < 1 for size in self.hidden):
             raise ValueError(f"hidden layer sizes must be >= 1, got {tuple(self.hidden)}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
+        if not (self.threshold is None or isinstance(self.threshold, ThresholdMode)):
+            raise ValueError(f"threshold must be a ThresholdMode or None, got {self.threshold!r}")
+        if not isinstance(self.base_loss, BaseLoss):
+            raise ValueError(f"base loss must be a BaseLoss, got {self.base_loss!r}")
+        number = isinstance(self.lr, (int, float, np.integer, np.floating)) and not isinstance(self.lr, bool)
+        if not (number and np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr!r}")
 
 
 @dataclass
@@ -202,7 +207,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
             margins, losses, loss_grads = _loss_pass(
                 _forward_cached(params, x, ws), train_set.labels[idx], loss_kind, gradients=True
             )
-            if burn_in or not config.selection:
+            if burn_in or config.threshold is None:
                 mask = np.ones(m, dtype=bool)
                 value = float(losses.sum())
             else:

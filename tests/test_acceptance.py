@@ -115,7 +115,8 @@ def test_criterion_07_adversarial(criterion):
 BLOB_KW = dict(num_classes=4, separation=4.0, noise_std=1.0, dim=64)
 
 
-def _desk_run(seed, selection, prior=0.4, corrupt=True):
+def _desk_run(seed, prior=0.4, corrupt=True):
+    """One criterion-8 desk run at npcl-adaptive ``prior``; ``prior=None`` trains on every sample."""
     train_set = synth_blobs(5000, seed=100 + seed, **BLOB_KW)
     test_set = synth_blobs(1000, seed=200 + seed, **BLOB_KW)
     if corrupt:
@@ -124,11 +125,10 @@ def _desk_run(seed, selection, prior=0.4, corrupt=True):
         epochs=30,
         batch_size=128,
         burn_in_epochs=5,
-        threshold=ThresholdMode.npcl_adaptive(prior),
+        threshold=None if prior is None else ThresholdMode.npcl_adaptive(prior),
         base_loss=BaseLoss.hinge(),
         lr=1e-3,
         seed=seed,
-        selection=selection,
     )
     metrics, _ = train(config, train_set, test_set)
     acc = float(np.mean([m.test_acc for m in metrics[-5:]]))
@@ -141,9 +141,9 @@ def desk_runs():
     start = time.perf_counter()
     runs = {"npcl": [], "baseline": []}
     for seed in range(1, 6):
-        runs["npcl"].append(_desk_run(seed, selection=True))
-        runs["baseline"].append(_desk_run(seed, selection=False))
-    runs["clean"] = _desk_run(1, selection=False, corrupt=False)
+        runs["npcl"].append(_desk_run(seed))
+        runs["baseline"].append(_desk_run(seed, prior=None))
+    runs["clean"] = _desk_run(1, prior=None, corrupt=False)
     runs["seconds"] = time.perf_counter() - start
     return runs
 
@@ -167,7 +167,7 @@ def test_criterion_09_misspecified_prior_sweep(criterion, desk_runs):
     base_prec = desk_runs["baseline"][0][1]  # seed 1, selection disabled
     precisions = {0.4: desk_runs["npcl"][0][1]}
     for prior in (0.3, 0.5):
-        precisions[prior] = _desk_run(1, selection=True, prior=prior)[1]
+        precisions[prior] = _desk_run(1, prior=prior)[1]
     ok = all(p > base_prec for p in precisions.values())
     detail = ", ".join(f"prior {k}: {v:.3f}" for k, v in sorted(precisions.items()))
     criterion(9, ok, f"label precision above the no-selection baseline ({base_prec:.3f}) for {detail}")

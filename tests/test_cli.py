@@ -157,7 +157,8 @@ class TestRejectedFlags:
         (["--loss", "weighted:nan"], ["--loss"]),
         (["--loss", "weighted:x"], ["--loss"]),
         (["--loss", "bogus"], ["--loss"]),
-        (["--no-selection"], ["--no-selection", "--epsilon-prior"]),
+        (["--threshold", "none"], ["--threshold none", "--epsilon-prior"]),
+        (["--no-selection"], ["unrecognized arguments", "--no-selection"]),
         (["--checkpoint", "ck.bin"], ["unrecognized arguments", "--checkpoint"]),
         (["--hidden", "4,x"], ["argument --hidden: bad hidden sizes '4,x'"]),
         (["--hidden", "4,,8"], ["argument --hidden: bad hidden sizes '4,,8'"]),
@@ -212,7 +213,7 @@ class TestRejectedFlags:
     @pytest.mark.parametrize("argv, flags", [
         (["--epsilon-prior", "0.3"], ["--epsilon-prior"]),
         (["--checkpoint", "ck.bin"], ["--checkpoint"]),
-        (["--no-selection"], ["sweep varies the prior, which --no-selection ignores"]),
+        (["--threshold", "none"], ["which --threshold none ignores"]),
     ], ids=lambda v: " ".join(v))
     def test_sweep(self, tmp_path, capsys, monkeypatch, argv, flags):
         monkeypatch.chdir(tmp_path)
@@ -271,11 +272,11 @@ class TestDefaults:
         return parser.parse_args(["train", "--synthetic", "blobs"])
 
     def test_default_config_echo_digest(self, tmp_path, monkeypatch):
-        # recorded before the flag defaults were read from TrainConfig; re-recorded when the echo
-        # lost its one "no-shuffle = False" line
+        # recorded before the flag defaults were read from TrainConfig; re-recorded each time the echo
+        # lost one line, "no-shuffle = False" and then "no-selection = False"
         monkeypatch.chdir(tmp_path)  # the echo holds the default --out, "out"
         digest = hashlib.sha256((_out_dir(self.default_train_args()) / "config.txt").read_bytes()).hexdigest()
-        assert digest == "870a628c7b3f1dbf110a98a2cb09c455911364e32f63fcc1ced4a995ec2265d2"
+        assert digest == "09497a26440debbaf78c791127a4801413896ce028ff579280971f933fea96fd"
 
     def test_default_flags_give_default_train_config(self):
         assert _train_config(self.default_train_args()) == TrainConfig()
@@ -384,6 +385,8 @@ class TestTrain:
     @pytest.mark.parametrize("command, key", [
         ("train", "no-shuffle = true"),
         ("sweep", "no-shuffle = false"),
+        ("train", "no-selection = false"),
+        ("sweep", "no-selection = true"),
         ("corrupt", "test-size = 1000"),
         ("corrupt", "test-fraction = 0.2"),
         ("corrupt", "test-dataset = data.npds"),
@@ -416,20 +419,22 @@ class TestTrain:
         assert (tmp_path / "cfgx#y" / "metrics.csv").exists()
         assert not (tmp_path / "cfgx").exists()
 
-    @pytest.mark.parametrize("word, on", [("true", True), ("TRUE", True), ("1", True), ("Yes", True),
-                                          ("False", False), ("0", False), ("no", False)])
-    def test_config_switch_words(self, tmp_path, word, on):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"no-selection = {word}\n")
-        assert npcl.cli._config_argv(build_parser()[1]["train"], cfg) == (["--no-selection"] if on else [])
+    @pytest.mark.parametrize("command", ["train", "corrupt", "sweep"])
+    def test_every_option_takes_a_value(self, command):
+        # the config reader reads no switch words: a switch would echo "flag = False", which no rerun reads
+        options = build_parser()[1][command].options
+        assert [a.option_strings[-1] for key, a in options.items() if key != "help" and a.nargs == 0] == []
 
-    def test_config_switch_rejects_other_words(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("seed = 1\nno-selection = maybe\n")
-        out = tmp_path / "o"
-        assert run(["train", "--config", str(cfg), *smoke_args(out, epochs=2)[1:]]) == 1
-        assert capsys.readouterr().err == f"error: {cfg}:2: no-selection takes true/false, 1/0 or yes/no, got 'maybe'\n"
-        assert not out.exists()
+    def test_config_echo_round_trips_threshold_none(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(smoke_args(first, extra=["--threshold", "none", "--epsilon-prior", "0"])) == 0
+        assert "threshold = none" in (first / "config.txt").read_text().splitlines()
+        assert run(["train", "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+        metrics = (first / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[4] for row in metrics[1:]] == ["1.0"] * 3  # every sample trains every epoch
+        assert (second / "metrics.csv").read_text().splitlines() == metrics
+        assert (second / "config.txt").read_text() == (
+            (first / "config.txt").read_text().replace(f"out = {first}", f"out = {second}"))
 
     def test_config_file_bad_choice(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -181,6 +181,22 @@ class TestBlobs:
             with pytest.raises(ValueError, match="separation|noise std"):
                 synth_blobs(10, 4, separation, noise_std, 0)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(n=10.0), "sample count"),
+        (dict(n="10"), "sample count"),
+        (dict(n=True), "sample count"),
+        (dict(dim=3.0), "feature dimension"),
+        (dict(dim="3"), "feature dimension"),
+    ], ids=["n-float", "n-str", "n-bool", "dim-float", "dim-str"])
+    def test_sizes_must_be_integers(self, kwargs, field):
+        args = {**dict(n=10, num_classes=2, separation=3.0, noise_std=1.0, seed=0), **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            synth_blobs(**args)
+
+    def test_sizes_take_numpy_integers(self):
+        ds = synth_blobs(np.int64(10), 2, 3.0, 1.0, seed=0, dim=np.int32(3))
+        assert (len(ds), ds.dim) == (10, 3)
+
 
 class TestSplit:
     def test_sizes(self):
@@ -398,6 +414,21 @@ def test_dataset_validation():
 def test_dataset_takes_integer_labels_only(labels, clean, field, dtype):
     with pytest.raises(ValueError, match=f"^{field} must be integers, got dtype {dtype}$"):
         Dataset(np.zeros((3, 2)), labels, 2, clean)
+
+
+@pytest.mark.parametrize("make", [
+    lambda k: Dataset(np.zeros((4, 2)), [0, 1, 0, 1], k),
+    lambda k: CorruptionSpec("pair", 0.1, 0, k),
+    lambda k: synth_blobs(10, k, 3.0, 1.0, seed=0),
+], ids=["Dataset", "CorruptionSpec", "synth_blobs"])
+@pytest.mark.parametrize("k", [2.0, 2.5, "2", True], ids=repr)
+def test_class_count_must_be_an_integer(make, k):
+    with pytest.raises(ValueError, match=f"^class count must be an integer, got {re.escape(repr(k))}$"):
+        make(k)
+
+
+def test_class_count_takes_a_numpy_integer():
+    assert Dataset(np.zeros((4, 2)), [0, 1, 0, 1], np.int64(2)).num_classes == 2
 
 
 def test_dataset_takes_any_integer_label_dtype():

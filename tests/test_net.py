@@ -147,7 +147,7 @@ class TestFlatLayout:
         # one full batch, no burn-in, no selection: train() takes exactly one step, in epoch 0's order
         data = synth_blobs(6, 2, separation=3.0, noise_std=1.0, seed=15)
         cfg = TrainConfig(epochs=1, batch_size=6, burn_in_epochs=0, base_loss=BaseLoss.soft(),
-                          selection=False, hidden=(4,), seed=14)
+                          threshold=None, hidden=(4,), seed=14)
         _, trained = train(cfg, data, data)
 
         params = MlpParams.init([2, 4, 2], seed=[14, 0])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -88,6 +89,23 @@ class TestConfig:
     def test_rejects_bad_learning_rates(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
             small_config(lr=lr)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(threshold="npcl-adaptive"), "threshold must be a ThresholdMode or None, got 'npcl-adaptive'"),
+        (dict(threshold=0.4), "threshold must be a ThresholdMode or None, got 0.4"),
+        (dict(base_loss="hinge"), "base loss must be a BaseLoss, got 'hinge'"),
+        (dict(base_loss=None), "base loss must be a BaseLoss, got None"),
+        (dict(lr=True), "learning rate must be finite and > 0, got True"),
+        (dict(lr="0.1"), "learning rate must be finite and > 0, got '0.1'"),
+        (dict(lr=None), "learning rate must be finite and > 0, got None"),
+    ], ids=["threshold-str", "threshold-float", "loss-str", "loss-none", "lr-bool", "lr-str", "lr-none"])
+    def test_rejects_settings_of_the_wrong_type(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**overrides)
+
+    def test_takes_numpy_and_integer_learning_rates(self):
+        assert small_config(lr=np.float32(0.5)).lr == 0.5
+        assert small_config(lr=1).lr == 1
 
     @pytest.mark.parametrize("side", ["train", "test"])
     def test_rejects_an_empty_dataset(self, side):
@@ -282,7 +300,7 @@ DESK_RUNS = {
         "6b2ad815851a126ce97af808caea174ebfadcd5027a79b1b3bd711bc8a2f750e",
     ),
     "no-selection": (
-        1000, dict(base_loss=BaseLoss.hinge(), selection=False),
+        1000, dict(base_loss=BaseLoss.hinge(), threshold=None),
         "5ef3f6cd71f14292ce32abbaf5dff0b91b62ad10d6c51ad277c4cdd5aea3d5a4",
         "02d038edaa7f0d95aa09a9be30dcfaec51d0f0389b696129c6bd0eef4afc94b2",
     ),
