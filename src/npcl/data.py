@@ -116,6 +116,15 @@ def _check_int(value, name):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(value, name):
+    """``ValueError`` naming the field ``name`` unless ``value`` is a Python or numpy real number.
+
+    A type test, not a parse: strings and bools are rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_classes(num_classes):
     """The class count a ``Dataset`` accepts."""
     _check_int(num_classes, "class count")
@@ -186,6 +195,8 @@ def load_idx(images_path, labels_path):
 
 def _check_spread(separation, noise_std):
     """The cluster radius and noise scale ``synth_blobs`` accepts."""
+    _check_real(separation, "separation")
+    _check_real(noise_std, "noise std")
     if not (np.isfinite(separation) and separation > 0):
         raise ValueError(f"separation must be finite and > 0, got {separation}")
     if not (np.isfinite(noise_std) and noise_std >= 0):
@@ -241,6 +252,7 @@ def _check_seed(seed):
 
 def _check_fraction(test_fraction):
     """The held-out fraction ``split`` accepts."""
+    _check_real(test_fraction, "test fraction")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction}")
 

@@ -15,16 +15,21 @@ of threshold:
 partition with group-local thresholds and sums the values; the result
 upper-bounds the whole-set objective.  It solves all groups of one size in
 one call of the row-wise selection kernel.
+
+Sorting the losses and summing them is the kernel's costly half, and no
+threshold enters it, so a ``MarginBatch`` sorts its losses once, on first
+use, and ``curriculum_objective`` cuts that one sorted row for each mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .losses import BaseLoss, _as_batch, _hinge_from_margins, _loss_pass
-from .selection import ThresholdMode, _select_rows, _thresholds, compute_threshold
+from .selection import ThresholdMode, _cut_rows, _select_rows, _sort_rows, _thresholds, compute_threshold
 
 __all__ = [
     "MarginBatch",
@@ -32,6 +37,13 @@ __all__ = [
     "curriculum_objective",
     "batched_objective",
 ]
+
+
+def _read_only(a):
+    """A view of ``a`` that cannot be written; ``a`` itself keeps its flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _misclassified(margins):
@@ -47,6 +59,15 @@ class MarginBatch:
     this is what makes the curriculum values bound the 0-1 objective.
     ``zero_one_total`` is that objective ``J``, the number of negative
     margins; a zero margin counts as correct.
+
+    A batch is a snapshot of the arrays given, taken without a copy:
+    ``margins`` and ``base_losses`` are read-only views of them (of float64
+    copies, where they are not float64).  A write through the batch raises,
+    while the caller's own arrays stay writeable; the caller must not change
+    them while the batch is in use.  The sorted losses and their prefix sums
+    are derived once, on first use, and are read-only too: every
+    ``curriculum_objective`` result of one batch shares that row of prefix
+    sums.
     """
 
     margins: np.ndarray
@@ -63,9 +84,14 @@ class MarginBatch:
         wrong = _misclassified(u)
         if np.any(l < wrong):
             raise ValueError("base losses must upper-bound the 0-1 indicators")
-        self.margins = u
-        self.base_losses = l
+        self.margins = _read_only(u)
+        self.base_losses = _read_only(l)
         self.zero_one_total = int(np.count_nonzero(wrong))
+
+    @cached_property
+    def _sorted_rows(self):
+        """``_sort_rows`` of the losses as one row: ``(ordered, prefix)``, each ``(1, n)`` and read-only."""
+        return tuple(_read_only(a) for a in _sort_rows(self.base_losses[None]))
 
     @classmethod
     def from_margins(cls, margins):
@@ -125,7 +151,7 @@ class BatchPartition:
 def curriculum_objective(batch: MarginBatch, mode: ThresholdMode):
     """Objective value and selection for the whole batch under one threshold."""
     c = compute_threshold(mode, len(batch), batch.zero_one_total)
-    result = _select_rows(batch.base_losses[None], np.array([c]))[0]
+    result = _cut_rows(batch.base_losses[None], *batch._sorted_rows, np.array([c]))[0]
     return result.objective, result
 
 

@@ -15,12 +15,20 @@ Only the loss values are sorted, never their indices.  The selected
 samples are then the ones below the cut value ``v``, the T-th smallest
 loss, plus, among the samples equal to ``v``, the lowest-indexed ones
 until ``T`` are taken: exactly the mask a stable sort of the indices would
-give.  Signed zeros are canonicalised to ``+0.0`` before the prefix sums,
-so no result depends on where the sort puts ``-0.0`` among the zeros.
+give.  Where more samples equal ``v`` than the row selects, the surplus is
+dropped by position: each tie with no more than that many ties at or after
+it in its row.  Signed zeros are canonicalised to ``+0.0`` before the
+prefix sums, so no result depends on where the sort puts ``-0.0`` among the
+zeros.
 
 The rule lives only in ``_select_rows``, which solves G equal-size problems
 at once and checks nothing; inputs are validated at the public entries
-(``partial_optimize``, ``MarginBatch``, ``train``).
+(``partial_optimize``, ``MarginBatch``, ``train``).  The sort and the prefix
+sums do not depend on ``C``: for every threshold the selected set is a
+prefix of the same sorted order, and only ``T`` moves.  ``_select_rows`` is
+therefore the composition of ``_sort_rows``, which sorts and sums, and
+``_cut_rows``, which cuts those rows at each row's threshold; a batch that
+is cut at several thresholds (``objectives.MarginBatch``) is sorted once.
 
 ``brute_force_optimize`` enumerates all ``2^n`` masks and is the
 independent optimality oracle for small ``n``.
@@ -78,22 +86,29 @@ def _check_c(c, n):
     return c
 
 
-def _select_rows(losses, c):
-    """The selection rule on each row of ``losses``; one ``SelectionResult`` per row.
+def _sort_rows(losses):
+    """The half of the rule that no threshold enters: each row of ``losses`` sorted, and its running sums.
 
-    ``losses`` is a ``(G, m)`` float64 matrix of finite, nonnegative losses
-    and ``c`` a ``(G,)`` float64 vector of thresholds in ``[0, 2m]``; neither
-    is checked.  One row-wise value sort, one row-wise running sum and one
-    comparison give every row's count ``T``; the masks are rebuilt from each
-    row's cut value ``v``, the T-th smallest loss: every loss below ``v`` and
-    the lowest-indexed losses equal to ``v`` until ``T`` are taken.  The
-    results' masks and prefix sums are row views of two ``(G, m)`` arrays.
+    Returns two ``(G, m)`` arrays, ``(ordered, prefix)``.  ``-0.0`` becomes ``+0.0``
+    before the sums, wherever the sort placed it, so neither array holds ``-0.0``.
     """
-    g, m = losses.shape
     ordered = np.sort(losses, axis=1)
-    ordered += 0.0  # -0.0 becomes +0.0, wherever the sort placed it
+    ordered += 0.0
     # np.add.accumulate is cumsum without the method's dispatch, which costs about 0.5 us at m = 128
     prefix = np.add.accumulate(ordered, axis=1)
+    return ordered, prefix
+
+
+def _cut_rows(losses, ordered, prefix, c):
+    """The half of the rule that takes the thresholds: ``_sort_rows(losses)``'s rows cut at ``c``.
+
+    One comparison with the bounds ``(c + 1) - i`` gives every row's count
+    ``T``.  The masks are rebuilt from each row's cut value ``v``, the T-th
+    smallest loss: every loss below ``v`` and the lowest-indexed losses equal
+    to ``v`` until ``T`` are taken.  The results' masks are row views of one
+    new ``(G, m)`` array, and their prefix sums row views of ``prefix``.
+    """
+    g, m = losses.shape
     c1 = c + 1.0
     keep = prefix <= c1[:, None] - np.arange(1.0, m + 1.0)
     counts = keep.sum(axis=1)
@@ -103,9 +118,6 @@ def _select_rows(losses, c):
     # L_T <= bound_T <= bound_1, so the clamp changes no cut with T > 0, and it puts the cut
     # of a row with T = 0 below that row's smallest loss L_1 > bound_1
     cut = np.minimum(ordered.take(ends), c1 - 1.0)[:, None]
-    # the sorted copy is done with; dropping it before the tie pass keeps that pass's
-    # temporaries within the memory the sort already took
-    del ordered
     # allocated before the comparison writes it: letting `losses <= cut` allocate its own output left
     # freed heap resident on objective_scan under some module and path layouts (+60-80 MB peak RSS)
     mask = np.empty((g, m), dtype=bool)
@@ -113,17 +125,30 @@ def _select_rows(losses, c):
     # mask holds each row's T selected samples plus any others equal to its cut value;
     # where it holds more, the highest-indexed of those ties are dropped, as a stable sort would leave them
     if np.count_nonzero(mask) != np.count_nonzero(keep):
-        tied = losses == cut
-        # int32 halves the int64 default and its cast copy; a row of 2^31 losses would need 16 GiB
-        rank = np.add.accumulate(tied, axis=1, dtype=np.int32)
+        # flat positions of the ties, row by row in index order (np.flatnonzero without its wrapper)
+        pos = (losses == cut).ravel().nonzero()[0]
+        row = pos // m
+        # ties from each one to the end of its row, itself included
+        after = row.searchsorted(row, side="right") - np.arange(pos.size)
         surplus = mask.sum(axis=1) - counts
-        mask[tied & (rank > (rank[:, -1] - surplus)[:, None])] = False
+        mask.put(pos[after <= surplus[row]], False)
     results = []
     for ci, t, end, row_mask, row_prefix in zip(c.tolist(), counts.tolist(), prefix.take(ends).tolist(), mask, prefix):
         s = end if t else 0.0
         results.append(SelectionResult(mask=row_mask, selected_count=t, objective=max(s, ci - t), threshold=ci,
                                        prefix_sums=row_prefix, selected_loss_sum=s))
     return results
+
+
+def _select_rows(losses, c):
+    """The selection rule on each row of ``losses``; one ``SelectionResult`` per row.
+
+    ``losses`` is a ``(G, m)`` float64 matrix of finite, nonnegative losses
+    and ``c`` a ``(G,)`` float64 vector of thresholds in ``[0, 2m]``; neither
+    is checked.  The rule is ``_sort_rows`` then ``_cut_rows``: one row-wise
+    value sort and running sum, then one cut per threshold.
+    """
+    return _cut_rows(losses, *_sort_rows(losses), c)
 
 
 def partial_optimize(losses, C):
@@ -161,6 +186,7 @@ class ThresholdMode:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown threshold mode {self.kind!r}")
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.epsilon and not self.kind.startswith("npcl"):
@@ -176,16 +202,25 @@ class ThresholdMode:
 
     @classmethod
     def npcl_fixed(cls, epsilon):
-        return cls("npcl-fixed", float(epsilon))
+        return cls("npcl-fixed", epsilon)
 
     @classmethod
     def npcl_adaptive(cls, epsilon):
-        return cls("npcl-adaptive", float(epsilon))
+        return cls("npcl-adaptive", epsilon)
 
     def __str__(self):
         if self.kind.startswith("npcl"):
             return f"{self.kind}:{self.epsilon}"
         return self.kind
+
+
+def _real(value, name):
+    """``value`` as a float; ``ValueError`` naming the argument ``name`` unless it is a real
+    number.  A type test, not a parse: strings and bools are rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _count(value, name):

@@ -112,10 +112,12 @@ class TrainConfig:
         _check_epochs(self.epochs, self.burn_in_epochs)
         _check_batch_size(self.batch_size)
         _check_seed(self.seed)
+        if not isinstance(self.hidden, tuple):  # a list would leave the frozen config unhashable
+            raise ValueError(f"hidden layer sizes must be a tuple of integers, got {self.hidden!r}")
         for size in self.hidden:
             _check_int(size, "hidden layer size")
         if any(size < 1 for size in self.hidden):
-            raise ValueError(f"hidden layer sizes must be >= 1, got {tuple(self.hidden)}")
+            raise ValueError(f"hidden layer sizes must be >= 1, got {self.hidden}")
         if not (self.threshold is None or isinstance(self.threshold, ThresholdMode)):
             raise ValueError(f"threshold must be a ThresholdMode or None, got {self.threshold!r}")
         if not isinstance(self.base_loss, BaseLoss):

@@ -30,6 +30,18 @@ def test_spec_validation():
         corrupt_dataset(Dataset(np.zeros((4, 1)), np.array([0, 1, 2, 0]), 3), CorruptionSpec("pair", 0.1, 0, 4))
 
 
+@pytest.mark.parametrize("rate", [True, False, "0.1", None])
+def test_rate_must_be_a_real_number(rate):
+    # True once passed the range test as 1 and flipped every label
+    with pytest.raises(ValueError, match=f"^rate must be a real number, got {rate!r}$"):
+        CorruptionSpec("pair", rate, 0, 2)
+
+
+def test_rate_takes_integers_and_numpy_floats():
+    assert CorruptionSpec("pair", 0, 0, 2).rate == 0
+    assert CorruptionSpec("pair", np.float32(0.25), 0, 2).rate == 0.25
+
+
 def test_zero_rate_is_identity():
     y = np.arange(10) % 4
     for kind in ("symmetric", "pair"):

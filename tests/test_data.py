@@ -193,6 +193,17 @@ class TestBlobs:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             synth_blobs(**args)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(separation="3.0"), "separation must be a real number, got '3.0'"),
+        (dict(separation=True), "separation must be a real number, got True"),
+        (dict(noise_std="1.0"), "noise std must be a real number, got '1.0'"),
+        (dict(noise_std=True), "noise std must be a real number, got True"),
+    ], ids=["separation-str", "separation-bool", "noise-str", "noise-bool"])
+    def test_spread_must_be_real_numbers(self, kwargs, message):
+        args = {**dict(n=10, num_classes=2, separation=3.0, noise_std=1.0, seed=0), **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synth_blobs(**args)
+
     def test_sizes_take_numpy_integers(self):
         ds = synth_blobs(np.int64(10), 2, 3.0, 1.0, seed=0, dim=np.int32(3))
         assert (len(ds), ds.dim) == (10, 3)
@@ -234,6 +245,12 @@ class TestSplit:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 split(ds, bad, seed=0)
+
+    @pytest.mark.parametrize("bad", ["0.2", True, None])
+    def test_fraction_must_be_a_real_number(self, bad):
+        ds = synth_blobs(100, 2, separation=4.0, noise_std=1.0, seed=0)
+        with pytest.raises(ValueError, match=f"^test fraction must be a real number, got {re.escape(repr(bad))}$"):
+            split(ds, bad, seed=0)
 
 
 class TestSerialization:

@@ -11,6 +11,7 @@ from npcl.losses import BaseLoss, _loss_pass, multiclass_margin
 from npcl.objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from npcl.selection import ThresholdMode, brute_force_optimize, compute_threshold, partial_optimize
 from npcl.verification import check_bound_chains, check_pruning_counts, check_zero_prior_reductions
+from test_selection import reference_select
 
 
 def brute_value(batch, mode):
@@ -48,6 +49,31 @@ class TestMarginBatch:
         with pytest.raises(ValueError):
             MarginBatch(np.array([1.0, 2.0]), np.array([0.0]))
 
+    def test_arrays_are_read_only_views_of_the_callers(self):
+        margins, losses = np.array([2.0, -1.0, 0.5]), np.array([0.0, 2.0, 0.5])
+        batch = MarginBatch(margins, losses)
+        for view, own in ((batch.margins, margins), (batch.base_losses, losses)):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1.0
+            assert np.shares_memory(view, own)
+            own[0] += 0.0  # the caller's array stays writeable
+            assert own.flags.writeable
+
+    def test_sorted_losses_are_read_only_and_shared_across_modes(self):
+        batch = MarginBatch.from_margins(np.array([2.0, -1.0, 0.5, -0.25]))
+        _, full = curriculum_objective(batch, ThresholdMode.full_q())
+        _, pruned = curriculum_objective(batch, ThresholdMode.npcl_fixed(0.5))
+        assert np.shares_memory(full.prefix_sums, pruned.prefix_sums)
+        with pytest.raises(ValueError, match="read-only"):
+            full.prefix_sums[0] = 9.0
+        for array in batch._sorted_rows:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 9.0
+        # each mode's mask is its own
+        assert full.mask.tolist() == [True, False, True, True] and pruned.mask.tolist() == [True, False, True, False]
+        full.mask[0] = False
+        assert pruned.mask[0]
+
 
 class TestCurriculumObjective:
     def test_adaptive_full_bound_example(self):
@@ -73,6 +99,67 @@ class TestCurriculumObjective:
         assert result.selected_count == 2
         assert (~result.mask).sum() == 2
         assert value == brute_value(batch, ThresholdMode.npcl_fixed(0.5))
+
+
+ALL_MODES = [ThresholdMode.full_q(), ThresholdMode.full_e(),
+             ThresholdMode.npcl_fixed(0.3), ThresholdMode.npcl_adaptive(0.3)]
+
+
+def _result_bytes(value, result):
+    return b"".join([struct.pack("<ddddq", value, result.objective, result.threshold, result.selected_loss_sum,
+                                 result.selected_count), result.mask.tobytes(), result.prefix_sums.tobytes()])
+
+
+def _reference_bytes(losses, c):
+    """``reference_select``'s result as ``_result_bytes`` packs it, with -0.0 read as +0.0 as the kernel reads it."""
+    mask, t, objective, prefix, loss_sum = reference_select(losses, c)
+    objective, loss_sum, prefix = objective + 0.0, loss_sum + 0.0, prefix + 0.0
+    return b"".join([struct.pack("<ddddq", objective, objective, c, loss_sum, t), mask.tobytes(), prefix.tobytes()])
+
+
+def _check_one_batch_every_mode(margins, losses):
+    """One batch cut at all four modes, in both orders; each result equals a fresh batch's and
+    ``reference_select``'s bit for bit.  Returns the last batch's results in ``ALL_MODES`` order."""
+    for modes in (ALL_MODES, ALL_MODES[::-1]):
+        batch = MarginBatch(margins, losses)
+        results = {}
+        for mode in modes:
+            value, result = curriculum_objective(batch, mode)
+            got = _result_bytes(value, result)
+            assert got == _result_bytes(*curriculum_objective(MarginBatch(margins, losses), mode))
+            assert got == _reference_bytes(losses, result.threshold)
+            results[str(mode)] = result
+    return [results[str(mode)] for mode in ALL_MODES]
+
+
+class TestOneSortPerBatch:
+    """``curriculum_objective`` cuts one cached sort of the batch for every mode."""
+
+    def test_every_mode_in_either_order_matches_a_fresh_batch_and_the_reference(self):
+        rng = np.random.default_rng(404)
+        inside = np.zeros(len(ALL_MODES), dtype=int)
+        zero_cuts = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 48))
+            # quarter-step margins: dyadic hinge losses in long runs of equal values
+            margins = (rng.integers(-8, 9, size=n) + int(rng.integers(0, 5))) / 4.0
+            losses = np.maximum(0.0, 1.0 - margins)
+            losses[(losses == 0.0) & (rng.random(n) < 0.5)] = -0.0
+            for i, result in enumerate(_check_one_batch_every_mode(margins, losses)):
+                t, ordered = result.selected_count, np.sort(losses)
+                if 0 < t < n and ordered[t - 1] == ordered[t]:
+                    inside[i] += 1
+                    zero_cuts += ordered[t - 1] == 0.0
+        assert np.all(inside >= 5), inside
+        assert zero_cuts >= 1
+
+    def test_a_long_row_drops_thousands_of_ties_by_position(self):
+        losses = np.random.default_rng(5).integers(0, 9, size=100_000) / 4.0
+        results = _check_one_batch_every_mode(1.0 - losses, losses)
+        ordered = np.sort(losses)
+        for result in results:
+            cut = ordered[result.selected_count - 1]
+            assert np.count_nonzero(losses <= cut) - result.selected_count > 1000
 
 
 class TestBatchedObjective:

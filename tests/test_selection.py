@@ -293,6 +293,21 @@ class TestThresholds:
         with pytest.raises(ValueError):
             ThresholdMode.npcl_adaptive(-0.2)
 
+    @pytest.mark.parametrize("kind", ["npcl-fixed", "npcl-adaptive"])
+    @pytest.mark.parametrize("epsilon", ["0.1", True, None])
+    def test_epsilon_must_be_a_real_number(self, kind, epsilon):
+        message = f"epsilon must be a real number, got {epsilon!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ThresholdMode(kind, epsilon)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ThresholdMode.npcl_fixed(epsilon)  # the constructors take numbers only, as the class does
+
+    def test_epsilon_is_stored_as_a_float(self):
+        for epsilon in (0, np.float32(0.25), np.int64(0)):
+            mode = ThresholdMode("npcl-adaptive", epsilon)
+            assert type(mode.epsilon) is float and mode.epsilon == epsilon
+        assert str(ThresholdMode.npcl_fixed(0)) == "npcl-fixed:0.0"
+
     @pytest.mark.parametrize("kind", ["full-q", "full-e"])
     def test_full_modes_reject_a_prior(self, kind):
         message = f"^epsilon must be 0 for {kind}, got 0.3; only npcl modes take a prior$"

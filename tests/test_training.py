@@ -82,6 +82,17 @@ class TestConfig:
                            hidden=(np.int64(4),), seed=np.int64(2))
         assert (cfg.epochs, cfg.burn_in_epochs, cfg.batch_size, cfg.hidden, cfg.seed) == (3, 1, 16, (4,), 2)
 
+    @pytest.mark.parametrize("hidden", [[4], 4, "4", None])
+    def test_hidden_sizes_must_be_a_tuple(self, hidden):
+        # a list was accepted and left the frozen config unhashable; an int raised a bare TypeError
+        message = f"hidden layer sizes must be a tuple of integers, got {hidden!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(hidden=hidden)
+
+    def test_a_valid_config_hashes(self):
+        assert hash(small_config(hidden=(4, 2))) == hash(small_config(hidden=(4, 2)))
+        assert len({small_config(hidden=(4,)), small_config(hidden=(4,)), small_config(hidden=())}) == 2
+
     def test_accepts_a_hidden_layer_of_width_one(self):
         assert small_config(hidden=(1,)).hidden == (1,)
 
