@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import is_real
+
 __all__ = [
     "AdvRiskSpec",
     "empirical_adversarial_risk",
@@ -62,8 +64,7 @@ class AdvRiskSpec:
     delta: float  # chi-square divergence budget
 
     def __post_init__(self):
-        number = isinstance(self.delta, (int, float, np.integer, np.floating)) and not isinstance(self.delta, bool)
-        if not (number and self.delta >= 0 and np.isfinite(self.delta)):
+        if not (is_real(self.delta) and self.delta >= 0 and np.isfinite(self.delta)):
             raise ValueError(f"divergence budget must be finite and nonnegative, got {self.delta!r}")
 
 

@@ -17,9 +17,10 @@ import sys
 import warnings
 from pathlib import Path
 
+from ._checks import check_seed
 from .corruption import CorruptionSpec, corrupt_dataset
 from .data import (Dataset, IdxFormatError, _check_blob_size, _check_classes, _check_dim, _check_fraction,
-                   _check_seed, _check_spread, load_dataset, load_idx, save_dataset, split, synth_blobs)
+                   _check_spread, load_dataset, load_idx, save_dataset, split, synth_blobs)
 from .losses import BaseLoss
 from .selection import ThresholdMode
 from .training import TrainConfig, _check_batch_size, _check_epochs, train, write_metrics_csv
@@ -129,7 +130,7 @@ def build_parser():
     ):
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", help="key = value file; flags override it")
-        sub.add_argument("--seed", type=_checked(_check_seed, int), default=_DEFAULTS.seed)
+        sub.add_argument("--seed", type=_checked(check_seed, int), default=_DEFAULTS.seed)
         sub.add_argument("--out", default="out", help="output directory")
         _add_data_flags(sub)
         if name != "corrupt":  # a corrupt run builds no test set
@@ -142,7 +143,7 @@ def build_parser():
 
     verify = subs.add_parser("verify", help="run the property suites")
     verify.add_argument("suite", nargs="?", choices=["all", *SUITES], default="all")
-    verify.add_argument("--seed", type=_checked(_check_seed, int), default=0)
+    verify.add_argument("--seed", type=_checked(check_seed, int), default=0)
     subparsers["verify"] = verify
     return parser, subparsers
 

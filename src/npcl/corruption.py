@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_classes, _check_real, _check_seed
+from ._checks import check_real, check_seed
+from .data import Dataset, _check_classes
 
 __all__ = ["CorruptionSpec", "corrupt_dataset"]
 
@@ -43,10 +44,9 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in ("symmetric", "pair"):
             raise ValueError(f"unknown corruption kind {self.kind!r}")
-        _check_real(self.rate, "rate")
-        if not 0.0 <= self.rate <= 1.0:
+        if not 0.0 <= check_real(self.rate, "rate") <= 1.0:
             raise ValueError(f"rate must lie in [0, 1], got {self.rate}")
-        _check_seed(self.seed)
+        check_seed(self.seed)
         _check_classes(self.num_classes)
 
 

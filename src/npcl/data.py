@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int, check_real, check_seed
+
 __all__ = [
     "Dataset",
     "IdxFormatError",
@@ -59,7 +61,7 @@ class IdxFormatError(ValueError):
     """An IDX or NPDS file that does not parse; the message names the file and the fault."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Feature matrix with integer labels, optionally carrying clean labels."""
 
@@ -107,28 +109,9 @@ def _int_labels(labels, name):
     return labels.astype(np.int64, copy=False)
 
 
-def _check_int(value, name):
-    """``ValueError`` naming the field ``name`` unless ``value`` is a Python or numpy integer.
-
-    A type test, not a parse: floats, strings and bools are rejected.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_real(value, name):
-    """``ValueError`` naming the field ``name`` unless ``value`` is a Python or numpy real number.
-
-    A type test, not a parse: strings and bools are rejected.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
 def _check_classes(num_classes):
     """The class count a ``Dataset`` accepts."""
-    _check_int(num_classes, "class count")
-    if num_classes < 2:
+    if check_int(num_classes, "class count") < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
 
 
@@ -195,25 +178,21 @@ def load_idx(images_path, labels_path):
 
 def _check_spread(separation, noise_std):
     """The cluster radius and noise scale ``synth_blobs`` accepts."""
-    _check_real(separation, "separation")
-    _check_real(noise_std, "noise std")
-    if not (np.isfinite(separation) and separation > 0):
+    if not (np.isfinite(check_real(separation, "separation")) and separation > 0):
         raise ValueError(f"separation must be finite and > 0, got {separation}")
-    if not (np.isfinite(noise_std) and noise_std >= 0):
+    if not (np.isfinite(check_real(noise_std, "noise std")) and noise_std >= 0):
         raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
 
 
 def _check_blob_size(n, num_classes):
     """The sample count ``synth_blobs`` accepts for ``num_classes`` classes."""
-    _check_int(n, "sample count")
-    if n < num_classes:
+    if check_int(n, "sample count") < num_classes:
         raise ValueError(f"need at least one sample per class, got {n} samples for {num_classes} classes")
 
 
 def _check_dim(dim):
     """The feature count ``synth_blobs`` accepts."""
-    _check_int(dim, "feature dimension")
-    if dim < 2:
+    if check_int(dim, "feature dimension") < 2:
         raise ValueError(f"need at least 2 feature dimensions, got {dim}")
 
 
@@ -231,7 +210,7 @@ def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
     _check_blob_size(n, num_classes)
     _check_spread(separation, noise_std)
     _check_dim(dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, streams=True))
     counts = np.full(num_classes, n // num_classes)
     counts[: n % num_classes] += 1
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
@@ -243,17 +222,9 @@ def synth_blobs(n, num_classes, separation, noise_std, seed, dim=2):
     return Dataset(features, labels, num_classes)
 
 
-def _check_seed(seed):
-    """The run seed ``TrainConfig`` and ``CorruptionSpec`` accept: a non-negative integer, as numpy's."""
-    _check_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 def _check_fraction(test_fraction):
     """The held-out fraction ``split`` accepts."""
-    _check_real(test_fraction, "test fraction")
-    if not 0.0 < test_fraction < 1.0:
+    if not 0.0 < check_real(test_fraction, "test fraction") < 1.0:
         raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction}")
 
 
@@ -264,7 +235,7 @@ def split(dataset: Dataset, test_fraction, seed):
     it, would leave a side empty and is rejected, naming the side.
     """
     _check_fraction(test_fraction)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, streams=True))
     test_idx = []
     for k in range(dataset.num_classes):
         members = np.flatnonzero(dataset.labels == k)

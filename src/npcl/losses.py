@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_real
+
 __all__ = [
     "BaseLoss",
     "multiclass_margin",
@@ -193,6 +195,7 @@ class BaseLoss:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown base loss kind {self.kind!r}")
+        object.__setattr__(self, "beta", check_real(self.beta, "beta"))
         if self.kind == "weighted" and not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.kind != "weighted" and self.beta != 0.0:
@@ -208,12 +211,12 @@ class BaseLoss:
 
     @classmethod
     def weighted(cls, beta):
-        return cls("weighted", float(beta))
+        return cls("weighted", beta)
 
     @classmethod
     def parse(cls, text):
         """Parse ``"hinge"``, ``"soft-hinge"`` or ``"weighted:<beta>"``."""
-        if text.startswith("weighted:"):
+        if isinstance(text, str) and text.startswith("weighted:"):
             return cls.weighted(float(text.split(":", 1)[1]))
         return cls(text)
 

@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_lr, check_seed
+
 __all__ = [
     "MlpParams",
     "Workspace",
@@ -55,13 +57,13 @@ ADAM_EPS = 1e-8
 LEAKY_SLOPE = 0.01  # in [0, 1], where max(z, LEAKY_SLOPE * z) is the leaky-ReLU
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpParams:
     """Layer weights and biases, copied on construction into one flat vector they view."""
 
     weights: list
     biases: list
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -80,7 +82,7 @@ class MlpParams:
         """Seeded uniform init in +-sqrt(6 / (d_in + d_out)); zero biases."""
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_seed(seed, streams=True))
         weights, biases = [], []
         for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             bound = np.sqrt(6.0 / (d_in + d_out))
@@ -178,7 +180,7 @@ def forward(params: MlpParams, features, workspace: Workspace | None = None):
     return _forward_cached(params, x, workspace)
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """Learning rate, first/second moments laid out like ``MlpParams.flat``, and the step counter."""
 
@@ -186,9 +188,10 @@ class AdamState:
     m: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     step: int = 0
-    scratch: tuple = field(init=False, repr=False, compare=False)  # two work vectors for the update
+    scratch: tuple = field(init=False, repr=False)  # two work vectors for the update
 
     def __post_init__(self):
+        check_lr(self.lr)
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod

@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._checks import check_int
 from .losses import BaseLoss, _as_batch, _hinge_from_margins, _loss_pass
 from .selection import ThresholdMode, _cut_rows, _select_rows, _sort_rows, _thresholds, compute_threshold
 
@@ -51,7 +52,7 @@ def _misclassified(margins):
     return margins < 0
 
 
-@dataclass
+@dataclass(eq=False)
 class MarginBatch:
     """Per-sample margins with their base-loss values.
 
@@ -115,7 +116,7 @@ class MarginBatch:
         return float(self.base_losses.sum())
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchPartition:
     """Disjoint index groups covering 0..n-1; the last group may be short.
 
@@ -143,8 +144,10 @@ class BatchPartition:
 
     @classmethod
     def contiguous(cls, n, group_size):
-        if group_size < 1:
+        if check_int(group_size, "group size") < 1:
             raise ValueError("group size must be >= 1")
+        if check_int(n, "n") < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         return cls([np.arange(i, min(i + group_size, n)) for i in range(0, n, group_size)])
 
 

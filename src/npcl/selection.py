@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_int, check_real
+
 __all__ = [
     "SelectionResult",
     "ThresholdMode",
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class SelectionResult:
     """Outcome of one selection problem.
 
@@ -80,7 +82,7 @@ def _check_losses(losses):
 
 
 def _check_c(c, n):
-    c = float(c)
+    c = check_real(c, "threshold C")
     if not np.isfinite(c) or not 0.0 <= c <= 2.0 * n:
         raise ValueError(f"threshold C={c} outside [0, {2 * n}]")
     return c
@@ -186,7 +188,7 @@ class ThresholdMode:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown threshold mode {self.kind!r}")
-        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, "epsilon"))
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.epsilon and not self.kind.startswith("npcl"):
@@ -214,29 +216,10 @@ class ThresholdMode:
         return self.kind
 
 
-def _real(value, name):
-    """``value`` as a float; ``ValueError`` naming the argument ``name`` unless it is a real
-    number.  A type test, not a parse: strings and bools are rejected.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _count(value, name):
-    """``value`` as an int; ``ValueError`` naming the argument ``name`` unless it is an
-    integral number.  A type test, not a parse: strings and bools are rejected.
-    """
-    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (number and float(value).is_integer()):  # NaN and infinities included
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def compute_threshold(mode: ThresholdMode, n, misclassified_count):
     """Threshold ``C`` for a group of ``n`` samples; always in ``[0, 2n]``."""
-    n = _count(n, "n")
-    k = _count(misclassified_count, "misclassified_count")
+    n = check_int(n, "n")
+    k = check_int(misclassified_count, "misclassified_count")
     if n < 1:
         raise ValueError("group size must be >= 1")
     if not 0 <= k <= n:

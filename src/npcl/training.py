@@ -56,7 +56,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, _check_int, _check_seed
+from ._checks import check_int, check_lr, check_seed
+from .data import Dataset
 from .losses import BaseLoss, _loss_pass
 from .net import (
     AdamState,
@@ -82,18 +83,15 @@ __all__ = [
 
 def _check_epochs(epochs, burn_in_epochs=0):
     """The run length and burn-in ``TrainConfig`` accepts."""
-    _check_int(epochs, "epochs")
-    _check_int(burn_in_epochs, "burn-in")
-    if epochs < 1:
+    if check_int(epochs, "epochs") < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if not 0 <= burn_in_epochs < epochs:
+    if not 0 <= check_int(burn_in_epochs, "burn-in") < epochs:
         raise ValueError(f"burn-in must lie in [0, epochs), got {burn_in_epochs} of {epochs} epochs")
 
 
 def _check_batch_size(batch_size):
     """The batch size ``TrainConfig`` accepts."""
-    _check_int(batch_size, "batch size")
-    if batch_size < 1:
+    if check_int(batch_size, "batch size") < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
 
 
@@ -111,20 +109,16 @@ class TrainConfig:
     def __post_init__(self):
         _check_epochs(self.epochs, self.burn_in_epochs)
         _check_batch_size(self.batch_size)
-        _check_seed(self.seed)
+        check_seed(self.seed)
         if not isinstance(self.hidden, tuple):  # a list would leave the frozen config unhashable
             raise ValueError(f"hidden layer sizes must be a tuple of integers, got {self.hidden!r}")
-        for size in self.hidden:
-            _check_int(size, "hidden layer size")
-        if any(size < 1 for size in self.hidden):
+        if any(check_int(size, "hidden layer size") < 1 for size in self.hidden):
             raise ValueError(f"hidden layer sizes must be >= 1, got {self.hidden}")
         if not (self.threshold is None or isinstance(self.threshold, ThresholdMode)):
             raise ValueError(f"threshold must be a ThresholdMode or None, got {self.threshold!r}")
         if not isinstance(self.base_loss, BaseLoss):
             raise ValueError(f"base loss must be a BaseLoss, got {self.base_loss!r}")
-        number = isinstance(self.lr, (int, float, np.integer, np.floating)) and not isinstance(self.lr, bool)
-        if not (number and np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"learning rate must be finite and > 0, got {self.lr!r}")
+        check_lr(self.lr)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module, every
 function, class and constant a module defines is read in the package,
 ``demos/`` or ``perfbench/``, and so is every member of its classes, the leaf
-modules import no other package module, and importing the package loads no
-process-pool modules."""
+modules import no package module but ``_checks``, which imports none, no module
+but ``_checks`` makes its own scalar type test, and importing the package loads
+no process-pool modules."""
 
 import ast
 import os
@@ -20,8 +21,9 @@ MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parents[1]
 # the package's __init__ re-exports names without calling them, so it is no caller
 CALLERS = [*MODULES, *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
-# modules that stand on numpy and the standard library alone; the rest of the package builds on them
-LEAVES = ["data", "losses", "selection", "adversarial", "net"]
+# modules that stand on numpy, the standard library and the scalar checks of `_checks` alone; the rest of
+# the package builds on them, and `_checks` itself imports no package module
+LEAVES = ["_checks", "data", "losses", "selection", "adversarial", "net"]
 # class members read only where no attribute load shows it, each with its reader
 ALLOWED = {
     "cli._Parser.error": "argparse calls it on a bad command line",
@@ -242,7 +244,32 @@ def test_detects_a_package_import():
 @pytest.mark.parametrize("name", LEAVES)
 def test_leaf_module_imports_no_package_module(name):
     path = Path(npcl.__file__).parent / f"{name}.py"
-    assert package_imports(path.read_text(encoding="utf-8")) == []
+    assert set(package_imports(path.read_text(encoding="utf-8"))) <= ({"._checks"} if name != "_checks" else set())
+
+
+def scalar_type_tests(source):
+    """Lines of ``source`` with an ``isinstance`` call that tests for ``bool`` or whose types name
+    ``np.integer`` or ``np.floating``: a copy of the type tests ``_checks`` holds."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+            if any(isinstance(t, ast.Name) and t.id == "bool" or isinstance(t, ast.Attribute)
+                   and t.attr in ("integer", "floating") for t in types):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_detects_a_scalar_type_test():
+    source = ("isinstance(a, bool)\nisinstance(b, (int, np.integer))\nisinstance(c, numpy.floating)\n"
+              "isinstance(d, (str, tuple))\nissubclass(e, bool)\nnp.issubdtype(f.dtype, np.integer)\n"
+              "x = isinstance(g, int) and not isinstance(g, bool)\n")
+    assert scalar_type_tests(source) == [1, 2, 3, 7]
+
+
+def test_scalar_type_tests_live_in_checks():
+    found = {p.name: scalar_type_tests(p.read_text(encoding="utf-8")) for p in MODULES if p.stem != "_checks"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_import_loads_no_process_pool_modules():

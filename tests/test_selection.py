@@ -332,6 +332,9 @@ class TestThresholds:
         (5, True, "misclassified_count must be an integer, got True"),
         (5, np.True_, "misclassified_count must be an integer, got np.True_"),
         (np.int64(5), "1", "misclassified_count must be an integer, got '1'"),
+        # a type test, not a parse: an integral float is no count
+        (7.0, 2.0, "n must be an integer, got 7.0"),
+        (np.float64(7.0), 2, "n must be an integer, got np.float64(7.0)"),
     ])
     def test_non_integral_counts_name_the_argument(self, n, k, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -340,5 +343,4 @@ class TestThresholds:
     def test_integral_counts_of_any_type(self):
         mode = ThresholdMode.npcl_adaptive(0.3)
         expected = compute_threshold(mode, 7, 2)
-        for n, k in [(7.0, 2.0), (np.int32(7), np.int64(2)), (np.float64(7.0), 2)]:
-            assert compute_threshold(mode, n, k) == expected
+        assert compute_threshold(mode, np.int32(7), np.int64(2)) == expected
