@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import is_real
+from ._checks import check_finite, check_float_vector, check_real, is_real
 
 __all__ = [
     "AdvRiskSpec",
@@ -68,13 +68,6 @@ class AdvRiskSpec:
             raise ValueError(f"divergence budget must be finite and nonnegative, got {self.delta!r}")
 
 
-def _loss_vector(losses01):
-    l = np.asarray(losses01, dtype=np.float64)
-    if l.ndim != 1 or l.size == 0:
-        raise ValueError("need a non-empty 1-D loss vector")
-    return l
-
-
 def _count_ones(l):
     """The number of ones in ``l``; ``ValueError`` if an entry is neither 0 nor 1 (NaN counts as nonzero)."""
     ones = int(np.count_nonzero(l == 1.0))
@@ -89,7 +82,7 @@ def _worst_case(p, delta):
 
 def empirical_adversarial_risk(losses01, spec: AdvRiskSpec):
     """Closed-form worst-case risk as a float; equals the plain risk at delta = 0."""
-    l = _loss_vector(losses01)
+    l = check_float_vector(losses01, "losses01")
     return _worst_case(_count_ones(l) / l.size, spec.delta)  # a 0/1 sum is exact, so this is float(l.sum()) / n
 
 
@@ -106,19 +99,15 @@ def project_chi_square_ball(w, delta):
     Every k is scored in one vectorised pass from prefix sums, and the k
     whose cut is consistent, ``w_(k) > theta >= w_(k+1)``, is the exact
     projection.  Under rounding the least inconsistent k is taken.
-    A negative or NaN ``delta``, a ``w`` that is not a 1-D vector, an empty
-    ``w`` and a non-finite entry of ``w`` raise ``ValueError``.
+    A ``delta`` that is not a real number, a negative or NaN one, a ``w``
+    that is not a non-empty 1-D vector and a non-finite entry of ``w``
+    raise ``ValueError``.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError(f"w must be a 1-D vector, got shape {w.shape}")
+    w = check_float_vector(w, "w")
     n = w.size
-    if not delta >= 0:  # NaN fails this too
+    if not check_real(delta, "delta") >= 0:  # NaN fails this too
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    top = w.max() if n else math.nan  # the methods skip np.max's dispatch
-    # an empty w, NaN and +inf show in the maximum, -inf in the minimum
-    if not (math.isfinite(top) and math.isfinite(w.min())):
-        raise ValueError("w must be non-empty with every entry finite")
+    top = check_finite(w, "entries of w")[1]
 
     k = np.arange(1, n + 1)
     # equal weights on k samples already spend n^2 / k - n of the budget
@@ -152,7 +141,7 @@ def adversarial_risk_numeric(losses01, spec: AdvRiskSpec):
     Returns the largest ``sum(r * l) / n`` over the iterates (the bits of
     ``np.mean``).
     """
-    l = _loss_vector(losses01)
+    l = check_float_vector(losses01, "losses01")
     n, ones = l.size, _count_ones(l)
     if spec.delta == 0.0 or ones in (0, n):
         return ones / n
@@ -188,7 +177,7 @@ def check_monotonicity(loss_vectors, spec: AdvRiskSpec):
     risk.)  Each vector's shape is checked first; then one pass over all of
     them checks the 0/1 values and one more counts each vector's ones.
     """
-    vectors = [_loss_vector(v) for v in loss_vectors]
+    vectors = [check_float_vector(v, "each loss vector") for v in loss_vectors]
     m = len(vectors)
     if m < 2:
         raise ValueError("need at least two loss vectors")

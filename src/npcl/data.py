@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_real, check_seed
+from ._checks import check_int, check_int_vector, check_path, check_real, check_seed
 
 __all__ = [
     "Dataset",
@@ -72,14 +72,14 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = _int_labels(self.labels, "labels")
+        self.labels = check_int_vector(self.labels, "labels")
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
             raise ValueError("features must be (n, d) with one label per row")
         _check_classes(self.num_classes)
         if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
             raise ValueError("labels out of range")
         if self.clean_labels is not None:
-            self.clean_labels = _int_labels(self.clean_labels, "clean labels")
+            self.clean_labels = check_int_vector(self.clean_labels, "clean labels")
             if self.clean_labels.shape != self.labels.shape:
                 raise ValueError("clean labels must match label shape")
 
@@ -96,17 +96,6 @@ class Dataset:
         if self.clean_labels is None:
             return np.zeros(len(self), dtype=bool)
         return self.labels != self.clean_labels
-
-
-def _int_labels(labels, name):
-    """``labels`` as int64; ``ValueError`` naming the field ``name`` unless their dtype is integer.
-
-    A type test, not a cast: floats would truncate and booleans read as classes 0 and 1.
-    """
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got dtype {labels.dtype}")
-    return labels.astype(np.int64, copy=False)
 
 
 def _check_classes(num_classes):
@@ -147,7 +136,7 @@ def _read_array(fh, count, dtype, path, what):
 
 def load_idx(images_path, labels_path):
     """Load an IDX image/label file pair into a Dataset."""
-    with open(images_path, "rb") as fh:
+    with open(check_path(images_path, "images path"), "rb") as fh:
         magic = _read_scalar(fh, ">I", images_path, "image magic")
         if magic != IDX_IMAGE_MAGIC:
             raise IdxFormatError(f"{images_path}: bad image magic {magic} at offset 0, expected {IDX_IMAGE_MAGIC}")
@@ -160,7 +149,7 @@ def load_idx(images_path, labels_path):
         pixels = _read_array(fh, n * rows * cols, np.uint8, images_path, "pixels").reshape(n, rows * cols)
         _expect_end(fh, images_path)
 
-    with open(labels_path, "rb") as fh:
+    with open(check_path(labels_path, "labels path"), "rb") as fh:
         magic = _read_scalar(fh, ">I", labels_path, "label magic")
         if magic != IDX_LABEL_MAGIC:
             raise IdxFormatError(f"{labels_path}: bad label magic {magic} at offset 0, expected {IDX_LABEL_MAGIC}")
@@ -262,7 +251,7 @@ def split(dataset: Dataset, test_fraction, seed):
 
 
 def save_dataset(path, dataset: Dataset):
-    with open(path, "wb") as fh:
+    with open(check_path(path, "dataset path"), "wb") as fh:
         flags = 1 if dataset.clean_labels is not None else 0
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IQIII", 1, len(dataset), dataset.dim, dataset.num_classes, flags))
@@ -273,7 +262,7 @@ def save_dataset(path, dataset: Dataset):
 
 
 def load_dataset(path):
-    with open(path, "rb") as fh:
+    with open(check_path(path, "dataset path"), "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
         if magic != DATASET_MAGIC:
             raise IdxFormatError(f"{path}: not a dataset file (magic {magic!r})")

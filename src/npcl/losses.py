@@ -36,12 +36,11 @@ integer labels; one sample is a batch of one row, and 1-D logits raise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_real
+from ._checks import check_finite, check_int_vector, check_real
 
 __all__ = [
     "BaseLoss",
@@ -58,14 +57,12 @@ def _as_batch(logits, labels):
     t = np.asarray(logits, dtype=np.float64)
     if t.ndim != 2 or t.shape[1] < 2:
         raise ValueError(f"logits must be (n, K) with K >= 2, got shape {t.shape}")
-    y = np.asarray(labels)
-    if y.shape != (t.shape[0],):
+    y = check_int_vector(labels, "labels")
+    if y.size != t.shape[0]:
         raise ValueError(f"labels must be ({t.shape[0]},), one per logit row, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError("labels must be integers")
     if np.any(y < 0) or np.any(y >= t.shape[1]):
         raise ValueError("labels out of range for the given number of classes")
-    return t, y.astype(np.int64)
+    return t, y
 
 
 def _margins(t, y, rival_index=False):
@@ -93,8 +90,7 @@ def _margins(t, y, rival_index=False):
     for s in range(0, n, rows):
         block = t[s : s + rows]
         m = block.shape[0]
-        if not (math.isfinite(block.min()) and math.isfinite(block.max())):
-            raise ValueError("logits contain non-finite values")
+        check_finite(block, "logits")
         work = masked[:m]
         np.add(block, 0.0, out=work)
         flat = work.reshape(-1)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_finite, check_float_vector, check_int, check_int_vector
 from .losses import BaseLoss, _as_batch, _hinge_from_margins, _loss_pass
 from .selection import ThresholdMode, _cut_rows, _select_rows, _sort_rows, _thresholds, compute_threshold
 
@@ -76,12 +76,12 @@ class MarginBatch:
     zero_one_total: int = field(init=False)
 
     def __post_init__(self):
-        u = np.asarray(self.margins, dtype=np.float64)
-        l = np.asarray(self.base_losses, dtype=np.float64)
-        if u.ndim != 1 or u.shape != l.shape or u.size == 0:
-            raise ValueError("margins and base_losses must be equal-length 1-D vectors")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(l))):
-            raise ValueError("non-finite margins or losses")
+        u = check_float_vector(self.margins, "margins")
+        l = check_float_vector(self.base_losses, "base_losses")
+        if u.size != l.size:
+            raise ValueError(f"margins and base_losses must have equal length, got {u.size} and {l.size}")
+        check_finite(u, "margins")
+        check_finite(l, "base_losses")
         wrong = _misclassified(u)
         if np.any(l < wrong):
             raise ValueError("base losses must upper-bound the 0-1 indicators")
@@ -97,9 +97,7 @@ class MarginBatch:
     @classmethod
     def from_margins(cls, margins):
         """Hinge base losses computed straight from ``(n,)`` margins."""
-        u = np.asarray(margins, dtype=np.float64)
-        if u.ndim != 1:
-            raise ValueError(f"margins must be (n,), got shape {u.shape}")
+        u = check_float_vector(margins, "margins")
         return cls(u, _hinge_from_margins(u))
 
     @classmethod
@@ -132,15 +130,11 @@ class BatchPartition:
         self.sizes = np.array([g.size for g in groups])
         if np.any(self.sizes == 0):  # checked before the dtypes: an empty list reads as float64
             raise ValueError("partition contains an empty group")
-        for i, g in enumerate(groups):
-            if g.dtype.kind not in "iu":  # a float index would truncate, a boolean mask read as 0/1
-                raise ValueError(f"partition group {i} holds {g.dtype} values, not integer indices")
-        self.groups = [g.astype(np.int64, copy=False) for g in groups]
+        self.groups = [check_int_vector(g, f"partition group {i}") for i, g in enumerate(groups)]
         self.index = np.concatenate(self.groups)
-        n = self.index.size
-        if not np.array_equal(np.sort(self.index), np.arange(n)):
+        self.size = self.index.size
+        if not np.array_equal(np.sort(self.index), np.arange(self.size)):
             raise ValueError("groups must be disjoint and cover all indices exactly once")
-        self.size = n
 
     @classmethod
     def contiguous(cls, n, group_size):

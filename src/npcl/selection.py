@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import check_finite, check_float_vector, check_int, check_real
 
 __all__ = [
     "SelectionResult",
@@ -69,14 +69,8 @@ class SelectionResult:
 
 
 def _check_losses(losses):
-    l = np.asarray(losses, dtype=np.float64)
-    if l.ndim != 1 or l.size == 0:
-        raise ValueError("losses must be a non-empty 1-D vector")
-    # NaN propagates through min and max, so it is reported as non-finite, as is -inf
-    low, high = l.min(), l.max()
-    if not (np.isfinite(low) and np.isfinite(high)):
-        raise ValueError("losses contain non-finite values")
-    if low < 0:
+    l = check_float_vector(losses, "losses")
+    if check_finite(l, "losses")[0] < 0:
         raise ValueError("losses must be nonnegative")
     return l
 

@@ -67,7 +67,7 @@ class TestClosedForm:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="losses must be 0/1 valued"):
             empirical_adversarial_risk(np.array([0.5]), AdvRiskSpec(0.1))
-        with pytest.raises(ValueError, match="need a non-empty 1-D loss vector"):
+        with pytest.raises(ValueError, match=re.escape("losses01 must be a non-empty 1-D vector, got shape (2, 2)")):
             empirical_adversarial_risk(np.array([[0.0, 1.0], [1.0, 1.0]]), AdvRiskSpec(0.1))
         for delta in (-0.1, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -125,13 +125,13 @@ class TestProjection:
     @pytest.mark.parametrize("w, delta, message", [
         ([3.0, -1.0, 0.5], float("nan"), "delta must be nonnegative, got nan"),
         ([3.0, -1.0, 0.5], -0.5, "delta must be nonnegative, got -0.5"),
-        ([3.0, float("nan"), 0.5], 0.5, "w must be non-empty with every entry finite"),
-        ([3.0, float("inf"), 0.5], 0.5, "w must be non-empty with every entry finite"),
-        ([3.0, float("-inf"), 0.5], 0.5, "w must be non-empty with every entry finite"),
-        ([3.0, float("nan"), 0.5], 1e-17, "w must be non-empty with every entry finite"),  # before the no-room exit
-        ([], 0.5, "w must be non-empty with every entry finite"),
-        ([[3.0, -1.0], [0.5, 2.0]], 0.5, "w must be a 1-D vector, got shape (2, 2)"),
-        (2.0, 0.5, "w must be a 1-D vector, got shape ()"),
+        ([3.0, float("nan"), 0.5], 0.5, "entries of w contain non-finite values"),
+        ([3.0, float("inf"), 0.5], 0.5, "entries of w contain non-finite values"),
+        ([3.0, float("-inf"), 0.5], 0.5, "entries of w contain non-finite values"),
+        ([3.0, float("nan"), 0.5], 1e-17, "entries of w contain non-finite values"),  # before the no-room exit
+        ([], 0.5, "w must be a non-empty 1-D vector, got shape (0,)"),
+        ([[3.0, -1.0], [0.5, 2.0]], 0.5, "w must be a non-empty 1-D vector, got shape (2, 2)"),
+        (2.0, 0.5, "w must be a non-empty 1-D vector, got shape ()"),
     ], ids=["nan-delta", "negative-delta", "nan-w", "inf-w", "minus-inf-w", "nan-w-no-room", "empty-w",
             "2-d-w", "scalar-w"])
     def test_rejects_non_finite_input(self, w, delta, message):
@@ -372,17 +372,18 @@ class TestMonotonicity:
         assert order.ok, order.detail
 
     def test_validation(self):
+        shape = "each loss vector must be a non-empty 1-D vector, got shape "
         for vectors, message in [
-            ([[1.0, 0.0], [[1.0, 0.0]]], "need a non-empty 1-D loss vector"),  # 2-D
-            ([[1.0, 0.0], 1.0], "need a non-empty 1-D loss vector"),  # scalar
-            ([[], []], "need a non-empty 1-D loss vector"),
+            ([[1.0, 0.0], [[1.0, 0.0]]], shape + "(1, 2)"),  # 2-D
+            ([[1.0, 0.0], 1.0], shape + "()"),  # scalar
+            ([[], []], shape + "(0,)"),
             ([[1.0, 0.0], [1.0, 0.5]], "losses must be 0/1 valued"),
             ([[1.0, np.nan], [1.0, 0.0]], "losses must be 0/1 valued"),
             ([[1.0, 0.0]], "need at least two loss vectors"),
             ([], "need at least two loss vectors"),
             ([[1.0], [1.0, 0.0]], "loss vectors must have equal length"),
             ([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0, 0.0, 1.0]], "loss vectors must have equal length"),
-            ([[1.0, 0.5], [[1.0, 0.0]]], "need a non-empty 1-D loss vector"),  # every shape before any value
+            ([[1.0, 0.5], [[1.0, 0.0]]], shape + "(1, 2)"),  # every shape before any value
             ([[1.0], [1.0, 0.5]], "losses must be 0/1 valued"),  # values before lengths
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):

@@ -2,8 +2,8 @@
 function, class and constant a module defines is read in the package,
 ``demos/`` or ``perfbench/``, and so is every member of its classes, the leaf
 modules import no package module but ``_checks``, which imports none, no module
-but ``_checks`` makes its own scalar type test, and importing the package loads
-no process-pool modules."""
+but ``_checks`` makes its own scalar type test or array dtype test, and importing
+the package loads no process-pool modules."""
 
 import ast
 import os
@@ -267,9 +267,36 @@ def test_detects_a_scalar_type_test():
     assert scalar_type_tests(source) == [1, 2, 3, 7]
 
 
+def dtype_tests(source):
+    """Lines of ``source`` that load ``.dtype.kind`` or name ``issubdtype``: a copy of the array rules
+    ``_checks`` holds."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and (node.attr == "issubdtype" or node.attr == "kind" and
+                isinstance(node.value, ast.Attribute) and node.value.attr == "dtype")
+                or isinstance(node, ast.Name) and node.id == "issubdtype"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_detects_a_dtype_test():
+    source = ("a.dtype.kind in 'iu'\nnp.issubdtype(b.dtype, np.integer)\nc.kind\nd.dtype.char\n"
+              "numpy.issubdtype(e, f)\nissubdtype(g, h)\nx = k.dtype\ny = m.dtype.kind == 'b'\n")
+    assert dtype_tests(source) == [1, 2, 5, 6, 8]
+
+
+def outside_checks(scan):
+    """``module -> lines`` for each module but ``_checks`` in which ``scan`` finds a line."""
+    found = {p.name: scan(p.read_text(encoding="utf-8")) for p in MODULES if p.stem != "_checks"}
+    return {name: lines for name, lines in found.items() if lines}
+
+
 def test_scalar_type_tests_live_in_checks():
-    found = {p.name: scalar_type_tests(p.read_text(encoding="utf-8")) for p in MODULES if p.stem != "_checks"}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert outside_checks(scalar_type_tests) == {}
+
+
+def test_dtype_tests_live_in_checks():
+    assert outside_checks(dtype_tests) == {}
 
 
 def test_import_loads_no_process_pool_modules():

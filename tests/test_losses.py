@@ -165,10 +165,10 @@ class TestBatchOnly:
     @pytest.mark.parametrize("call, message", [
         (lambda: multiclass_margin(ROW, 1), LOGITS_SHAPE),
         (lambda: MarginBatch.from_logits(ROW, 1, HARD), LOGITS_SHAPE),
-        (lambda: MarginBatch.from_margins(0.5), "margins must be (n,), got shape ()"),
+        (lambda: MarginBatch.from_margins(0.5), "margins must be a non-empty 1-D vector, got shape ()"),
         (lambda: forward(NET, ROW), FEATURES_SHAPE),
         (lambda: grad_check(NET, ROW, 1, HARD), FEATURES_SHAPE),
-        (lambda: multiclass_margin(ROW[None], 1), "labels must be (1,), one per logit row, got shape ()"),
+        (lambda: multiclass_margin(ROW[None], 1), "labels must be a 1-D vector, got shape ()"),
     ], ids=["multiclass_margin", "from_logits", "from_margins", "forward", "grad_check", "scalar-label"])
     def test_single_sample_form_is_rejected(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):

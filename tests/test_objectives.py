@@ -212,7 +212,7 @@ class TestBatchedObjective:
 
     @pytest.mark.parametrize("group, dtype", [([0.9, 1.2], "float64"), ([True, False], "bool")])
     def test_partition_takes_integer_indices_only(self, group, dtype):
-        with pytest.raises(ValueError, match=f"^partition group 1 holds {dtype} values, not integer indices$"):
+        with pytest.raises(ValueError, match=f"^partition group 1 must be integers, got dtype {dtype}$"):
             BatchPartition([[2], group])
 
 
@@ -327,9 +327,9 @@ class TestPublicErrors:
             partial_optimize(losses, c)
 
     @pytest.mark.parametrize("margins, losses, message", [
-        ([1.0, 2.0], [0.0, np.nan], "non-finite margins or losses"),
+        ([1.0, 2.0], [0.0, np.nan], "base_losses contain non-finite values"),
         ([1.0, 2.0], [0.0, -0.5], "base losses must upper-bound the 0-1 indicators"),
-        ([1.0, 2.0], [0.0], "margins and base_losses must be equal-length 1-D vectors"),
+        ([1.0, 2.0], [0.0], "margins and base_losses must have equal length, got 2 and 1"),
     ])
     def test_margin_batch(self, margins, losses, message):
         with pytest.raises(ValueError, match=message):
