@@ -2,8 +2,10 @@
 
 Scalars pass type tests, never parses: a real number is a Python or numpy int
 or float, an integer a Python or numpy int, and a bool, a string, ``None`` or
-a container is neither.  No bool or float array has an integer dtype.  This
-module imports no other package module, so every module may import it.
+a container is neither.  No bool or float array has an integer dtype, and no
+string, object or complex array a real one.  A package object passes a type
+test too, with its class given by the caller.  This module imports no other
+package module, so every module may import it.
 """
 
 import math
@@ -38,6 +40,13 @@ def check_seed(seed, streams=False):
     return seed
 
 
+def check_instance(value, cls, name):
+    """``value``, if it is a ``cls``; no other value is built into one."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def check_lr(lr):
     if not (is_real(lr) and np.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be finite and > 0, got {lr!r}")
@@ -54,11 +63,14 @@ def check_int_vector(values, name):
 
 
 def check_float_vector(values, name):
-    """``values`` as float64, if they are a non-empty 1-D vector."""
-    a = np.asarray(values, dtype=np.float64)
+    """``values`` as float64, if they are a non-empty 1-D vector of reals: a bool, integer or float dtype.
+    A float64 array comes back uncopied; a cast would parse strings and drop imaginary parts."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {a.dtype}")
     if a.ndim != 1 or a.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D vector, got shape {a.shape}")
-    return a
+    return a.astype(np.float64, copy=False)
 
 
 def check_finite(a, name):

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_finite, check_float_vector, check_real, is_real
+from ._checks import check_finite, check_float_vector, check_instance, check_real, is_real
 
 __all__ = [
     "AdvRiskSpec",
@@ -83,6 +83,7 @@ def _worst_case(p, delta):
 def empirical_adversarial_risk(losses01, spec: AdvRiskSpec):
     """Closed-form worst-case risk as a float; equals the plain risk at delta = 0."""
     l = check_float_vector(losses01, "losses01")
+    check_instance(spec, AdvRiskSpec, "spec")
     return _worst_case(_count_ones(l) / l.size, spec.delta)  # a 0/1 sum is exact, so this is float(l.sum()) / n
 
 
@@ -142,6 +143,7 @@ def adversarial_risk_numeric(losses01, spec: AdvRiskSpec):
     ``np.mean``).
     """
     l = check_float_vector(losses01, "losses01")
+    check_instance(spec, AdvRiskSpec, "spec")
     n, ones = l.size, _count_ones(l)
     if spec.delta == 0.0 or ones in (0, n):
         return ones / n
@@ -178,6 +180,7 @@ def check_monotonicity(loss_vectors, spec: AdvRiskSpec):
     them checks the 0/1 values and one more counts each vector's ones.
     """
     vectors = [check_float_vector(v, "each loss vector") for v in loss_vectors]
+    check_instance(spec, AdvRiskSpec, "spec")
     m = len(vectors)
     if m < 2:
         raise ValueError("need at least two loss vectors")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_real, check_seed
+from ._checks import check_instance, check_real, check_seed
 from .data import Dataset, _check_classes
 
 __all__ = ["CorruptionSpec", "corrupt_dataset"]
@@ -55,6 +55,8 @@ def corrupt_dataset(dataset, spec: CorruptionSpec):
 
     The labels are a ``Dataset``'s, so already integers in ``[0, K)``.
     """
+    check_instance(dataset, Dataset, "dataset")
+    check_instance(spec, CorruptionSpec, "spec")
     if spec.num_classes != dataset.num_classes:
         raise ValueError("corruption spec and dataset disagree on class count")
     y, k = dataset.labels, dataset.num_classes

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_int_vector, check_path, check_real, check_seed
+from ._checks import check_instance, check_int, check_int_vector, check_path, check_real, check_seed
 
 __all__ = [
     "Dataset",
@@ -223,6 +223,7 @@ def split(dataset: Dataset, test_fraction, seed):
     A fraction that rounds every class's share to none of it, or to all of
     it, would leave a side empty and is rejected, naming the side.
     """
+    check_instance(dataset, Dataset, "dataset")
     _check_fraction(test_fraction)
     rng = np.random.default_rng(check_seed(seed, streams=True))
     test_idx = []
@@ -251,6 +252,7 @@ def split(dataset: Dataset, test_fraction, seed):
 
 
 def save_dataset(path, dataset: Dataset):
+    check_instance(dataset, Dataset, "dataset")
     with open(check_path(path, "dataset path"), "wb") as fh:
         flags = 1 if dataset.clean_labels is not None else 0
         fh.write(DATASET_MAGIC)

@@ -16,7 +16,8 @@ A training step runs these cores in order:
    over the selected count;
 3. ``_backprop`` backpropagates from the workspace's cache, writing each
    layer's gradients into its views of one flat gradient vector;
-4. ``_adam_update`` updates ``params.flat`` in place at ``AdamState.lr``.
+4. ``_adam_update`` updates ``params.flat`` in place at the run's learning
+   rate, from an ``AdamState(params)`` whose moments are laid out alike.
 
 A ``Workspace`` holds preallocated buffers for one row count, and every op
 of the forward pass and of backprop writes into them with ``out=`` or in
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_lr, check_seed
+from ._checks import check_instance, check_int, check_seed
 
 __all__ = [
     "MlpParams",
@@ -80,6 +81,7 @@ class MlpParams:
     @classmethod
     def init(cls, layer_sizes, seed):
         """Seeded uniform init in +-sqrt(6 / (d_in + d_out)); zero biases."""
+        _check_layer_sizes(layer_sizes, "layer sizes")
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         rng = np.random.default_rng(check_seed(seed, streams=True))
@@ -101,8 +103,17 @@ class MlpParams:
         return weights, biases
 
 
+def _check_layer_sizes(sizes, name):
+    """The one layer-size rule: a list or tuple of integers, each >= 1.  ``name`` is plural."""
+    if not isinstance(sizes, (list, tuple)):
+        raise ValueError(f"{name} must be a list or tuple of integers, got {sizes!r}")
+    if any(check_int(size, name.removesuffix("s")) < 1 for size in sizes):
+        raise ValueError(f"{name} must be >= 1, got {sizes}")
+
+
 def _check_features(params: MlpParams, features):
     """Features as a float64 ``(n, d)`` batch for the model's input dim ``d``."""
+    check_instance(params, MlpParams, "params")
     x = np.asarray(features, dtype=np.float64)
     d = params.weights[0].shape[0]
     if x.ndim != 2 or x.shape[1] != d:
@@ -177,34 +188,27 @@ def forward(params: MlpParams, features, workspace: Workspace | None = None):
     x = _check_features(params, features)
     if workspace is None:
         workspace = Workspace(params, x.shape[0])
-    return _forward_cached(params, x, workspace)
+    return _forward_cached(params, x, check_instance(workspace, Workspace, "workspace"))
 
 
-@dataclass(eq=False)
 class AdamState:
-    """Learning rate, first/second moments laid out like ``MlpParams.flat``, and the step counter."""
+    """Adam's state for ``params``: zero first and second moments laid out like ``params.flat``,
+    the step counter at 0, and two work vectors for the update."""
 
-    lr: float
-    m: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    step: int = 0
-    scratch: tuple = field(init=False, repr=False)  # two work vectors for the update
-
-    def __post_init__(self):
-        check_lr(self.lr)
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
-
-    @classmethod
-    def init(cls, params: MlpParams, lr):
-        return cls(lr=lr, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+    def __init__(self, params: MlpParams):
+        flat = check_instance(params, MlpParams, "params").flat
+        self.m, self.v = np.zeros_like(flat), np.zeros_like(flat)
+        self.step = 0
+        self.scratch = (np.empty_like(flat), np.empty_like(flat))
 
 
-def _adam_update(theta, grad, state: AdamState):
-    """One bias-corrected Adam update of the flat parameters ``theta``, in place.
+def _adam_update(theta, grad, state: AdamState, lr):
+    """One bias-corrected Adam update of the flat parameters ``theta`` at learning rate ``lr``, in place.
 
     Runs, op for op, ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2) g g``
     and ``theta -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` through the state's
-    scratch vectors, with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+    scratch vectors, with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.  ``lr`` is
+    not checked here; ``TrainConfig`` checks it.
     """
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
@@ -219,7 +223,7 @@ def _adam_update(theta, grad, state: AdamState):
     s *= 1.0 - ADAM_BETA2
     v += s
     np.divide(m, bc1, out=s)
-    s *= state.lr
+    s *= lr
     np.divide(v, bc2, out=t)
     np.sqrt(t, out=t)
     t += ADAM_EPS

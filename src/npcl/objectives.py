@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import check_finite, check_float_vector, check_int, check_int_vector
+from ._checks import check_finite, check_float_vector, check_instance, check_int, check_int_vector
 from .losses import BaseLoss, _as_batch, _hinge_from_margins, _loss_pass
 from .selection import ThresholdMode, _cut_rows, _select_rows, _sort_rows, _thresholds, compute_threshold
 
@@ -103,6 +103,7 @@ class MarginBatch:
     @classmethod
     def from_logits(cls, logits, labels, base_loss: BaseLoss):
         """Margins and base losses of raw logits, from one loss pass."""
+        check_instance(base_loss, BaseLoss, "base_loss")
         return cls(*_loss_pass(*_as_batch(logits, labels), base_loss, gradients=False)[:2])
 
     def __len__(self):
@@ -147,6 +148,7 @@ class BatchPartition:
 
 def curriculum_objective(batch: MarginBatch, mode: ThresholdMode):
     """Objective value and selection for the whole batch under one threshold."""
+    check_instance(batch, MarginBatch, "batch")
     c = compute_threshold(mode, len(batch), batch.zero_one_total)
     result = _cut_rows(batch.base_losses[None], *batch._sorted_rows, np.array([c]))[0]
     return result.objective, result
@@ -160,6 +162,9 @@ def batched_objective(batch: MarginBatch, partition: BatchPartition, mode: Thres
     an upper bound of the unpartitioned objective.  Results come back in
     partition order, and the total sums their objectives left to right.
     """
+    check_instance(batch, MarginBatch, "batch")
+    check_instance(partition, BatchPartition, "partition")
+    check_instance(mode, ThresholdMode, "mode")
     if partition.size != len(batch):
         raise ValueError(f"partition covers {partition.size} samples, batch has {len(batch)}")
     sizes = partition.sizes

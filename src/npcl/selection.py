@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_finite, check_float_vector, check_int, check_real
+from ._checks import check_finite, check_float_vector, check_instance, check_int, check_real
 
 __all__ = [
     "SelectionResult",
@@ -212,6 +212,7 @@ class ThresholdMode:
 
 def compute_threshold(mode: ThresholdMode, n, misclassified_count):
     """Threshold ``C`` for a group of ``n`` samples; always in ``[0, 2n]``."""
+    check_instance(mode, ThresholdMode, "mode")
     n = check_int(n, "n")
     k = check_int(misclassified_count, "misclassified_count")
     if n < 1:

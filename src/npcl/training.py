@@ -56,7 +56,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._checks import check_int, check_lr, check_seed
+from ._checks import check_instance, check_int, check_lr, check_seed
 from .data import Dataset
 from .losses import BaseLoss, _loss_pass
 from .net import (
@@ -65,6 +65,7 @@ from .net import (
     Workspace,
     _adam_update,
     _backprop,
+    _check_layer_sizes,
     _forward_cached,
     forward,
 )
@@ -112,12 +113,10 @@ class TrainConfig:
         check_seed(self.seed)
         if not isinstance(self.hidden, tuple):  # a list would leave the frozen config unhashable
             raise ValueError(f"hidden layer sizes must be a tuple of integers, got {self.hidden!r}")
-        if any(check_int(size, "hidden layer size") < 1 for size in self.hidden):
-            raise ValueError(f"hidden layer sizes must be >= 1, got {self.hidden}")
+        _check_layer_sizes(self.hidden, "hidden layer sizes")
         if not (self.threshold is None or isinstance(self.threshold, ThresholdMode)):
             raise ValueError(f"threshold must be a ThresholdMode or None, got {self.threshold!r}")
-        if not isinstance(self.base_loss, BaseLoss):
-            raise ValueError(f"base loss must be a BaseLoss, got {self.base_loss!r}")
+        check_instance(self.base_loss, BaseLoss, "base loss")
         check_lr(self.lr)
 
 
@@ -145,7 +144,7 @@ def evaluate(params: MlpParams, dataset: Dataset, workspace: Workspace | None = 
     the injected noise.  ``workspace``, built for ``len(dataset)`` rows,
     lets repeated calls reuse one set of forward buffers.
     """
-    logits = forward(params, dataset.features, workspace)
+    logits = forward(params, check_instance(dataset, Dataset, "dataset").features, workspace)
     predictions = np.argmax(logits, axis=1)
     truth = dataset.labels if dataset.clean_labels is None else dataset.clean_labels
     return float(np.mean(predictions == truth))
@@ -159,6 +158,11 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
     objective value and the conventional sum of base losses, which is how
     the tightness of the surrogate can be watched during a live run.
     """
+    check_instance(config, TrainConfig, "config")
+    check_instance(train_set, Dataset, "train_set")
+    check_instance(test_set, Dataset, "test_set")
+    if not (on_batch is None or callable(on_batch)):
+        raise ValueError(f"on_batch must be callable or None, got {on_batch!r}")
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("datasets must be non-empty")
     if train_set.dim != test_set.dim:
@@ -175,7 +179,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
     theta = params.flat
     grad = np.empty_like(theta)
     g_w, g_b = params.views(grad)
-    state = AdamState.init(params, config.lr)
+    state = AdamState(params)
     batch = config.batch_size
     # an input buffer and a workspace per batch row count: full batches and the last one
     steps = {
@@ -224,7 +228,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
             loss_sum += float(losses[mask].sum())
             loss_grads *= mask[:, None] / selected
             _backprop(params, ws, loss_grads, g_w, g_b)
-            _adam_update(theta, grad, state)
+            _adam_update(theta, grad, state, config.lr)
 
         metrics.append(
             EpochMetrics(

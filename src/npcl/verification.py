@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_instance
 from .adversarial import (
     AdvRiskSpec,
     adversarial_risk_numeric,
@@ -170,6 +171,7 @@ def grad_check(params: MlpParams, features, labels, kind: BaseLoss):
     and the error is normalized by max(1, |analytic|, |numeric|).
     """
     x = _check_features(params, features)
+    check_instance(kind, BaseLoss, "kind")
     probe = MlpParams(params.weights, params.biases)
     theta = probe.flat
     ws = Workspace(probe, x.shape[0])

@@ -1,5 +1,5 @@
-"""Bad scalars, bad arrays and bad paths fed to every public entry, one parameter and one value
-at a time, and the records holding arrays, which compare by identity."""
+"""Bad scalars, bad layer sizes, bad arrays, bad package objects and bad paths fed to every public
+entry, one parameter and one value at a time, and the records holding arrays, which compare by identity."""
 
 import inspect
 import json
@@ -29,25 +29,30 @@ from npcl import (
     ThresholdMode,
     TrainConfig,
     adversarial_risk_numeric,
+    batched_objective,
     brute_force_optimize,
     check_monotonicity,
     compute_threshold,
+    corrupt_dataset,
+    curriculum_objective,
     empirical_adversarial_risk,
+    evaluate,
     forward,
     grad_check,
     multiclass_margin,
     partial_optimize,
+    save_dataset,
     split,
     synth_blobs,
+    train,
 )
 from npcl.adversarial import project_chi_square_ball
+from npcl.net import Workspace
 
 BAD = [True, "1", [1], None, math.nan, math.inf, -math.inf, -1]
 
 # entry -> (the call, arguments it accepts); each scalar parameter is probed from these
 ENTRIES = {
-    "AdamState": (AdamState, dict(lr=1e-3, m=np.zeros(2), v=np.zeros(2), step=0)),
-    "AdamState.init": (AdamState.init, dict(params=MlpParams.init([2, 3], seed=0), lr=1e-3)),
     "AdvRiskSpec": (AdvRiskSpec, dict(delta=0.1)),
     "BaseLoss": (BaseLoss, dict(kind="weighted", beta=0.5)),
     "BaseLoss.weighted": (BaseLoss.weighted, dict(beta=0.5)),
@@ -74,8 +79,6 @@ ENTRIES = {
 
 # entry.parameter -> the words (a regex) the ValueError for each bad value names it by
 NAMED = {
-    "AdamState.lr": "learning rate",
-    "AdamState.init.lr": "learning rate",
     "AdvRiskSpec.delta": "divergence budget",
     "BaseLoss.kind": "base loss kind",
     "BaseLoss.beta": "beta",
@@ -118,7 +121,6 @@ RECORD = "a record of results the package fills; it checks no field"
 SEEDS = "numpy `SeedSequence` entropy, as `[seed, stream]`"
 # entry.parameter -> (the bad values, by repr, that it accepts; why)
 ACCEPTED = {
-    "AdamState.step": (EVERY, "the update counter, which `init` starts at 0 and each Adam step advances"),
     **{f"EpochMetrics.{name}": (EVERY, RECORD) for name in ENTRIES["EpochMetrics"][1]},
     **{f"SelectionResult.{name}": (EVERY, RECORD)
        for name in ("selected_count", "objective", "threshold", "selected_loss_sum")},
@@ -126,10 +128,17 @@ ACCEPTED = {
     "project_chi_square_ball.delta": ({"inf"}, "an unbounded budget leaves the set {r >= 0, mean(r) = 1}"),
 }
 
-# parameters that take package objects, callables or layer sizes: neither scalars nor arrays
+# parameters that take package objects or callables: neither scalars nor arrays
 OBJECTS = {
-    "params", "base_loss", "layer_sizes", "hidden", "spec", "batch", "partition", "mode", "dataset", "workspace",
-    "config", "train_set", "test_set", "on_batch", "TrainConfig.threshold", "grad_check.kind",
+    "params", "base_loss", "spec", "batch", "partition", "mode", "dataset", "workspace", "config", "train_set",
+    "test_set", "on_batch", "TrainConfig.threshold", "grad_check.kind",
+}
+# layer-size parameters -> (the call of a value, a good value holding one given size, the words (a regex) the
+# ValueError names them by)
+SIZES = {
+    "MlpParams.init.layer_sizes": (lambda sizes: MlpParams.init(sizes, seed=0), lambda size: [2, size],
+                                   "layer size|input and output sizes"),
+    "TrainConfig.hidden": (lambda sizes: TrainConfig(hidden=sizes), lambda size: (size,), "hidden layer size"),
 }
 # file paths go to open(), which takes an integer, a bool included, as a file descriptor: they are probed in
 # a child process, so a path taken as one cannot read or write the test's own stdin or stdout
@@ -153,7 +162,7 @@ def test_table_covers_every_scalar_parameter():
     scalars, arrays = set(), set(ARRAYS) | set(ARRAYS_ACCEPTED)
     for entry, call in public_entries().items():
         for param in inspect.signature(call).parameters:
-            if not {param, f"{entry}.{param}"} & (OBJECTS | PATHS | arrays):
+            if not {param, f"{entry}.{param}"} & (OBJECTS | PATHS | arrays | set(SIZES)):
                 scalars.add(f"{entry}.{param}")
     assert scalars == set(NAMED) | set(ACCEPTED)
     assert {key.rsplit(".", 1)[0] for key in scalars} == set(ENTRIES)
@@ -181,12 +190,37 @@ def test_bad_scalar_raises_naming_the_parameter_or_is_accepted(key):
     assert wrong == []
 
 
+def test_only_records_take_every_bad_value():
+    # an option no rule checks, as Adam's step counter and moments once were, cannot sit in these tables
+    assert [key for key, (values, why) in ACCEPTED.items() if values == EVERY and why != RECORD] == []
+    assert [key for key, why in ARRAYS_ACCEPTED.items() if why != RECORD] == []
+
+
+@pytest.mark.parametrize("key", sorted(SIZES))
+@pytest.mark.parametrize("form", ["whole", "element"])
+def test_bad_layer_sizes_raise_naming_them(key, form):
+    param = key.rsplit(".", 1)[1]
+    call, holding, named = SIZES[key]
+    call(holding(1))
+    wrong = []
+    for value in BAD:
+        try:
+            call(value if form == "whole" else holding(value))
+        except ValueError as exc:
+            if not re.search(named, str(exc)):
+                wrong.append(f"{param} {form} {value!r}: {exc}")
+        except Exception as exc:  # any other type is the fault this table finds
+            wrong.append(f"{param} {form} {value!r}: {type(exc).__name__}: {exc}")
+        else:
+            wrong.append(f"{param} {form} {value!r} accepted")
+    assert wrong == []
+
+
 LOGITS = np.array([[2.0, 0.5], [0.5, 1.0]])
 NET = MlpParams.init([2, 3], seed=0)
 SPEC = AdvRiskSpec(0.5)
 # entry -> (the call, arguments it accepts, arrays included); each array parameter is probed from these
 ARRAY_ENTRIES = {
-    "AdamState": ENTRIES["AdamState"],
     "BatchPartition": (BatchPartition, dict(groups=[np.array([0, 1]), np.array([2])])),
     "Dataset": (Dataset, dict(features=np.zeros((2, 2)), labels=np.array([0, 1]), num_classes=2,
                               clean_labels=np.array([1, 1]))),
@@ -237,8 +271,6 @@ ARRAYS = {
 }
 # entry.parameter -> why it takes every bad array
 ARRAYS_ACCEPTED = {
-    "AdamState.m": "Adam's moment state, which `init` lays out like the parameters and each step overwrites",
-    "AdamState.v": "Adam's moment state, which `init` lays out like the parameters and each step overwrites",
     "SelectionResult.mask": RECORD,
     "SelectionResult.prefix_sums": RECORD,
 }
@@ -280,6 +312,70 @@ def test_bad_array_raises_naming_the_parameter_or_is_accepted(key):
         else:
             if key not in ARRAYS_ACCEPTED:
                 wrong.append(f"{param} {label} accepted")
+    assert wrong == []
+
+
+DATA = synth_blobs(8, 2, 3.0, 1.0, seed=0)
+BATCH = MarginBatch.from_margins(np.array([1.0, -1.0]))
+# entry -> (the call, arguments it accepts); each package-object parameter is probed from these
+OBJECT_ENTRIES = {
+    "AdamState": (AdamState, dict(params=NET)),
+    "MarginBatch.from_logits": ARRAY_ENTRIES["MarginBatch.from_logits"],
+    "TrainConfig": (TrainConfig, dict(threshold=ThresholdMode.full_q(), base_loss=BaseLoss.hinge())),
+    "adversarial_risk_numeric": ARRAY_ENTRIES["adversarial_risk_numeric"],
+    "batched_objective": (batched_objective, dict(batch=BATCH, partition=BatchPartition.contiguous(2, 1),
+                                                  mode=ThresholdMode.full_q())),
+    "check_monotonicity": ARRAY_ENTRIES["check_monotonicity"],
+    "compute_threshold": ENTRIES["compute_threshold"],
+    "corrupt_dataset": (corrupt_dataset, dict(dataset=DATA, spec=CorruptionSpec("pair", 0.1, 0, 2))),
+    "curriculum_objective": (curriculum_objective, dict(batch=BATCH, mode=ThresholdMode.full_q())),
+    "empirical_adversarial_risk": ARRAY_ENTRIES["empirical_adversarial_risk"],
+    "evaluate": (evaluate, dict(params=NET, dataset=DATA, workspace=Workspace(NET, len(DATA)))),
+    "forward": (forward, dict(params=NET, features=np.zeros((2, 2)), workspace=Workspace(NET, 2))),
+    "grad_check": ARRAY_ENTRIES["grad_check"],
+    "save_dataset": (save_dataset, dict(path="data.npds", dataset=DATA)),
+    "split": ENTRIES["split"],
+    "train": (train, dict(config=TrainConfig(epochs=1, batch_size=8, burn_in_epochs=0, hidden=()), train_set=DATA,
+                          test_set=DATA, on_batch=lambda *progress: None)),
+}
+# entry.parameter -> why it takes None
+TAKES_NONE = {
+    "forward.workspace": "without one the pass builds a workspace for its input",
+    "evaluate.workspace": "without one the pass builds a workspace for its input",
+    "train.on_batch": "a run that reports no batch",
+    "TrainConfig.threshold": "no selection: every sample trains, the summation baseline",
+}
+
+
+def object_parameters():
+    return sorted(f"{entry}.{param}" for entry, call in public_entries().items()
+                  for param in inspect.signature(call).parameters if {param, f"{entry}.{param}"} & OBJECTS)
+
+
+def test_object_table_covers_every_object_parameter():
+    assert {key.rsplit(".", 1)[0] for key in object_parameters()} == set(OBJECT_ENTRIES)
+    assert set(TAKES_NONE) <= set(object_parameters())
+
+
+@pytest.mark.parametrize("key", object_parameters())
+def test_bad_object_raises_naming_the_parameter_or_takes_none(key, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where save_dataset writes
+    entry, param = key.rsplit(".", 1)
+    call, valid = OBJECT_ENTRIES[entry]
+    named = "^" + param.replace("_", "[_ ]") + " must be "
+    wrong = []
+    for value in ("1", None):
+        takes = value is None and key in TAKES_NONE
+        try:
+            call(**{**valid, param: value})
+        except ValueError as exc:
+            if takes or not re.search(named, str(exc)):
+                wrong.append(f"{param}={value!r}: {exc}")
+        except Exception as exc:  # any other type is the fault this table finds
+            wrong.append(f"{param}={value!r}: {type(exc).__name__}: {exc}")
+        else:
+            if not takes:
+                wrong.append(f"{param}={value!r} accepted")
     assert wrong == []
 
 
@@ -333,7 +429,7 @@ def test_bad_path_raises_naming_the_parameter(tmp_path):
 RECORDS = {
     "Dataset": lambda: synth_blobs(8, 2, 3.0, 1.0, seed=0),
     "MlpParams": lambda: MlpParams.init([2, 3], seed=0),
-    "AdamState": lambda: AdamState.init(MlpParams.init([2, 3], seed=0), 1e-3),
+    "AdamState": lambda: AdamState(MlpParams.init([2, 3], seed=0)),
     "MarginBatch": lambda: MarginBatch.from_margins(np.array([1.0, -1.0])),
     "BatchPartition": lambda: BatchPartition.contiguous(4, 2),
     "SelectionResult": lambda: partial_optimize([0.1, 0.2, 0.3], 2.0),

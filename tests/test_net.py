@@ -143,6 +143,25 @@ class TestFlatLayout:
         assert all(np.all(a == -1.0) for a in params.weights + params.biases)
         assert weights[0][0, 0] == 0.0  # construction copied the inputs
 
+    @pytest.mark.parametrize("sizes, message", [
+        (5, "layer sizes must be a list or tuple of integers, got 5"),
+        ("23", "layer sizes must be a list or tuple of integers, got '23'"),
+        (None, "layer sizes must be a list or tuple of integers, got None"),
+        ([3], "need at least input and output sizes"),
+        ([2, 0, 3], "layer sizes must be >= 1, got [2, 0, 3]"),
+        ([2, -1], "layer sizes must be >= 1, got [2, -1]"),
+        ([2, 2.5], "layer size must be an integer, got 2.5"),
+        ([2, True], "layer size must be an integer, got True"),
+    ], ids=repr)
+    def test_init_rejects_bad_layer_sizes(self, sizes, message):
+        # [2, 0, 3] built a zero-width net
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MlpParams.init(sizes, seed=0)
+
+    def test_init_takes_a_tuple_and_numpy_integers(self):
+        a = MlpParams.init((2, np.int64(3), 1), seed=0)
+        np.testing.assert_array_equal(a.flat, MlpParams.init([2, 3, 1], seed=0).flat)
+
     def test_train_step_matches_cores(self):
         # one full batch, no burn-in, no selection: train() takes exactly one step, in epoch 0's order
         data = synth_blobs(6, 2, separation=3.0, noise_std=1.0, seed=15)
@@ -153,7 +172,7 @@ class TestFlatLayout:
         params = MlpParams.init([2, 4, 2], seed=[14, 0])
         order = np.random.default_rng([14, 1, 0]).permutation(6)
         grad = masked_gradient(params, data.features[order], data.labels[order], BaseLoss.soft(), np.ones(6, bool))
-        _adam_update(params.flat, grad, AdamState.init(params, 1e-3))
+        _adam_update(params.flat, grad, AdamState(params), 1e-3)
         np.testing.assert_array_equal(trained.flat, params.flat)
 
 
@@ -194,7 +213,7 @@ class TestWorkspace:
         params = MlpParams.init([5, 6, 6, 3], seed=16)
         reference = MlpParams(params.weights, params.biases)
         m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-        ws, state = Workspace(params, rows), AdamState.init(params, 1e-3)
+        ws, state = Workspace(params, rows), AdamState(params)
         grad = np.empty_like(params.flat)
         for step in range(1, 4):
             x = rng.normal(size=(rows, 5))
@@ -204,7 +223,7 @@ class TestWorkspace:
             np.testing.assert_array_equal(_forward_cached(params, x, ws), logits)
             _backprop(params, ws, delta, *params.views(grad))
             np.testing.assert_array_equal(grad, expected)
-            _adam_update(params.flat, grad, state)
+            _adam_update(params.flat, grad, state, 1e-3)
             np.testing.assert_array_equal(params.flat, reference.flat)
 
     def test_warm_step_allocates_under_16_kib(self):
@@ -212,14 +231,14 @@ class TestWorkspace:
         params = MlpParams.init([64, 64, 64, 4], seed=17)
         rng = np.random.default_rng(18)
         x, delta = rng.normal(size=(128, 64)), rng.normal(size=(128, 4))
-        ws, state = Workspace(params, 128), AdamState.init(params, 1e-3)
+        ws, state = Workspace(params, 128), AdamState(params)
         grad = np.empty_like(params.flat)
         g_w, g_b = params.views(grad)
 
         def step():
             _forward_cached(params, x, ws)
             _backprop(params, ws, delta, g_w, g_b)
-            _adam_update(params.flat, grad, state)
+            _adam_update(params.flat, grad, state, 1e-3)
 
         step()  # warm-up: the first backprop allocates the workspace's backward buffers
         tracemalloc.start()
@@ -241,18 +260,40 @@ class TestWorkspace:
 
 
 class TestAdam:
+    def test_state_is_derived_from_the_params(self):
+        params = tiny_net(seed=8)
+        state = AdamState(params)
+        assert state.step == 0
+        for moment in (state.m, state.v):
+            assert moment.shape == params.flat.shape and moment.dtype == params.flat.dtype
+            assert not np.shares_memory(moment, params.flat)
+            np.testing.assert_array_equal(moment, 0.0)
+        assert not np.shares_memory(state.m, state.v)
+
+    @pytest.mark.parametrize("params", [None, "params", np.zeros(3)], ids=repr)
+    def test_state_rejects_what_is_not_params(self, params):
+        with pytest.raises(ValueError, match="^params must be a MlpParams, got "):
+            AdamState(params)
+
+    def test_state_takes_no_rate_or_buffers(self):
+        # the learning rate is the run's (TrainConfig.lr), and the moments are derived, never given
+        for options in (dict(lr=1e-3), dict(m=np.zeros(4)), dict(v=np.zeros(4)), dict(step=3)):
+            with pytest.raises(TypeError):
+                AdamState(tiny_net(), **options)
+        assert not hasattr(AdamState, "init")
+
     def test_zero_gradient_is_noop(self):
         params = tiny_net(seed=9)
         before = params.flat.copy()
-        state = AdamState.init(params, 1e-3)
-        _adam_update(params.flat, np.zeros_like(params.flat), state)
+        state = AdamState(params)
+        _adam_update(params.flat, np.zeros_like(params.flat), state, 1e-3)
         np.testing.assert_array_equal(params.flat, before)
         assert state.step == 1
 
     def test_scalar_first_step_magnitude(self):
         params = MlpParams([np.array([[0.0, 0.0]])], [np.zeros(2)])
-        state = AdamState.init(params, 1e-3)
-        _adam_update(params.flat, np.array([1.0, 0.0, 0.0, 0.0]), state)
+        state = AdamState(params)
+        _adam_update(params.flat, np.array([1.0, 0.0, 0.0, 0.0]), state, 1e-3)
         # bias-corrected first step moves by ~lr against the gradient
         assert params.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
         assert params.weights[0][0, 1] == 0.0
@@ -267,8 +308,8 @@ class TestAdam:
             np.ones(2, dtype=bool),
         )
         a, b = params.flat.copy(), params.flat.copy()
-        _adam_update(a, grad, AdamState.init(params, 1e-3))
-        _adam_update(b, grad, AdamState.init(params, 1e-3))
+        _adam_update(a, grad, AdamState(params), 1e-3)
+        _adam_update(b, grad, AdamState(params), 1e-3)
         np.testing.assert_array_equal(a, b)
         assert np.any(a != params.flat)
 

@@ -188,6 +188,21 @@ class TestPartialOptimize:
         with pytest.raises(ValueError):
             partial_optimize([], 0.0)
 
+    @pytest.mark.parametrize("losses", [["0.1", "0.2"], [b"0.1", b"0.2"], np.array([0.1, 0.2], dtype=object),
+                                        np.array([0.1 + 0j, 0.2]), [0.1, None]], ids=repr)
+    def test_losses_must_be_real_numbers(self, losses):
+        # a cast to float64 parsed the strings and dropped imaginary parts
+        with pytest.raises(ValueError, match="^losses must be real numbers, got dtype "):
+            partial_optimize(losses, 1.0)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64, np.float32, np.float64])
+    def test_real_dtypes_read_as_float64(self, dtype):
+        r = partial_optimize(np.array([1, 0, 1], dtype=dtype), 2.0)
+        expected = partial_optimize([1.0, 0.0, 1.0], 2.0)
+        assert r.prefix_sums.dtype == np.float64
+        np.testing.assert_array_equal(r.prefix_sums, expected.prefix_sums)
+        np.testing.assert_array_equal(r.mask, expected.mask)
+
     def test_mask_is_prefix_of_sorted_order(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
