@@ -28,7 +28,7 @@ from .adversarial import (
 from .corruption import CorruptionSpec, corrupt_dataset
 from .data import Dataset, load_dataset, load_idx, save_dataset, split, synth_blobs
 from .losses import BaseLoss, multiclass_margin
-from .net import AdamState, MlpParams, forward
+from .net import MlpParams, forward
 from .objectives import BatchPartition, MarginBatch, batched_objective, curriculum_objective
 from .selection import SelectionResult, ThresholdMode, brute_force_optimize, compute_threshold, partial_optimize
 from .training import EpochMetrics, TrainConfig, evaluate, train
@@ -37,7 +37,6 @@ from .verification import grad_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "AdvRiskSpec",
     "BaseLoss",
     "BatchPartition",

@@ -62,15 +62,21 @@ def check_int_vector(values, name):
     return a.astype(np.int64, copy=False)
 
 
-def check_float_vector(values, name):
-    """``values`` as float64, if they are a non-empty 1-D vector of reals: a bool, integer or float dtype.
+def check_real_array(values, name):
+    """``values`` as a float64 array of any shape, if its dtype is real: bool, integer or float.
     A float64 array comes back uncopied; a cast would parse strings and drop imaginary parts."""
     a = np.asarray(values)
     if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
+def check_float_vector(values, name):
+    """``check_real_array`` of a non-empty 1-D vector."""
+    a = check_real_array(values, name)
     if a.ndim != 1 or a.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D vector, got shape {a.shape}")
-    return a.astype(np.float64, copy=False)
+    return a
 
 
 def check_finite(a, name):

@@ -22,10 +22,11 @@ The internal dataset format is little-endian binary:
 Round-tripping through this format is bit-exact.  Readers reject an IDX
 file with no images or no labels, an IDX image with no rows or no columns,
 a dataset file with no samples, no features, a class count above
-``MAX_CLASSES`` or any flag bit but bit 0 set, and any file with bytes
-left after its last field, naming the file and the field or the leftover
-byte count.  Every rejection, whatever its fault, is one type,
-``IdxFormatError``, which the command line reports with exit code 2.
+``MAX_CLASSES``, any flag bit but bit 0 set, a label or clean label outside
+the class range or a non-finite feature, and any file with bytes left after
+its last field, naming the file and the field or the leftover byte count.
+Every rejection, whatever its fault, is one type, ``IdxFormatError``, which
+the command line reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_instance, check_int, check_int_vector, check_path, check_real, check_seed
+from ._checks import (check_finite, check_instance, check_int, check_int_vector, check_path, check_real,
+                      check_real_array, check_seed)
 
 __all__ = [
     "Dataset",
@@ -63,7 +65,8 @@ class IdxFormatError(ValueError):
 
 @dataclass(eq=False)
 class Dataset:
-    """Feature matrix with integer labels, optionally carrying clean labels."""
+    """Finite feature matrix with integer labels in ``[0, num_classes)``, optionally carrying clean
+    labels in the same range."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -71,17 +74,20 @@ class Dataset:
     clean_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        self.features = np.ascontiguousarray(check_real_array(self.features, "features"))
         self.labels = check_int_vector(self.labels, "labels")
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
             raise ValueError("features must be (n, d) with one label per row")
+        if self.features.size:  # min and max take no empty array
+            check_finite(self.features, "features")
         _check_classes(self.num_classes)
-        if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
-            raise ValueError("labels out of range")
         if self.clean_labels is not None:
             self.clean_labels = check_int_vector(self.clean_labels, "clean labels")
             if self.clean_labels.shape != self.labels.shape:
                 raise ValueError("clean labels must match label shape")
+        for name, y in (("labels", self.labels), ("clean labels", self.clean_labels)):
+            if y is not None and (np.any(y < 0) or np.any(y >= self.num_classes)):
+                raise ValueError(f"{name} out of range")
 
     def __len__(self):
         return self.labels.size

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_finite, check_int_vector, check_real
+from ._checks import check_finite, check_int_vector, check_real, check_real_array
 
 __all__ = [
     "BaseLoss",
@@ -54,7 +54,7 @@ MARGIN_BLOCK = 1 << 15
 
 def _as_batch(logits, labels):
     """Checked ``(n, K)`` float64 logits and ``(n,)`` int64 labels; ``_margins`` checks finiteness."""
-    t = np.asarray(logits, dtype=np.float64)
+    t = check_real_array(logits, "logits")
     if t.ndim != 2 or t.shape[1] < 2:
         raise ValueError(f"logits must be (n, K) with K >= 2, got shape {t.shape}")
     y = check_int_vector(labels, "labels")

@@ -5,7 +5,9 @@ The model is a stack of affine layers with leaky-ReLU of slope
 keeps every weight and bias in one flat vector, ``params.flat``, and its
 ``weights`` and ``biases`` are views into it, so the parameters, the
 gradients and both Adam moments each live in one contiguous vector laid
-out alike (``MlpParams.views``).
+out alike (``MlpParams.views``).  Only ``MlpParams`` and ``forward`` are
+public: ``forward`` builds a workspace per call and returns new logits, and
+``training.train`` keeps the workspaces and the ``AdamState`` of its run.
 
 A training step runs these cores in order:
 
@@ -42,12 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_instance, check_int, check_seed
+from ._checks import check_instance, check_int, check_real_array, check_seed
 
 __all__ = [
     "MlpParams",
-    "Workspace",
-    "AdamState",
     "forward",
 ]
 
@@ -69,13 +69,14 @@ class MlpParams:
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
             raise ValueError("need matching weight and bias lists")
+        self.weights = [check_real_array(w, f"layer {i} weight") for i, w in enumerate(self.weights)]
+        self.biases = [check_real_array(b, f"layer {i} bias") for i, b in enumerate(self.biases)]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} mismatch")
             if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {i}: input dim breaks the chain")
-        self.flat = np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair],
-                                   dtype=np.float64)
+        self.flat = np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair])
         self.weights, self.biases = self.views(self.flat)
 
     @classmethod
@@ -114,7 +115,7 @@ def _check_layer_sizes(sizes, name):
 def _check_features(params: MlpParams, features):
     """Features as a float64 ``(n, d)`` batch for the model's input dim ``d``."""
     check_instance(params, MlpParams, "params")
-    x = np.asarray(features, dtype=np.float64)
+    x = check_real_array(features, "features")
     d = params.weights[0].shape[0]
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"features must be (n, {d}), got shape {x.shape}")
@@ -178,17 +179,10 @@ def _backprop(params: MlpParams, ws: Workspace, delta, g_w, g_b):
             delta *= slope
 
 
-def forward(params: MlpParams, features, workspace: Workspace | None = None):
-    """Logits ``(n, K)`` of a batch ``(n, d)``.
-
-    Without ``workspace`` the pass builds one for its input.  With one (for
-    the input's row count) it reuses its buffers, and the returned logits
-    are a buffer of the workspace that its next pass overwrites.
-    """
+def forward(params: MlpParams, features):
+    """Logits ``(n, K)`` of a batch ``(n, d)``, a new array on every call."""
     x = _check_features(params, features)
-    if workspace is None:
-        workspace = Workspace(params, x.shape[0])
-    return _forward_cached(params, x, check_instance(workspace, Workspace, "workspace"))
+    return _forward_cached(params, x, Workspace(params, x.shape[0]))
 
 
 class AdamState:

@@ -37,12 +37,14 @@ fused pass over the batch:
 5. one in-place Adam update at ``TrainConfig.lr`` of the flat parameter
    vector, which the model's weights and biases view.
 
-``train`` builds its ``net.Workspace`` buffers once per run: one for the
-full batch, one for the shorter last batch when the batch size does not
-divide the training set, and one for the test set, which ``evaluate``
-reuses every epoch.  Steps 1 and 4 and the Adam update then allocate no
-array the size of a layer's activations or of the parameters; the loss
-pass and the selection kernel still allocate their per-batch results.
+``train`` keeps the model's buffers and Adam's state to itself and builds
+them once per run: a ``net.Workspace`` for the full batch, one for the
+shorter last batch when the batch size does not divide the training set,
+one for the test set, whose forward pass each epoch gives the test logits
+that ``evaluate`` scores, and one ``net.AdamState``.  Steps 1 and 4, the
+Adam update and the test pass then allocate no array the size of a layer's
+activations or of the parameters; the loss pass and the selection kernel
+still allocate their per-batch results.
 
 Randomness is split into independent PCG64 streams derived from the run
 seed: ``[seed, 0]`` initializes the weights and ``[seed, 1, k]`` shuffles
@@ -56,7 +58,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._checks import check_instance, check_int, check_lr, check_seed
+from ._checks import check_instance, check_int, check_lr, check_real_array, check_seed
 from .data import Dataset
 from .losses import BaseLoss, _loss_pass
 from .net import (
@@ -67,7 +69,6 @@ from .net import (
     _backprop,
     _check_layer_sizes,
     _forward_cached,
-    forward,
 )
 from .objectives import _misclassified
 from .selection import ThresholdMode, _select_rows, compute_threshold
@@ -136,16 +137,20 @@ class EpochMetrics:
 METRICS_HEADER = ",".join(f.name for f in fields(EpochMetrics))
 
 
-def evaluate(params: MlpParams, dataset: Dataset, workspace: Workspace | None = None):
-    """Fraction of samples whose argmax logit hits the label (ties: smallest index).
+def evaluate(logits, dataset: Dataset):
+    """Fraction of the set's rows whose argmax logit hits the label (ties: smallest index).
 
-    The label is the clean one where the set carries clean labels, so a
-    held-out side of a corrupted set measures accuracy, not agreement with
-    the injected noise.  ``workspace``, built for ``len(dataset)`` rows,
-    lets repeated calls reuse one set of forward buffers.
+    ``logits`` are ``(len(dataset), K)`` scores for the set's ``K`` classes,
+    such as ``forward(params, dataset.features)``.  The label is the clean
+    one where the set carries clean labels, so a held-out side of a
+    corrupted set measures accuracy, not agreement with the injected noise.
     """
-    logits = forward(params, check_instance(dataset, Dataset, "dataset").features, workspace)
-    predictions = np.argmax(logits, axis=1)
+    check_instance(dataset, Dataset, "dataset")
+    t = check_real_array(logits, "logits")
+    if t.shape != (len(dataset), dataset.num_classes):
+        raise ValueError(f"logits must be ({len(dataset)}, {dataset.num_classes}) for the dataset's rows "
+                         f"and classes, got shape {t.shape}")
+    predictions = np.argmax(t, axis=1)
     truth = dataset.labels if dataset.clean_labels is None else dataset.clean_labels
     return float(np.mean(predictions == truth))
 
@@ -234,7 +239,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset, on_batch=N
             EpochMetrics(
                 epoch=epoch,
                 train_loss=loss_sum / selected_total if selected_total else float("nan"),
-                test_acc=evaluate(params, test_set, test_ws),
+                test_acc=evaluate(_forward_cached(params, test_set.features, test_ws), test_set),
                 label_precision=(
                     clean_selected / selected_total if selected_total else float("nan")
                 ),

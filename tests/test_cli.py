@@ -114,10 +114,13 @@ class TestExitCodes:
         lambda data: data[:16] + struct.pack("<I", 0) + data[20:],
         lambda data: data[:20] + struct.pack("<I", MAX_CLASSES + 1) + data[24:],
         lambda data: data[:20] + struct.pack("<I", 2) + data[24:],  # labels 0..2 under K = 2
+        # clean labels flagged and appended, the last one 3 under K = 3
+        lambda data: data[:24] + struct.pack("<I", 1) + data[28:] + struct.pack("<6q", 0, 1, 2, 0, 1, 3),
+        lambda data: data[:28] + struct.pack("<d", float("nan")) + data[36:],  # the first feature
         lambda data: data[:-1],
         lambda data: data + b"x",
-    ], ids=["magic", "version", "sample-count", "feature-count", "class-count", "labels",
-            "truncated", "trailing"])
+    ], ids=["magic", "version", "sample-count", "feature-count", "class-count", "labels", "clean-labels",
+            "nan-feature", "truncated", "trailing"])
     def test_malformed_npds_is_io_error_naming_the_file(self, tmp_path, capsys, fault):
         path = tmp_path / "bad.npds"
         save_dataset(path, synth_blobs(6, 3, 3.0, 0.5, seed=1))

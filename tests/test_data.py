@@ -1,6 +1,7 @@
 """IDX parsing, synthetic blobs, stratified splits, binary round-trips."""
 
 import contextlib
+import math
 import os
 import re
 import struct
@@ -300,6 +301,27 @@ class TestSerialization:
         path.write_bytes(bytes(data))
         assert load_dataset(path).num_classes == MAX_CLASSES
 
+    @pytest.mark.parametrize("clean", [-5, 9])
+    def test_clean_labels_out_of_range_name_file(self, tmp_path, clean):
+        path = tmp_path / "noisy.npds"
+        blobs = synth_blobs(30, 2, separation=3.0, noise_std=0.7, seed=8)
+        save_dataset(path, corrupt_dataset(blobs, CorruptionSpec("symmetric", 0.2, 1, 2)))
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<q", clean)  # the last clean label
+        path.write_bytes(bytes(data))
+        with pytest.raises(IdxFormatError, match=re.escape(f"{path}: clean labels out of range")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_name_file(self, tmp_path, value):
+        path = tmp_path / "blobs.npds"
+        save_dataset(path, synth_blobs(30, 3, separation=3.0, noise_std=0.7, seed=8))
+        data = bytearray(path.read_bytes())
+        data[28:36] = struct.pack("<d", value)  # the first feature
+        path.write_bytes(bytes(data))
+        with pytest.raises(IdxFormatError, match=re.escape(f"{path}: features contain non-finite values")):
+            load_dataset(path)
+
     @pytest.mark.parametrize("flags", [2, 6])
     def test_unknown_flag_bits_name_file_and_field(self, tmp_path, flags):
         path = tmp_path / "blobs.npds"
@@ -420,6 +442,8 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)
     with pytest.raises(ValueError, match="clean labels must match label shape"):
         Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, clean_labels=np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="^clean labels out of range$"):
+        Dataset(np.zeros((2, 2)), np.array([0, 1]), 2, clean_labels=np.array([0, 2]))
 
 
 @pytest.mark.parametrize("labels, clean, field, dtype", [

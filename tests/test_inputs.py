@@ -16,7 +16,6 @@ import pytest
 
 import npcl
 from npcl import (
-    AdamState,
     AdvRiskSpec,
     BaseLoss,
     BatchPartition,
@@ -47,7 +46,7 @@ from npcl import (
     train,
 )
 from npcl.adversarial import project_chi_square_ball
-from npcl.net import Workspace
+from npcl.net import AdamState
 
 BAD = [True, "1", [1], None, math.nan, math.inf, -math.inf, -1]
 
@@ -130,7 +129,7 @@ ACCEPTED = {
 
 # parameters that take package objects or callables: neither scalars nor arrays
 OBJECTS = {
-    "params", "base_loss", "spec", "batch", "partition", "mode", "dataset", "workspace", "config", "train_set",
+    "params", "base_loss", "spec", "batch", "partition", "mode", "dataset", "config", "train_set",
     "test_set", "on_batch", "TrainConfig.threshold", "grad_check.kind",
 }
 # layer-size parameters -> (the call of a value, a good value holding one given size, the words (a regex) the
@@ -218,6 +217,7 @@ def test_bad_layer_sizes_raise_naming_them(key, form):
 
 LOGITS = np.array([[2.0, 0.5], [0.5, 1.0]])
 NET = MlpParams.init([2, 3], seed=0)
+DATA = synth_blobs(8, 2, 3.0, 1.0, seed=0)
 SPEC = AdvRiskSpec(0.5)
 # entry -> (the call, arguments it accepts, arrays included); each array parameter is probed from these
 ARRAY_ENTRIES = {
@@ -234,6 +234,7 @@ ARRAY_ENTRIES = {
     "brute_force_optimize": ENTRIES["brute_force_optimize"],
     "check_monotonicity": (check_monotonicity, dict(loss_vectors=[np.array([1.0, 0.0]), np.zeros(2)], spec=SPEC)),
     "empirical_adversarial_risk": (empirical_adversarial_risk, dict(losses01=np.array([1.0, 0.0]), spec=SPEC)),
+    "evaluate": (evaluate, dict(logits=np.zeros((len(DATA), 2)), dataset=DATA)),
     "forward": (forward, dict(params=NET, features=np.zeros((2, 2)))),
     "grad_check": (grad_check, dict(params=NET, features=np.zeros((2, 2)), labels=np.array([0, 1]),
                                     kind=BaseLoss.hinge())),
@@ -247,7 +248,7 @@ ARRAY_ENTRIES = {
 # is probed in its first element
 ARRAYS = {
     "BatchPartition.groups": ("list of integers", "group"),
-    "Dataset.features": ("reals", "features"),
+    "Dataset.features": ("finite", "features"),
     "Dataset.labels": ("integers", "^labels|one label per row"),  # not "clean labels must match label shape"
     "Dataset.clean_labels": ("integers", "clean labels"),
     "MarginBatch.margins": ("finite", "margins"),
@@ -261,6 +262,7 @@ ARRAYS = {
     "brute_force_optimize.losses": ("finite", "losses"),
     "check_monotonicity.loss_vectors": ("list of finite", "loss"),
     "empirical_adversarial_risk.losses01": ("finite", "losses"),
+    "evaluate.logits": ("reals", "logits"),
     "forward.features": ("reals", "features"),
     "grad_check.features": ("reals", "features"),
     "grad_check.labels": ("integers", "labels"),
@@ -278,8 +280,9 @@ ARRAYS_ACCEPTED = {
 
 def bad_arrays(kind, good):
     """``label -> bad value`` for a parameter taking ``kind`` whose good value is ``good``: the wrong rank
-    (2-D for a vector, 1-D for a matrix), a 0-D scalar and an empty vector, then a float and a bool array
-    where integers are due, and NaN and +-inf where finiteness is checked."""
+    (2-D for a vector, 1-D for a matrix), a 0-D scalar and an empty vector, a string and a complex array
+    of the good values, then a float and a bool array where integers are due, and NaN and +-inf where
+    finiteness is checked."""
     if kind.startswith("list of "):
         return {label: [bad, *good[1:]] for label, bad in bad_arrays(kind[len("list of "):], good[0]).items()}
     a = np.asarray(good)
@@ -287,6 +290,7 @@ def bad_arrays(kind, good):
         bad = {"1-D": a[0], "0-D": a[0, 0], "empty": a[0, :0]}
     else:
         bad = {"2-D": a[None], "0-D": a[0], "empty": a[:0]}
+    bad.update(string=a.astype(str), complex=a.astype(np.complex128))
     if kind == "integers":
         bad.update(float=a.astype(np.float64), bool=a.astype(bool))
     for label, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)) if kind == "finite" else ():
@@ -315,11 +319,9 @@ def test_bad_array_raises_naming_the_parameter_or_is_accepted(key):
     assert wrong == []
 
 
-DATA = synth_blobs(8, 2, 3.0, 1.0, seed=0)
 BATCH = MarginBatch.from_margins(np.array([1.0, -1.0]))
 # entry -> (the call, arguments it accepts); each package-object parameter is probed from these
 OBJECT_ENTRIES = {
-    "AdamState": (AdamState, dict(params=NET)),
     "MarginBatch.from_logits": ARRAY_ENTRIES["MarginBatch.from_logits"],
     "TrainConfig": (TrainConfig, dict(threshold=ThresholdMode.full_q(), base_loss=BaseLoss.hinge())),
     "adversarial_risk_numeric": ARRAY_ENTRIES["adversarial_risk_numeric"],
@@ -330,8 +332,8 @@ OBJECT_ENTRIES = {
     "corrupt_dataset": (corrupt_dataset, dict(dataset=DATA, spec=CorruptionSpec("pair", 0.1, 0, 2))),
     "curriculum_objective": (curriculum_objective, dict(batch=BATCH, mode=ThresholdMode.full_q())),
     "empirical_adversarial_risk": ARRAY_ENTRIES["empirical_adversarial_risk"],
-    "evaluate": (evaluate, dict(params=NET, dataset=DATA, workspace=Workspace(NET, len(DATA)))),
-    "forward": (forward, dict(params=NET, features=np.zeros((2, 2)), workspace=Workspace(NET, 2))),
+    "evaluate": ARRAY_ENTRIES["evaluate"],
+    "forward": ARRAY_ENTRIES["forward"],
     "grad_check": ARRAY_ENTRIES["grad_check"],
     "save_dataset": (save_dataset, dict(path="data.npds", dataset=DATA)),
     "split": ENTRIES["split"],
@@ -340,8 +342,6 @@ OBJECT_ENTRIES = {
 }
 # entry.parameter -> why it takes None
 TAKES_NONE = {
-    "forward.workspace": "without one the pass builds a workspace for its input",
-    "evaluate.workspace": "without one the pass builds a workspace for its input",
     "train.on_batch": "a run that reports no batch",
     "TrainConfig.threshold": "no selection: every sample trains, the summation baseline",
 }

@@ -176,18 +176,20 @@ class TestBatchOnly:
 
 
 def numeric_gradient(fn, t, h=1e-5):
+    """Central differences of ``fn``, whose value for a row of ``t`` depends on that row alone."""
     g = np.zeros_like(t, dtype=np.float64)
-    for j in range(t.size):
+    for j in range(t.shape[1]):
         tp, tm = t.copy(), t.copy()
-        tp[j] += h
-        tm[j] -= h
-        g[j] = (fn(tp) - fn(tm)) / (2.0 * h)
+        tp[:, j] += h
+        tm[:, j] -= h
+        g[:, j] = (fn(tp) - fn(tm)) / (2.0 * h)
     return g
 
 
 def relative_error(a, b):
-    scale = max(1.0, np.max(np.abs(a)), np.max(np.abs(b)))
-    return np.max(np.abs(a - b)) / scale
+    """Per row: the largest difference over the row's largest magnitude, or over 1 if that is less."""
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=1), np.max(np.abs(b), axis=1)))
+    return np.max(np.abs(a - b), axis=1) / scale
 
 
 class TestGradients:
@@ -210,8 +212,10 @@ class TestGradients:
         "kind", [BaseLoss.hinge(), BaseLoss.soft(), BaseLoss.weighted(0.5)]
     )
     def test_matches_central_differences(self, kind):
-        # 1000 random inputs away from every kink
+        # 1000 random inputs away from every kink, differenced as one batch per class count: a row's
+        # loss values and gradients do not depend on the other rows
         rng = np.random.default_rng(23)
+        by_classes = {}
         checked = 0
         while checked < 1000:
             k = int(rng.integers(2, 6))
@@ -219,10 +223,13 @@ class TestGradients:
             y = int(rng.integers(0, k))
             if verification._near_kink(t[None], np.array([y])):
                 continue
-            analytic = loss_gradients(kind, t[None], [y])[0]
-            numeric = numeric_gradient(lambda x: loss_values(kind, x[None], [y])[0], t)
-            assert relative_error(analytic, numeric) < 1e-5
+            by_classes.setdefault(k, []).append((t, y))
             checked += 1
+        for rows in by_classes.values():
+            t = np.array([logits for logits, _ in rows])
+            y = np.array([label for _, label in rows])
+            numeric = numeric_gradient(lambda x: loss_values(kind, x, y), t)
+            assert np.all(relative_error(loss_gradients(kind, t, y), numeric) < 1e-5)
 
 
 def tied_batch(seed, n=500, k=5):

@@ -250,13 +250,14 @@ class TestWorkspace:
             tracemalloc.stop()
         assert rise < 16 * 1024
 
-    def test_forward_reuses_given_workspace(self):
+    def test_forward_returns_a_new_array_each_call(self):
         params = tiny_net(seed=19)
         x = np.random.default_rng(20).normal(size=(4, 3))
-        ws = Workspace(params, 4)
-        logits = forward(params, x, ws)
-        assert logits is ws.acts[-1]
-        np.testing.assert_array_equal(logits, forward(params, x))
+        logits = forward(params, x)
+        kept = logits.copy()
+        again = forward(params, -x)
+        assert not np.shares_memory(logits, again)
+        np.testing.assert_array_equal(logits, kept)
 
 
 class TestAdam:

@@ -150,7 +150,7 @@ class TestEvaluate:
         train_set, _ = separable_sets()
         cfg = small_config(epochs=12)
         _, params = train(cfg, train_set, train_set)
-        assert evaluate(params, train_set) == 1.0
+        assert evaluate(forward(params, train_set.features), train_set) == 1.0
 
     def test_random_net_on_independent_labels(self):
         rng = np.random.default_rng(5)
@@ -158,7 +158,7 @@ class TestEvaluate:
         labels = rng.integers(0, 2, size=10000)  # independent of features
         ds = Dataset(features, labels, 2)
         params = MlpParams.init([4, 8, 2], seed=9)
-        assert abs(evaluate(params, ds) - 0.5) < 0.015
+        assert abs(evaluate(forward(params, features), ds) - 0.5) < 0.015
 
     def test_all_tied_logits_predict_class_zero(self):
         features = np.ones((100, 3))
@@ -166,7 +166,22 @@ class TestEvaluate:
         ds = Dataset(features, labels, 2)
         params = MlpParams([np.zeros((3, 2))], [np.zeros(2)])
         assert np.array_equal(forward(params, features[:1]), [[0.0, 0.0]])
-        assert evaluate(params, ds) == 0.5  # ties resolve to class 0
+        assert evaluate(forward(params, features), ds) == 0.5  # ties resolve to class 0
+
+    def test_train_scores_the_params_it_returns(self):
+        # the last epoch's test_acc, from train's own test buffers, is the library call on the final params
+        train_set = synth_blobs(96, 3, separation=1.0, noise_std=1.0, seed=1)
+        test_set = synth_blobs(60, 3, separation=1.0, noise_std=1.0, seed=2)
+        metrics, params = train(small_config(epochs=4), train_set, test_set)
+        acc = evaluate(forward(params, test_set.features), test_set)
+        assert 0.0 < acc < 1.0 and metrics[-1].test_acc == acc
+
+    @pytest.mark.parametrize("shape", [(7, 2), (8, 3), (8,)])
+    def test_logits_must_have_a_row_per_sample_and_a_column_per_class(self, shape):
+        ds = synth_blobs(8, 2, separation=3.0, noise_std=1.0, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"logits must be (8, 2) for the dataset's rows and "
+                                                       f"classes, got shape {shape}")):
+            evaluate(np.zeros(shape), ds)
 
 
 class TestTrainLoop:
