@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_instance, check_int, check_real_array, check_seed
+from ._checks import check_finite, check_instance, check_int, check_real_array, check_seed
 
 __all__ = [
     "MlpParams",
@@ -60,13 +60,20 @@ LEAKY_SLOPE = 0.01  # in [0, 1], where max(z, LEAKY_SLOPE * z) is the leaky-ReLU
 
 @dataclass(eq=False)
 class MlpParams:
-    """Layer weights and biases, copied on construction into one flat vector they view."""
+    """Layer weights and biases, copied on construction into one flat vector they view.
+
+    ``weights`` and ``biases`` are lists or tuples with one array per layer,
+    each of finite reals.
+    """
 
     weights: list
     biases: list
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name, layers in (("weights", self.weights), ("biases", self.biases)):
+            if not isinstance(layers, (list, tuple)):
+                raise ValueError(f"{name} must be a list or tuple of per-layer arrays, got {type(layers).__name__}")
         if not self.weights or len(self.weights) != len(self.biases):
             raise ValueError("need matching weight and bias lists")
         self.weights = [check_real_array(w, f"layer {i} weight") for i, w in enumerate(self.weights)]
@@ -77,6 +84,12 @@ class MlpParams:
             if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {i}: input dim breaks the chain")
         self.flat = np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair])
+        # one test of every value (grad_check builds a copy per call); only a failure looks for its layer
+        if not np.isfinite(self.flat).all():
+            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+                for values, name in ((w, "weights"), (b, "biases")):
+                    if values.size:  # min cannot reduce a zero-width layer, which holds no value anyway
+                        check_finite(values, f"layer {i} {name}")
         self.weights, self.biases = self.views(self.flat)
 
     @classmethod

@@ -14,7 +14,11 @@ of threshold:
 ``batched_objective`` applies the same construction per group of a
 partition with group-local thresholds and sums the values; the result
 upper-bounds the whole-set objective.  It solves all groups of one size in
-one call of the row-wise selection kernel.
+one call of the row-wise selection kernel.  It reads the losses and margins
+in partition order once, not at all for a partition whose index is already
+``0..n-1`` (``BatchPartition.ordered``), and takes the groups of one size
+that lie next to each other as a reshaped view of them, gathering only
+groups of one size that are scattered among others.
 
 Sorting the losses and summing them is the kernel's costly half, and no
 threshold enters it, so a ``MarginBatch`` sorts its losses once, on first
@@ -30,7 +34,7 @@ import numpy as np
 
 from ._checks import check_finite, check_float_vector, check_instance, check_int, check_int_vector
 from .losses import BaseLoss, _as_batch, _hinge_from_margins, _loss_pass
-from .selection import ThresholdMode, _cut_rows, _select_rows, _sort_rows, _thresholds, compute_threshold
+from .selection import ThresholdMode, _cut_rows, _results, _select_rows, _sort_rows, _thresholds, compute_threshold
 
 __all__ = [
     "MarginBatch",
@@ -119,7 +123,9 @@ class MarginBatch:
 class BatchPartition:
     """Disjoint index groups covering 0..n-1; the last group may be short.
 
-    ``index`` holds the groups concatenated in order, ``sizes`` their lengths.
+    ``index`` holds the groups concatenated in order, ``sizes`` their lengths,
+    and ``ordered`` whether ``index`` is ``0..n-1`` itself, as in a
+    ``contiguous`` partition.
     """
 
     groups: list
@@ -134,7 +140,10 @@ class BatchPartition:
         self.groups = [check_int_vector(g, f"partition group {i}") for i, g in enumerate(groups)]
         self.index = np.concatenate(self.groups)
         self.size = self.index.size
-        if not np.array_equal(np.sort(self.index), np.arange(self.size)):
+        every = np.arange(self.size)
+        # an index already in order covers 0..n-1 once without a sort
+        self.ordered = np.array_equal(self.index, every)
+        if not (self.ordered or np.array_equal(np.sort(self.index), every)):
             raise ValueError("groups must be disjoint and cover all indices exactly once")
 
     @classmethod
@@ -149,8 +158,9 @@ class BatchPartition:
 def curriculum_objective(batch: MarginBatch, mode: ThresholdMode):
     """Objective value and selection for the whole batch under one threshold."""
     check_instance(batch, MarginBatch, "batch")
-    c = compute_threshold(mode, len(batch), batch.zero_one_total)
-    result = _cut_rows(batch.base_losses[None], *batch._sorted_rows, np.array([c]))[0]
+    c = np.array([compute_threshold(mode, len(batch), batch.zero_one_total)])
+    ordered, prefix = batch._sorted_rows
+    result = _results(c, prefix, *_cut_rows(batch.base_losses[None], ordered, prefix, c))[0]
     return result.objective, result
 
 
@@ -167,16 +177,25 @@ def batched_objective(batch: MarginBatch, partition: BatchPartition, mode: Thres
     check_instance(mode, ThresholdMode, "mode")
     if partition.size != len(batch):
         raise ValueError(f"partition covers {partition.size} samples, batch has {len(batch)}")
+    losses, margins = batch.base_losses, batch.margins
+    if not partition.ordered:
+        losses, margins = losses[partition.index], margins[partition.index]
     sizes = partition.sizes
     starts = np.cumsum(sizes) - sizes
-    results = [None] * sizes.size
+    # object-dtype so each size's results go to their groups' places in one assignment
+    results = np.empty(sizes.size, dtype=object)
     for m in np.unique(sizes).tolist():
         groups = np.flatnonzero(sizes == m)
-        rows = partition.index[starts[groups, None] + np.arange(m)]
-        wrong = np.count_nonzero(_misclassified(batch.margins[rows]), axis=1)
+        if groups[-1] - groups[0] < groups.size:  # adjacent groups: one run of samples
+            run = slice(starts[groups[0]], starts[groups[0]] + groups.size * m)
+            loss_rows, margin_rows = losses[run].reshape(-1, m), margins[run].reshape(-1, m)
+        else:
+            at = starts[groups, None] + np.arange(m)
+            loss_rows, margin_rows = losses[at], margins[at]
+        wrong = np.count_nonzero(_misclassified(margin_rows), axis=1)
         c = _thresholds(mode, np.full(groups.size, m), wrong)
-        for g, result in zip(groups.tolist(), _select_rows(batch.base_losses[rows], c)):
-            results[g] = result
+        results[groups] = _select_rows(loss_rows, c)
+    results = results.tolist()
     total = 0.0
     for result in results:
         total += result.objective

@@ -30,6 +30,15 @@ therefore the composition of ``_sort_rows``, which sorts and sums, and
 ``_cut_rows``, which cuts those rows at each row's threshold; a batch that
 is cut at several thresholds (``objectives.MarginBatch``) is sorted once.
 
+Since the selected set is a prefix, ``T`` is a boundary, found by search
+rather than by a full scan (``_count_selected``): a row longer than
+``_WINDOW`` entries is bisected on the rule's own comparison until at most
+``_WINDOW`` entries are undecided, and only that window is compared in
+full, so a cut of an n = 1e6 row makes no n-length temporary.  A row of a
+training batch (m <= 128) is its own window.  ``_cut_rows`` returns its
+fields as arrays; ``_results`` turns them into one ``SelectionResult`` per
+row, for every caller.
+
 ``brute_force_optimize`` enumerates all ``2^n`` masks and is the
 independent optimality oracle for small ``n``.
 """
@@ -88,26 +97,63 @@ def _sort_rows(losses):
     Returns two ``(G, m)`` arrays, ``(ordered, prefix)``.  ``-0.0`` becomes ``+0.0``
     before the sums, wherever the sort placed it, so neither array holds ``-0.0``.
     """
-    ordered = np.sort(losses, axis=1)
+    # np.sort without its wrapper, which costs about 0.35 us at m = 128
+    ordered = losses.copy()
+    ordered.sort(axis=1)
     ordered += 0.0
     # np.add.accumulate is cumsum without the method's dispatch, which costs about 0.5 us at m = 128
     prefix = np.add.accumulate(ordered, axis=1)
     return ordered, prefix
 
 
+# a row up to this long (a training batch of 128) is compared whole; a longer one is bisected down to it
+_WINDOW = 128
+# the ranks i = 1.._WINDOW of a window's entries, sliced rather than built on each call
+_RANKS = np.arange(1.0, _WINDOW + 1.0)
+
+
+def _count_selected(prefix, c1):
+    """Each row's count ``T`` of prefix sums that pass ``L_i <= c1 - i``, with ``c1 = c + 1``.
+
+    ``L_i`` never decreases and the rounded bound never increases, so the passing
+    entries are a prefix of the row.  A row longer than ``_WINDOW`` is bisected on that
+    comparison, all rows at once, until at most ``_WINDOW`` entries are undecided, and
+    the window holding them is compared in full.  Each entry is compared as in a full
+    comparison of the row, so ``T`` is that comparison's count, bit for bit.
+    """
+    g, m = prefix.shape
+    window, ranks = prefix, _RANKS[:m]
+    if m > _WINDOW:
+        rows = np.arange(0, g * m, m)
+        # entries before lo pass, entries from hi on fail; at most `span` lie between
+        lo, hi, span = np.zeros(g, dtype=np.int64), np.full(g, m), m
+        while span > _WINDOW:
+            mid = (lo + hi) >> 1
+            passed = prefix.take(rows + mid) <= c1 - (mid + 1.0)
+            lo = np.where(passed, mid + 1, lo)
+            hi = np.where(passed, hi, mid)
+            span >>= 1
+        # the window [start, start + _WINDOW) holds every undecided entry and stays inside the row
+        start = np.minimum(lo, m - _WINDOW)[:, None]
+        window = prefix.take(rows[:, None] + start + np.arange(_WINDOW))
+        ranks = _RANKS + start
+    counts = (window <= c1[:, None] - ranks).sum(axis=1)
+    return counts if m <= _WINDOW else counts + start[:, 0]
+
+
 def _cut_rows(losses, ordered, prefix, c):
     """The half of the rule that takes the thresholds: ``_sort_rows(losses)``'s rows cut at ``c``.
 
-    One comparison with the bounds ``(c + 1) - i`` gives every row's count
-    ``T``.  The masks are rebuilt from each row's cut value ``v``, the T-th
-    smallest loss: every loss below ``v`` and the lowest-indexed losses equal
-    to ``v`` until ``T`` are taken.  The results' masks are row views of one
-    new ``(G, m)`` array, and their prefix sums row views of ``prefix``.
+    Returns three arrays: the ``(G, m)`` boolean masks, the ``(G,)`` counts
+    ``T`` (``_count_selected``) and the ``(G,)`` prefix sums at each row's
+    end, ``L_T``, which a row with ``T = 0`` reads from another row.  The
+    masks are rebuilt from each row's cut value ``v``, the T-th smallest
+    loss: every loss below ``v`` and the lowest-indexed losses equal to ``v``
+    until ``T`` are taken.
     """
     g, m = losses.shape
     c1 = c + 1.0
-    keep = prefix <= c1[:, None] - np.arange(1.0, m + 1.0)
-    counts = keep.sum(axis=1)
+    counts = _count_selected(prefix, c1)
     # flat index of each row's T-th sorted entry; a row with T = 0 reads another row's
     ends = np.arange(-1, g * m - 1, m) + counts
     # (c + 1) - 1 is each row's first bound, bit for bit.  The T-th smallest loss is at most
@@ -120,7 +166,7 @@ def _cut_rows(losses, ordered, prefix, c):
     np.less_equal(losses, cut, out=mask)
     # mask holds each row's T selected samples plus any others equal to its cut value;
     # where it holds more, the highest-indexed of those ties are dropped, as a stable sort would leave them
-    if np.count_nonzero(mask) != np.count_nonzero(keep):
+    if np.count_nonzero(mask) != counts.sum():
         # flat positions of the ties, row by row in index order (np.flatnonzero without its wrapper)
         pos = (losses == cut).ravel().nonzero()[0]
         row = pos // m
@@ -128,11 +174,20 @@ def _cut_rows(losses, ordered, prefix, c):
         after = row.searchsorted(row, side="right") - np.arange(pos.size)
         surplus = mask.sum(axis=1) - counts
         mask.put(pos[after <= surplus[row]], False)
+    return mask, counts, prefix.take(ends)
+
+
+def _results(c, prefix, mask, counts, end_sums):
+    """One ``SelectionResult`` per row from ``_cut_rows``' arrays, at thresholds ``c``.
+
+    A row's selected sum is its end sum ``L_T``, or 0.0 where ``T = 0``.  Each
+    result's mask is a row view of ``mask``, and its prefix sums a row view of ``prefix``.
+    """
     results = []
-    for ci, t, end, row_mask, row_prefix in zip(c.tolist(), counts.tolist(), prefix.take(ends).tolist(), mask, prefix):
+    for ci, t, end, row_mask, row_prefix in zip(c.tolist(), counts.tolist(), end_sums.tolist(), mask, prefix):
         s = end if t else 0.0
-        results.append(SelectionResult(mask=row_mask, selected_count=t, objective=max(s, ci - t), threshold=ci,
-                                       prefix_sums=row_prefix, selected_loss_sum=s))
+        # positional: keywords cost about 0.3 us more per result, a third of its build
+        results.append(SelectionResult(row_mask, t, max(s, ci - t), ci, row_prefix, s))
     return results
 
 
@@ -144,7 +199,8 @@ def _select_rows(losses, c):
     is checked.  The rule is ``_sort_rows`` then ``_cut_rows``: one row-wise
     value sort and running sum, then one cut per threshold.
     """
-    return _cut_rows(losses, *_sort_rows(losses), c)
+    ordered, prefix = _sort_rows(losses)
+    return _results(c, prefix, *_cut_rows(losses, ordered, prefix, c))
 
 
 def partial_optimize(losses, C):

@@ -256,8 +256,8 @@ ARRAYS = {
     "MarginBatch.from_margins.margins": ("finite", "margins"),
     "MarginBatch.from_logits.logits": ("finite", "logits"),
     "MarginBatch.from_logits.labels": ("integers", "labels"),
-    "MlpParams.weights": ("list of reals", "weight"),
-    "MlpParams.biases": ("list of reals", "bias"),
+    "MlpParams.weights": ("list of finite", "weight"),
+    "MlpParams.biases": ("list of finite", "bias"),
     "adversarial_risk_numeric.losses01": ("finite", "losses"),  # the 0/1 rule rejects NaN and +-inf
     "brute_force_optimize.losses": ("finite", "losses"),
     "check_monotonicity.loss_vectors": ("list of finite", "loss"),
@@ -317,6 +317,15 @@ def test_bad_array_raises_naming_the_parameter_or_is_accepted(key):
             if key not in ARRAYS_ACCEPTED:
                 wrong.append(f"{param} {label} accepted")
     assert wrong == []
+
+
+@pytest.mark.parametrize("param", ["weights", "biases"])
+def test_layer_lists_must_be_lists_or_tuples(param):
+    # one stacked array of weights raised numpy's "truth value of an array ... is ambiguous"
+    call, valid = ARRAY_ENTRIES["MlpParams"]
+    call(**{**valid, param: tuple(valid[param])})
+    with pytest.raises(ValueError, match=f"^{param} must be a list or tuple of per-layer arrays, got ndarray$"):
+        call(**{**valid, param: np.stack(valid[param])})
 
 
 BATCH = MarginBatch.from_margins(np.array([1.0, -1.0]))

@@ -91,6 +91,15 @@ class TestForward:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MlpParams(weights, biases)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer, field", [(0, "weights"), (1, "weights"), (1, "biases")])
+    def test_params_reject_non_finite_values_naming_the_layer(self, layer, field, value):
+        # forward returned NaN logits from such a net, and evaluate scored them as class 0
+        params = {"weights": [np.zeros((2, 3)), np.zeros((3, 2))], "biases": [np.zeros(3), np.zeros(2)]}
+        params[field][layer].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^layer {layer} {field} contain non-finite values$"):
+            MlpParams(**params)
+
 
 class TestBackward:
     def test_single_sample_matches_finite_differences(self):

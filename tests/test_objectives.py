@@ -306,6 +306,26 @@ class TestGroupedDigest:
                 expected += ref.objective
             assert total == expected
 
+    @pytest.mark.parametrize("order", ["ordered", "permuted"])
+    def test_equal_size_groups_read_as_view_or_gather_give_the_same_results(self, order):
+        # 40 groups of 16 lie next to each other in one partition, and are read as one reshaped view;
+        # in the other they alternate with groups of 8, and are read through a fancy index
+        rng = np.random.default_rng(41)
+        margins = np.round(rng.normal(0.3, 1.5, size=40 * 24), 1)
+        perm = np.arange(margins.size) if order == "ordered" else rng.permutation(margins.size)
+        sixteens, eights = np.split(perm[:640], 40), np.split(perm[640:], 40)
+        adjacent = BatchPartition(sixteens + eights)
+        scattered = BatchPartition([g for pair in zip(sixteens, eights) for g in pair])
+        assert adjacent.ordered == (order == "ordered") and not scattered.ordered
+        batch = MarginBatch.from_margins(margins)
+        for mode in GROUPED_MODES:
+            _, viewed = batched_objective(batch, adjacent, mode)
+            _, gathered = batched_objective(batch, scattered, mode)
+            for v, g in zip(viewed, gathered[::2] + gathered[1::2], strict=True):
+                assert (v.objective, v.threshold, v.selected_count, v.selected_loss_sum) == (
+                    g.objective, g.threshold, g.selected_count, g.selected_loss_sum)
+                assert np.array_equal(v.mask, g.mask) and v.prefix_sums.tobytes() == g.prefix_sums.tobytes()
+
 
 class TestPublicErrors:
     """Validation stays at the public entries, with the same messages."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from npcl.selection import (
+    _WINDOW,
     ThresholdMode,
     _select_rows,
     _thresholds,
@@ -106,6 +107,34 @@ class TestRowKernel:
         results = assert_rows_match_reference(rows, c)
         assert cut_inside_ties(rows, results) > 1000
         assert sum(r.selected_count == 0 for r in results) >= 1116
+
+        # rows past the bisection window, whose count T is bisected before the window is compared:
+        # coarse ties at the cut, all-zero rows, integral C, and C at 0 and at 2m
+        tied = inside = 0
+        for _ in range(40):
+            g, m = int(rng.integers(1, 5)), int(rng.integers(_WINDOW + 1, 4000))
+            rows = coarse_losses(rng, (g, m)) * rng.choice([1.0, 0.25, 4.0], size=(g, 1))
+            rows[rng.random(g) < 0.2] = 0.0
+            c = rng.integers(0, 2 * m + 1, size=g) * rng.choice([1.0, 0.5, 0.37], size=g)
+            c[rng.random(g) < 0.2] = 0.0
+            c[rng.random(g) < 0.2] = 2.0 * m
+            results = assert_rows_match_reference(rows, c)
+            tied += cut_inside_ties(rows, results)
+            inside += sum(_WINDOW < r.selected_count < m - _WINDOW for r in results)
+        assert tied > 40 and inside > 25
+
+        # every count of a long row: a row of ones selects T = floor((C + 1) / 2) at integral C, so the
+        # C in [0, 2m] put the cut at each position, L_T meets its bound at odd C, and all of T ties
+        for m in (_WINDOW + 1, 2 * _WINDOW, 2 * _WINDOW + 1, 1000):
+            results = assert_rows_match_reference(np.ones((2 * m + 1, m)), np.arange(2.0 * m + 1))
+            assert [r.selected_count for r in results] == [(c + 1) // 2 for c in range(2 * m + 1)]
+
+        # one 1e5-sample row, cut at C = 0, 2m, an integer and a fraction
+        m = 100_000
+        rows = np.repeat(rough_losses(rng, m)[None], 4, axis=0)
+        results = assert_rows_match_reference(rows, np.array([0.0, 2.0 * m, 60_000.0, 71_234.56]))
+        assert results[0].selected_count < _WINDOW and results[1].selected_count == m
+        assert all(_WINDOW < r.selected_count < m - _WINDOW for r in results[2:])
 
     def test_partial_optimize_is_the_one_row_case(self):
         rng = np.random.default_rng(18)
